@@ -5,7 +5,7 @@ picks each round's participants from integrated-gradients feature
 attributions, apportioning selection slots across features by importance.
 """
 
-from .attribution import AttributionVector, IgConfig, client_attribution, integrated_gradients
+from .attribution import AttributionVector, IgConfig, client_attribution
 from .data import ClientDataset, MinMaxScaler, NonIidProfile, SLICES, SliceSpec
 from .federation import (
     ExperimentConfig,
@@ -18,7 +18,7 @@ from .federation import (
     run_round,
 )
 from .metrics import CommLedger, ProvisioningReport, comm_cost, provisioning_report
-from .nn import AdamState, ModelParams, NetworkSpec, adam_step, forward, init_params, train_local
+from .nn import ModelParams, NetworkSpec, init_params
 from .selection import (
     SelectionResult,
     aggregate_importance,
@@ -31,7 +31,6 @@ from .selection import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdamState",
     "AttributionVector",
     "ClientDataset",
     "CommLedger",
@@ -48,22 +47,18 @@ __all__ = [
     "SelectionResult",
     "SliceRun",
     "SliceSpec",
-    "adam_step",
     "aggregate_importance",
     "apportion",
     "client_attribution",
     "comm_cost",
     "evaluate_global",
     "fedavg_aggregate",
-    "forward",
     "init_params",
-    "integrated_gradients",
     "provisioning_report",
     "run_experiment",
     "run_round",
     "select_by_score",
     "select_clients",
     "select_no_policy",
-    "train_local",
     "__version__",
 ]

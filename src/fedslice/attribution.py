@@ -1,8 +1,8 @@
 """Integrated-gradients feature attributions and their per-client reduction.
 
-Per sample, the attribution of feature i is (x_i - x'_i) times the average
-input gradient along the straight path from the baseline x' to x, evaluated
-with a midpoint Riemann rule. A client's summary is the componentwise absolute
+Per sample, the attribution of feature i is x_i times the average input
+gradient along the straight path from the zero baseline to x, evaluated with
+a midpoint Riemann rule. A client's summary is the componentwise absolute
 mean over a fixed pool of samples, normalized to sum to one.
 """
 
@@ -21,30 +21,16 @@ DEFAULT_ATTRIBUTION_SAMPLES = 150
 
 @dataclass(frozen=True)
 class IgConfig:
-    """Path-integral settings: step count, baseline point, pool size."""
+    """Path-integral settings: step count and pool size."""
 
     steps: int = DEFAULT_IG_STEPS
     sample_count: int = DEFAULT_ATTRIBUTION_SAMPLES
-    baseline: np.ndarray | None = None  # None means the zero vector
 
     def __post_init__(self) -> None:
         if self.steps < 1:
             raise ConfigError("integration needs at least 1 step")
         if self.sample_count < 1:
             raise ConfigError("attribution pool needs at least 1 sample")
-        if self.baseline is not None:
-            b = np.ascontiguousarray(self.baseline, dtype=np.float64)
-            b.setflags(write=False)
-            object.__setattr__(self, "baseline", b)
-
-    def baseline_for(self, n_features: int) -> np.ndarray:
-        if self.baseline is None:
-            return np.zeros(n_features)
-        if self.baseline.shape != (n_features,):
-            raise ConfigError(
-                f"baseline has shape {self.baseline.shape}, expected ({n_features},)"
-            )
-        return self.baseline
 
 
 @dataclass(frozen=True)
@@ -69,31 +55,17 @@ def _midpoint_alphas(steps: int) -> np.ndarray:
     return (np.arange(steps) + 0.5) / steps
 
 
-def integrated_gradients(params: ModelParams, x: np.ndarray, cfg: IgConfig) -> np.ndarray:
-    """Signed attribution of each input feature for a single sample."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    baseline = cfg.baseline_for(params.spec.n_features)
-    if x.shape != baseline.shape:
-        raise ConfigError(f"input has shape {x.shape}, expected {baseline.shape}")
-    diff = x - baseline
-    path = baseline + _midpoint_alphas(cfg.steps)[:, None] * diff
-    grads = input_gradients_batch(params, path)
-    return diff * grads.mean(axis=0)
-
-
 def sample_attributions(params: ModelParams, samples: np.ndarray, cfg: IgConfig) -> np.ndarray:
     """Signed attributions for many samples at once; returns (n, F)."""
     xs = np.asarray(samples, dtype=np.float64)
     if xs.ndim != 2:
         raise ConfigError("samples must be a 2-D array")
-    baseline = cfg.baseline_for(params.spec.n_features)
-    diffs = xs - baseline
     alphas = _midpoint_alphas(cfg.steps)
     # One big batch of n*steps path points keeps the gradient pass vectorized.
-    path = baseline + alphas[None, :, None] * diffs[:, None, :]
+    path = alphas[None, :, None] * xs[:, None, :]
     grads = input_gradients_batch(params, path.reshape(-1, xs.shape[1]))
     mean_grads = grads.reshape(xs.shape[0], cfg.steps, xs.shape[1]).mean(axis=1)
-    return diffs * mean_grads
+    return xs * mean_grads
 
 
 def client_attribution(params: ModelParams, dataset, cfg: IgConfig) -> AttributionVector:

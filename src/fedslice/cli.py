@@ -13,9 +13,7 @@ import csv
 import dataclasses
 import json
 import logging
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -89,55 +87,49 @@ def _load_config(config_path: str | None, overrides: list[str]) -> tuple[dict, l
 
 
 def _ingest_datasets(cfg: ExperimentConfig) -> dict[str, list]:
+    """Load every client's CSV; each slice's files must share one row count.
+
+    Clients of a slice train in lockstep, and each train split must hold the
+    attribution pool, so both are checked here, naming the files.
+    """
     data_dir = Path(cfg.data_dir)
     missing = []
     datasets: dict[str, list] = {}
     for name in cfg.slices:
         spec = slice_by_name(name)
         slice_index = DEFAULT_SLICE_NAMES.index(name)
-        rows = []
+        rows, listing = [], []
         for k in range(cfg.n_clients):
             path = data_dir / f"client{k:02d}_{name}.csv"
             if not path.exists():
                 missing.append(str(path))
                 continue
-            rows.append(ingest_csv(path, spec, client_id=k,
-                                   seed=client_seed(cfg.seed, slice_index, k),
-                                   train_fraction=cfg.train_fraction))
+            ds = ingest_csv(path, spec, client_id=k,
+                            seed=client_seed(cfg.seed, slice_index, k),
+                            train_fraction=cfg.train_fraction)
+            pool = ds.attribution_indices.shape[0]
+            if pool < cfg.attribution_samples:
+                raise ConfigError(
+                    f"{path}: train split has {pool} rows, fewer than "
+                    f"attribution_samples ({cfg.attribution_samples})"
+                )
+            rows.append(ds)
+            listing.append(f"{path} ({ds.size} rows)")
+        if len({ds.size for ds in rows}) > 1:
+            raise ConfigError(
+                f"slice {name!r}: client files differ in row count: {', '.join(listing)}"
+            )
         datasets[name] = rows
     if missing:
         raise ConfigError(f"missing dataset file(s): {', '.join(missing)}")
     return datasets
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("FEDSLICE_THREADS", "1")
-    try:
-        return max(int(raw), 1)
-    except ValueError:
-        raise ConfigError(f"FEDSLICE_THREADS must be an integer, got {raw!r}") from None
-
-
 def _run_all(base: ExperimentConfig, policies: list[str], datasets) -> dict[str, list[SliceRun]]:
-    jobs = []
+    by_policy: dict[str, list[SliceRun]] = {}
     for policy in policies:
         cfg = dataclasses.replace(base, policy=policy)
-        for slice_name in cfg.slices:
-            jobs.append((policy, cfg, slice_name))
-
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(
-                lambda job: run_slice(job[1], job[2], datasets[job[2]]), jobs
-            ))
-    else:
-        results = [run_slice(cfg, slice_name, datasets[slice_name])
-                   for _, cfg, slice_name in jobs]
-
-    by_policy: dict[str, list[SliceRun]] = {p: [] for p in policies}
-    for (policy, _, _), run in zip(jobs, results):
-        by_policy[policy].append(run)
+        by_policy[policy] = [run_slice(cfg, name, datasets[name]) for name in cfg.slices]
     return by_policy
 
 

@@ -342,7 +342,10 @@ def write_client_csv(table: dict[str, np.ndarray], path: str | Path) -> None:
 
 
 def read_table_csv(path: str | Path) -> dict[str, np.ndarray]:
-    """Parse a canonical CSV into a column table, validating schema and cells."""
+    """Parse a canonical CSV into a column table, validating schema and cells.
+
+    Every cell must parse as a finite float; blank lines are skipped.
+    """
     path = Path(path)
     with path.open("r", newline="") as fh:
         reader = csv.reader(fh)
@@ -355,8 +358,10 @@ def read_table_csv(path: str | Path) -> dict[str, np.ndarray]:
             raise DataSchemaError(f"{path}: missing column(s) {', '.join(missing)}")
         col_pos = {c: header.index(c) for c in CSV_COLUMNS}
         columns: dict[str, list[float]] = {c: [] for c in CSV_COLUMNS}
+        blank_rows = []
         for row_number, row in enumerate(reader, start=2):
             if not row:
+                blank_rows.append(row_number)
                 continue
             for col, pos in col_pos.items():
                 cell = row[pos] if pos < len(row) else ""
@@ -366,22 +371,30 @@ def read_table_csv(path: str | Path) -> dict[str, np.ndarray]:
                     raise DataParseError(
                         f"{path}: row {row_number}, column {col!r}: cannot parse {cell!r}"
                     ) from None
-    return {c: np.asarray(v, dtype=np.float64) for c, v in columns.items()}
+    table = {c: np.asarray(v, dtype=np.float64) for c, v in columns.items()}
+    for col, values in table.items():
+        finite = np.isfinite(values)
+        if not finite.all():
+            index = int(np.argmin(finite))
+            row_number = index + 2
+            for blank in blank_rows:
+                if blank <= row_number:
+                    row_number += 1
+            raise DataParseError(
+                f"{path}: row {row_number}, column {col!r}: non-finite value {values[index]}"
+            )
+    return table
 
 
 def ingest_csv(
     path: str | Path,
     slice_spec: SliceSpec,
-    client_id: int | None = None,
+    client_id: int,
     seed: int = 0,
     train_fraction: float = 0.8,
 ) -> ClientDataset:
     """Load a canonical CSV and aggregate it into one slice's ClientDataset."""
-    path = Path(path)
     table = read_table_csv(path)
     features, targets = aggregate_table(table, slice_spec)
-    if client_id is None:
-        digits = "".join(ch for ch in path.stem if ch.isdigit())
-        client_id = int(digits) if digits else 0
     _, shuffle_rng = _split_seed(seed)
     return make_dataset(client_id, slice_spec.name, features, targets, shuffle_rng, train_fraction)

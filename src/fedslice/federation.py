@@ -71,8 +71,6 @@ class ExperimentConfig:
     train_fraction: float = 0.8
     slices: tuple[str, ...] = DEFAULT_SLICE_NAMES
     data_dir: str | None = None
-    apportionment: str = "largest_remainder"
-    tie_break: str = "lowest_index"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "layer_sizes", tuple(int(s) for s in self.layer_sizes))
@@ -95,14 +93,11 @@ class ExperimentConfig:
             raise ConfigError(
                 f"input layer ({self.layer_sizes[0]}) must match n_features ({self.n_features})"
             )
-        if self.apportionment != "largest_remainder":
-            raise ConfigError(f"unsupported apportionment rule {self.apportionment!r}")
-        if self.tie_break != "lowest_index":
-            raise ConfigError(f"unsupported tie-break rule {self.tie_break!r}")
         for name in self.slices:
             slice_by_name(name)
+        # Under data_dir the train splits come from the files, which ingestion checks.
         max_pool = max(int(round(self.samples_per_client * self.train_fraction)), 1)
-        if self.attribution_samples > max_pool:
+        if self.data_dir is None and self.attribution_samples > max_pool:
             raise ConfigError(
                 f"attribution_samples ({self.attribution_samples}) exceeds the "
                 f"train split size ({max_pool})"
@@ -137,7 +132,6 @@ class RoundRecord:
 
     round_index: int
     mse: float
-    time_ms: float
     cum_time_ms: float
     selected: tuple[int, ...]
     params_transmitted: int
@@ -150,13 +144,11 @@ class FederationState:
     slice_name: str
     round_index: int
     global_params: ModelParams
-    client_params: tuple[ModelParams, ...]
     chi: np.ndarray | None
     datasets: tuple[ClientDataset, ...]
     test_features: np.ndarray
     test_targets: np.ndarray
     cum_time_ms: float = 0.0
-    last_selection: SelectionResult | None = None
 
 
 @dataclass
@@ -294,7 +286,6 @@ def initialize_state(
         slice_name=slice_name,
         round_index=0,
         global_params=global_params,
-        client_params=tuple(global_params for _ in datasets),
         chi=chi,
         datasets=datasets_t,
         test_features=test_features,
@@ -302,8 +293,10 @@ def initialize_state(
     )
 
 
-def run_round(state: FederationState, cfg: ExperimentConfig) -> tuple[FederationState, RoundRecord]:
-    """One full federated round; returns the advanced state and its record."""
+def run_round(
+    state: FederationState, cfg: ExperimentConfig
+) -> tuple[FederationState, RoundRecord, SelectionResult]:
+    """One full federated round; returns the advanced state, its record and selection."""
     if state.round_index >= cfg.n_rounds:
         raise ConfigError(f"round {state.round_index} is past the configured {cfg.n_rounds}")
     started = time.perf_counter()
@@ -329,7 +322,6 @@ def run_round(state: FederationState, cfg: ExperimentConfig) -> tuple[Federation
     sizes = [ds.size for ds in participants]
 
     new_global = fedavg_aggregate(trained, sizes)
-    client_params = tuple(new_global for _ in state.datasets)
     chi = None if cfg.policy == POLICY_NO_POLICY else _compute_chi(new_global, state.datasets, cfg)
     elapsed_ms = (time.perf_counter() - started) * 1e3
 
@@ -340,7 +332,6 @@ def run_round(state: FederationState, cfg: ExperimentConfig) -> tuple[Federation
     record = RoundRecord(
         round_index=state.round_index,
         mse=mse,
-        time_ms=elapsed_ms,
         cum_time_ms=state.cum_time_ms + elapsed_ms,
         selected=selection.selected,
         params_transmitted=downlink + uplink,
@@ -353,12 +344,10 @@ def run_round(state: FederationState, cfg: ExperimentConfig) -> tuple[Federation
         state,
         round_index=state.round_index + 1,
         global_params=new_global,
-        client_params=client_params,
         chi=chi,
         cum_time_ms=record.cum_time_ms,
-        last_selection=selection,
     )
-    return new_state, record
+    return new_state, record, selection
 
 
 def run_slice(
@@ -374,12 +363,12 @@ def run_slice(
     )
     for _ in range(cfg.n_rounds):
         chi_used = state.chi
-        state, record = run_round(state, cfg)
+        state, record, selection = run_round(state, cfg)
         run.records.append(record)
         run.round_params.append(state.global_params)
         if chi_used is not None:
             run.chi_rounds.append(chi_used)
-        run.selections.append(state.last_selection)
+        run.selections.append(selection)
     return run
 
 

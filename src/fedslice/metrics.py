@@ -311,10 +311,9 @@ def persist(out_dir: str | Path, runs, ledgers: list[CommLedger],
             chi_path = out / f"attributions_{stem}.csv"
             write_attributions_csv(chi_path, run.chi_rounds)
             paths[f"attributions_{stem}"] = chi_path
-        selections = [s for s in run.selections if s is not None and s.audit]
-        if selections:
+        if any(s.audit for s in run.selections):
             sel_path = out / f"selection_{stem}.csv"
-            write_selection_csv(sel_path, [s for s in run.selections if s is not None])
+            write_selection_csv(sel_path, run.selections)
             paths[f"selection_{stem}"] = sel_path
 
     ledger_path = out / "comm_ledger.csv"

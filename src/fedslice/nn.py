@@ -3,12 +3,13 @@
 The network is deliberately tiny (default 3-3-2-1, ReLU hidden layers,
 identity output) and every operation is a pure function over a flat float64
 parameter vector, which is the unit exchanged between server and clients.
-Gradients are hand-written reverse mode; the optimizer is Adam.
+Gradients are hand-written reverse mode; the optimizer is Adam. One stacked
+kernel computes every forward and backward pass, so the single-network
+helpers run exactly the arithmetic that training runs.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,9 +20,10 @@ DEFAULT_LAYER_SIZES = (3, 3, 2, 1)
 
 # ReLU subgradient at exactly 0 is taken as 0 (strict > in the masks below).
 
-
-def _parameter_count(layer_sizes: tuple[int, ...]) -> int:
-    return sum((a + 1) * b for a, b in zip(layer_sizes[:-1], layer_sizes[1:]))
+# Adam moment decay rates and denominator guard.
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPSILON = 1e-8
 
 
 @dataclass(frozen=True)
@@ -46,7 +48,7 @@ class NetworkSpec:
 
     @property
     def param_count(self) -> int:
-        return _parameter_count(self.layer_sizes)
+        return sum((n_in + 1) * n_out for n_in, n_out in self.layer_shapes())
 
     def layer_shapes(self) -> list[tuple[int, int]]:
         """(fan_in, fan_out) per layer, in forward order."""
@@ -129,30 +131,62 @@ def _as_batch(params: ModelParams, features: np.ndarray) -> np.ndarray:
     return x
 
 
-def _forward_cached(params: ModelParams, x: np.ndarray):
-    """Forward pass keeping activations and pre-activations for backprop."""
+def _stack(params: ModelParams) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer weights as (1, fan_in, fan_out) and biases as (1, 1, fan_out) views."""
     layers = _unpack(params)
-    activations = [x]
-    pre_acts = []
+    return [w[None] for w, _ in layers], [b[None, None] for _, b in layers]
+
+
+def _pass(
+    ws: list[np.ndarray],
+    bs: list[np.ndarray],
+    x: np.ndarray,
+    targets: np.ndarray | None = None,
+    input_grads: bool = False,
+) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]] | None, np.ndarray | None]:
+    """Forward and backward pass of K stacked networks over (K, B, F) inputs.
+
+    `ws[i]` is (K, fan_in, fan_out) and `bs[i]` is (K, 1, fan_out). Returns the
+    (K, B) predictions, then two optional gradients. The backward pass starts
+    from the batch-mean squared error against `targets` (K, B) when given,
+    else from the prediction itself. With `targets`, the first gradient lists
+    each layer's (weights, biases) gradient; with `input_grads`, the second is
+    the gradient with respect to every input row, (K, B, F).
+    """
+    n_layers = len(ws)
+    layer_inputs, pre_acts = [], []  # inputs are kept only for parameter gradients
     a = x
-    for i, (w, b) in enumerate(layers):
-        z = a @ w + b
+    for i in range(n_layers):
+        if targets is not None:
+            layer_inputs.append(a)
+        z = a @ ws[i] + bs[i]
         pre_acts.append(z)
-        a = z if i == len(layers) - 1 else np.maximum(z, 0.0)
-        activations.append(a)
-    return activations, pre_acts
+        a = z if i == n_layers - 1 else np.maximum(z, 0.0)
+    pred = pre_acts[-1][:, :, 0]
+    if targets is None and not input_grads:
+        return pred, None, None
+
+    if targets is None:
+        delta = np.ones_like(pre_acts[-1])
+    else:
+        delta = ((2.0 / targets.shape[1]) * (pred - targets))[:, :, None]
+    param_grads: list = [None] * n_layers
+    for i in range(n_layers - 1, -1, -1):
+        if targets is not None:
+            param_grads[i] = (layer_inputs[i].transpose(0, 2, 1) @ delta,
+                              delta.sum(axis=1, keepdims=True))
+        if i > 0:
+            delta = (delta @ ws[i].transpose(0, 2, 1)) * (pre_acts[i - 1] > 0.0)
+        elif input_grads:
+            delta = delta @ ws[0].transpose(0, 2, 1)
+    return (pred, param_grads if targets is not None else None,
+            delta if input_grads else None)
 
 
 def forward_batch(params: ModelParams, features: np.ndarray) -> np.ndarray:
     """Predictions for a batch of feature rows; returns shape (B,)."""
-    x = _as_batch(params, features)
-    _, pre_acts = _forward_cached(params, x)
-    return pre_acts[-1][:, 0]
-
-
-def forward(params: ModelParams, x: np.ndarray) -> float:
-    """Scalar prediction for a single feature vector."""
-    return float(forward_batch(params, np.asarray(x, dtype=np.float64)[None, :])[0])
+    pred, _, _ = _pass(*_stack(params), _as_batch(params, features)[None])
+    return pred[0]
 
 
 def param_gradients(params: ModelParams, features: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -163,87 +197,14 @@ def param_gradients(params: ModelParams, features: np.ndarray, targets: np.ndarr
         raise ValueError("gradient of an empty batch is undefined")
     if y.shape[0] != x.shape[0]:
         raise ConfigError(f"batch has {x.shape[0]} rows but {y.shape[0]} targets")
-
-    layers = _unpack(params)
-    activations, pre_acts = _forward_cached(params, x)
-    pred = pre_acts[-1][:, 0]
-
-    grads: list[np.ndarray | None] = [None] * len(layers)
-    delta = ((2.0 / y.shape[0]) * (pred - y))[:, None]
-    for i in range(len(layers) - 1, -1, -1):
-        w, _ = layers[i]
-        gw = activations[i].T @ delta
-        gb = delta.sum(axis=0)
-        grads[i] = np.concatenate([gw.reshape(-1), gb])
-        if i > 0:
-            delta = (delta @ w.T) * (pre_acts[i - 1] > 0.0)
-    return np.concatenate(grads)
+    _, grads, _ = _pass(*_stack(params), x[None], y[None])
+    return np.concatenate([g[0].reshape(-1) for layer in grads for g in layer])
 
 
 def input_gradients_batch(params: ModelParams, features: np.ndarray) -> np.ndarray:
     """d(prediction)/d(input) for each row independently; returns (B, F)."""
-    x = _as_batch(params, features)
-    layers = _unpack(params)
-    _, pre_acts = _forward_cached(params, x)
-
-    delta = np.ones((x.shape[0], 1))
-    for i in range(len(layers) - 1, 0, -1):
-        w, _ = layers[i]
-        delta = (delta @ w.T) * (pre_acts[i - 1] > 0.0)
-    return delta @ layers[0][0].T
-
-
-def input_gradients(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """d(prediction)/d(input) for a single feature vector; returns (F,)."""
-    return input_gradients_batch(params, np.asarray(x, dtype=np.float64)[None, :])[0]
-
-
-@dataclass(frozen=True)
-class AdamState:
-    """Per-parameter Adam moments plus the shared step counter."""
-
-    first_moment: np.ndarray
-    second_moment: np.ndarray
-    step_count: int = 0
-    learning_rate: float = 0.0015
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-
-    def __post_init__(self) -> None:
-        m = np.ascontiguousarray(self.first_moment, dtype=np.float64)
-        v = np.ascontiguousarray(self.second_moment, dtype=np.float64)
-        if m.shape != v.shape or m.ndim != 1:
-            raise ConfigError("Adam moment vectors must be equal-length 1-D arrays")
-        if self.step_count < 0:
-            raise ConfigError("step_count cannot be negative")
-        m.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "first_moment", m)
-        object.__setattr__(self, "second_moment", v)
-
-    @classmethod
-    def fresh(cls, n_params: int, learning_rate: float = 0.0015, **kwargs) -> "AdamState":
-        zeros = np.zeros(n_params)
-        return cls(zeros, zeros.copy(), 0, learning_rate, **kwargs)
-
-
-def adam_step(params: ModelParams, grads: np.ndarray, state: AdamState) -> tuple[ModelParams, AdamState]:
-    """One bias-corrected Adam update; returns new params and advanced state."""
-    g = np.asarray(grads, dtype=np.float64).reshape(-1)
-    if g.shape[0] != len(params) or state.first_moment.shape[0] != len(params):
-        raise ConfigError("gradient, state and parameter lengths must agree")
-    if not np.all(np.isfinite(g)):
-        raise NumericError("non-finite gradient passed to Adam")
-
-    t = state.step_count + 1
-    m = state.beta1 * state.first_moment + (1.0 - state.beta1) * g
-    v = state.beta2 * state.second_moment + (1.0 - state.beta2) * g * g
-    m_hat = m / (1.0 - state.beta1 ** t)
-    v_hat = v / (1.0 - state.beta2 ** t)
-    new_values = params.values - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
-    new_state = AdamState(m, v, t, state.learning_rate, state.beta1, state.beta2, state.epsilon)
-    return ModelParams(new_values, params.spec), new_state
+    _, _, grads = _pass(*_stack(params), _as_batch(params, features)[None], input_grads=True)
+    return grads[0]
 
 
 def train_clients(
@@ -254,9 +215,6 @@ def train_clients(
     learning_rate: float = 0.0015,
     batch_size: int | None = None,
     shuffle_rngs: list[np.random.Generator] | None = None,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    epsilon: float = 1e-8,
 ) -> list[ModelParams]:
     """Train one copy of `params` per client, all clients in lockstep.
 
@@ -280,9 +238,8 @@ def train_clients(
     if xs.shape[2] != params.spec.n_features:
         raise ConfigError(f"expected feature dimension {params.spec.n_features}, got {xs.shape}")
 
-    shapes = params.spec.layer_shapes()
-    n_layers = len(shapes)
-    ws, bs, grads_w, grads_b = [], [], [], []
+    n_layers = len(params.spec.layer_shapes())
+    ws, bs = [], []
     mw, vw, mb, vb = [], [], [], []
     for w, b in _unpack(params):
         ws.append(np.broadcast_to(w, (n_clients, *w.shape)).copy())
@@ -314,133 +271,26 @@ def train_clients(
                 xb = xs[:, batch]
                 yb = ys[:, batch]
 
-            activations = [xb]
-            pre_acts = []
-            a = xb
-            for i in range(n_layers):
-                z = a @ ws[i] + bs[i]
-                pre_acts.append(z)
-                a = z if i == n_layers - 1 else np.maximum(z, 0.0)
-                activations.append(a)
-
-            delta = ((2.0 / yb.shape[1]) * (pre_acts[-1][:, :, 0] - yb))[:, :, None]
-            for i in range(n_layers - 1, -1, -1):
-                grads_w_i = activations[i].transpose(0, 2, 1) @ delta
-                grads_b_i = delta.sum(axis=1, keepdims=True)
-                if i > 0:
-                    delta = (delta @ ws[i].transpose(0, 2, 1)) * (pre_acts[i - 1] > 0.0)
-                if not (np.all(np.isfinite(grads_w_i)) and np.all(np.isfinite(grads_b_i))):
+            _, grads, _ = _pass(ws, bs, xb, yb)
+            for gw, gb in grads:
+                if not (np.all(np.isfinite(gw)) and np.all(np.isfinite(gb))):
                     raise NumericError("non-finite gradient during local training")
-                grads_w.insert(0, grads_w_i)
-                grads_b.insert(0, grads_b_i)
 
             step += 1
-            correction1 = 1.0 - beta1 ** step
-            correction2 = 1.0 - beta2 ** step
-            for i in range(n_layers):
-                gw, gb = grads_w[i], grads_b[i]
-                mw[i] = beta1 * mw[i] + (1.0 - beta1) * gw
-                vw[i] = beta2 * vw[i] + (1.0 - beta2) * gw * gw
-                mb[i] = beta1 * mb[i] + (1.0 - beta1) * gb
-                vb[i] = beta2 * vb[i] + (1.0 - beta2) * gb * gb
+            correction1 = 1.0 - _BETA1 ** step
+            correction2 = 1.0 - _BETA2 ** step
+            for i, (gw, gb) in enumerate(grads):
+                mw[i] = _BETA1 * mw[i] + (1.0 - _BETA1) * gw
+                vw[i] = _BETA2 * vw[i] + (1.0 - _BETA2) * gw * gw
+                mb[i] = _BETA1 * mb[i] + (1.0 - _BETA1) * gb
+                vb[i] = _BETA2 * vb[i] + (1.0 - _BETA2) * gb * gb
                 ws[i] = ws[i] - learning_rate * (mw[i] / correction1) / (
-                    np.sqrt(vw[i] / correction2) + epsilon)
+                    np.sqrt(vw[i] / correction2) + _EPSILON)
                 bs[i] = bs[i] - learning_rate * (mb[i] / correction1) / (
-                    np.sqrt(vb[i] / correction2) + epsilon)
-            grads_w.clear()
-            grads_b.clear()
+                    np.sqrt(vb[i] / correction2) + _EPSILON)
 
     out = []
     for c in range(n_clients):
         layers = [(ws[i][c], bs[i][c, 0]) for i in range(n_layers)]
         out.append(pack(params.spec, layers))
     return out
-
-
-def train_local(
-    params: ModelParams,
-    features: np.ndarray,
-    targets: np.ndarray,
-    epochs: int,
-    state: AdamState | None = None,
-    batch_size: int | None = None,
-    shuffle_rng: np.random.Generator | None = None,
-) -> ModelParams:
-    """Adam training of one client for a fixed number of epochs.
-
-    The optimizer state defaults to a fresh one so that every federated round
-    starts from clean moments; the final state is discarded for the same
-    reason. With the default `batch_size=None` each epoch takes one full-batch
-    step; otherwise each epoch walks seeded minibatches. Deterministic given
-    the data order and any provided rng.
-    """
-    if state is None:
-        state = AdamState.fresh(len(params))
-    fresh = state.step_count == 0 and not state.first_moment.any() and not state.second_moment.any()
-    if fresh:
-        return train_clients(
-            params,
-            [np.asarray(features, dtype=np.float64)],
-            [np.asarray(targets, dtype=np.float64)],
-            epochs,
-            learning_rate=state.learning_rate,
-            batch_size=batch_size,
-            shuffle_rngs=None if shuffle_rng is None else [shuffle_rng],
-            beta1=state.beta1,
-            beta2=state.beta2,
-            epsilon=state.epsilon,
-        )[0]
-
-    # Warm optimizer state: compose the granular public ops instead.
-    if epochs < 1:
-        raise ValueError("epochs must be at least 1")
-    x = np.asarray(features, dtype=np.float64)
-    y = np.asarray(targets, dtype=np.float64).reshape(-1)
-    if y.shape[0] == 0:
-        raise ValueError("cannot train on an empty dataset")
-    for _ in range(epochs):
-        if batch_size is None or batch_size >= y.shape[0]:
-            params, state = adam_step(params, param_gradients(params, x, y), state)
-            continue
-        order = (shuffle_rng.permutation(y.shape[0]) if shuffle_rng is not None
-                 else np.arange(y.shape[0]))
-        for start in range(0, y.shape[0], batch_size):
-            idx = order[start:start + batch_size]
-            params, state = adam_step(params, param_gradients(params, x[idx], y[idx]), state)
-    return params
-
-
-def to_bytes(params: ModelParams) -> bytes:
-    """Little-endian wire format: uint32 layer sizes, then float64 values."""
-    sizes = params.spec.layer_sizes
-    header = struct.pack(f"<{len(sizes)}I", *sizes)
-    return header + params.values.astype("<f8").tobytes()
-
-
-def from_bytes(data: bytes, spec: NetworkSpec | None = None) -> ModelParams:
-    """Parse the wire format back into ModelParams.
-
-    Without an explicit spec, the layer count is recovered by scanning for the
-    unique header length whose implied parameter count matches the payload.
-    """
-    if spec is not None:
-        n = len(spec.layer_sizes)
-        expected = 4 * n + 8 * spec.param_count
-        if len(data) != expected:
-            raise ConfigError(f"expected {expected} bytes for {spec.layer_sizes}, got {len(data)}")
-        sizes = struct.unpack(f"<{n}I", data[:4 * n])
-        if tuple(sizes) != spec.layer_sizes:
-            raise ConfigError(f"header {sizes} does not match spec {spec.layer_sizes}")
-        values = np.frombuffer(data[4 * n:], dtype="<f8")
-        return ModelParams(values.astype(np.float64), spec)
-
-    matches = []
-    for n in range(2, len(data) // 4 + 1):
-        sizes = struct.unpack(f"<{n}I", data[:4 * n])
-        if any(s < 1 for s in sizes) or sizes[-1] != 1:
-            continue
-        if 4 * n + 8 * _parameter_count(sizes) == len(data):
-            matches.append(sizes)
-    if len(matches) != 1:
-        raise ConfigError(f"cannot infer a unique architecture from {len(data)} bytes")
-    return from_bytes(data, NetworkSpec(matches[0]))

@@ -1,7 +1,7 @@
 """Client-selection policies driven by per-client feature attributions.
 
 The main policy splits the m selection slots among input features in
-proportion to their global importance (largest-remainder apportionment) and
+proportion to their global importance (largest-remainder method) and
 fills each feature's slots with the clients attributing most to that feature.
 Two baselines are provided: select everyone, and a per-client similarity
 score against the global importance vector.
@@ -127,12 +127,11 @@ def select_clients(
     )
 
 
-def select_no_policy(client_ids: int | list[int]) -> SelectionResult:
+def select_no_policy(n_clients: int) -> SelectionResult:
     """Every client participates; no quotas, no audit."""
-    ids = list(range(client_ids)) if isinstance(client_ids, int) else list(client_ids)
-    if not ids:
+    if n_clients < 1:
         raise ConfigError("cannot run a round with zero clients")
-    return SelectionResult(selected=tuple(ids), per_feature_quota=None)
+    return SelectionResult(selected=tuple(range(n_clients)), per_feature_quota=None)
 
 
 def _cosine(a: np.ndarray, b: np.ndarray) -> float:

@@ -13,16 +13,15 @@ import time
 import numpy as np
 import pytest
 
-from fedslice.attribution import IgConfig, integrated_gradients
+from fedslice.attribution import IgConfig, sample_attributions
 from fedslice.federation import ExperimentConfig, build_datasets, run_slice
 from fedslice.metrics import comm_cost, convergence_round, slice_provisioning
 from fedslice.nn import (
     ModelParams,
     NetworkSpec,
-    forward,
     forward_batch,
     init_params,
-    input_gradients,
+    input_gradients_batch,
     param_gradients,
 )
 from fedslice.selection import aggregate_importance, apportion, select_clients
@@ -63,10 +62,10 @@ def test_criterion_1_ig_completeness(rng):
     cfg = IgConfig(steps=1024)
     for _ in range(100):
         params = ModelParams(rng.normal(0.0, 0.8, 23), NetworkSpec())
-        x = rng.uniform(0.0, 1.0, 3)
-        ig = integrated_gradients(params, x, cfg)
-        residual = abs(float(ig.sum()) - (forward(params, x) - forward(params, np.zeros(3))))
-        worst = max(worst, residual)
+        x = rng.uniform(0.0, 1.0, (1, 3))
+        ig = sample_attributions(params, x, cfg)
+        gap = forward_batch(params, x)[0] - forward_batch(params, np.zeros((1, 3)))[0]
+        worst = max(worst, abs(float(ig.sum()) - gap))
     elapsed = time.perf_counter() - started
     report(1, worst <= 1e-3 and elapsed < 5.0,
            f"IG completeness worst residual {worst:.2e} (<= 1e-3) in {elapsed:.2f}s (< 5s)")
@@ -92,8 +91,8 @@ def test_criterion_2_gradient_correctness(rng):
             return float(np.mean((pred - ys) ** 2))
 
         worst_param = max(worst_param, rel_err(analytic, central_differences(loss, params.values)))
-        gi = input_gradients(params, xs[0])
-        numeric = central_differences(lambda v: forward(params, v), xs[0])
+        gi = input_gradients_batch(params, xs[:1])[0]
+        numeric = central_differences(lambda v: forward_batch(params, v[None, :])[0], xs[0])
         worst_input = max(worst_input, rel_err(gi, numeric))
         checked += 1
     elapsed = time.perf_counter() - started

@@ -5,12 +5,18 @@ from fedslice.attribution import (
     AttributionVector,
     IgConfig,
     client_attribution,
-    integrated_gradients,
     sample_attributions,
     uniform_attribution,
 )
 from fedslice.errors import ConfigError, DegenerateAttributionError
-from fedslice.nn import ModelParams, NetworkSpec, forward, init_params, input_gradients, pack
+from fedslice.nn import (
+    ModelParams,
+    NetworkSpec,
+    forward_batch,
+    init_params,
+    input_gradients_batch,
+    pack,
+)
 
 
 class FixedPool:
@@ -30,52 +36,49 @@ def brute_force_client_attribution(params, pool, cfg):
         for s in range(cfg.steps):
             alpha = (s + 0.5) / cfg.steps
             point = baseline + alpha * (x - baseline)
-            total += input_gradients(params, point)
+            total += input_gradients_batch(params, point[None, :])[0]
         per_sample.append((x - baseline) * total / cfg.steps)
     abs_mean = np.abs(np.array(per_sample)).mean(axis=0)
     return abs_mean / abs_mean.sum()
 
 
+def completeness_residuals(params, xs, cfg):
+    """|sum of attributions - (f(x) - f(0))| per sample."""
+    ig = sample_attributions(params, xs, cfg)
+    gap = forward_batch(params, xs) - forward_batch(params, np.zeros((1, xs.shape[1])))[0]
+    return np.abs(ig.sum(axis=1) - gap)
+
+
 class TestIntegratedGradients:
     def test_zero_length_path_gives_zero(self, rng):
         p = init_params(NetworkSpec(), rng)
-        ig = integrated_gradients(p, np.zeros(3), IgConfig(steps=16))
-        assert np.array_equal(ig, np.zeros(3))
+        ig = sample_attributions(p, np.zeros((1, 3)), IgConfig(steps=16))
+        assert np.array_equal(ig, np.zeros((1, 3)))
 
     def test_linear_model_is_exact_for_any_step_count(self, rng):
         w = rng.normal(0, 1, 3)
         p = pack(NetworkSpec((3, 1)), [(w[:, None], np.array([0.7]))])
-        x = rng.uniform(0, 1, 3)
+        xs = rng.uniform(0, 1, (4, 3))
         for steps in (1, 4, 64):
-            ig = integrated_gradients(p, x, IgConfig(steps=steps))
-            assert np.allclose(ig, w * x, rtol=0, atol=1e-14)
+            ig = sample_attributions(p, xs, IgConfig(steps=steps))
+            assert np.allclose(ig, w * xs, rtol=0, atol=1e-14)
 
     def test_completeness(self, rng):
         cfg = IgConfig(steps=1024)
         for _ in range(20):
             p = ModelParams(rng.normal(0, 0.8, 23), NetworkSpec())
-            x = rng.uniform(0, 1, 3)
-            ig = integrated_gradients(p, x, cfg)
-            assert abs(ig.sum() - (forward(p, x) - forward(p, np.zeros(3)))) <= 1e-3
+            assert completeness_residuals(p, rng.uniform(0, 1, (1, 3)), cfg)[0] <= 1e-3
 
     def test_residual_shrinks_as_steps_double(self, rng):
-        cases = [(ModelParams(rng.normal(0, 0.8, 23), NetworkSpec()), rng.uniform(0, 1, 3))
+        cases = [(ModelParams(rng.normal(0, 0.8, 23), NetworkSpec()), rng.uniform(0, 1, (1, 3)))
                  for _ in range(50)]
         mean_residuals = []
         for steps in (8, 16, 32, 64, 128, 256, 512):
             cfg = IgConfig(steps=steps)
-            res = [abs(integrated_gradients(p, x, cfg).sum()
-                       - (forward(p, x) - forward(p, np.zeros(3))))
-                   for p, x in cases]
+            res = [completeness_residuals(p, xs, cfg)[0] for p, xs in cases]
             mean_residuals.append(np.mean(res))
         for coarse, fine in zip(mean_residuals, mean_residuals[1:]):
             assert fine <= coarse + 1e-12
-
-    def test_custom_baseline_shape_checked(self, rng):
-        p = init_params(NetworkSpec(), rng)
-        cfg = IgConfig(steps=4, baseline=np.zeros(2))
-        with pytest.raises(ConfigError):
-            integrated_gradients(p, np.ones(3), cfg)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -167,7 +170,7 @@ class TestClientAttribution:
         xs = rng.uniform(0, 1, (6, 3))
         cfg = IgConfig(steps=10, sample_count=6)
         batched = sample_attributions(p, xs, cfg)
-        singles = np.array([integrated_gradients(p, x, cfg) for x in xs])
+        singles = np.array([sample_attributions(p, x[None, :], cfg)[0] for x in xs])
         assert np.allclose(batched, singles, rtol=0, atol=1e-12)
 
 

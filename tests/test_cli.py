@@ -112,23 +112,6 @@ class TestRun:
                        "--policies", "intelliselect") == 0
         assert (out / "manifest.json").exists()
 
-    def test_thread_count_does_not_change_results(self, tmp_path, monkeypatch):
-        cfg = write_config(tmp_path)
-        out_serial, out_threaded = tmp_path / "serial", tmp_path / "threaded"
-        assert run_cli("run", "--config", cfg, "--out", out_serial) == 0
-        monkeypatch.setenv("FEDSLICE_THREADS", "4")
-        assert run_cli("run", "--config", cfg, "--out", out_threaded) == 0
-        for path in sorted(out_serial.glob("rounds_*.csv")):
-            a = read_rounds_csv(path)
-            b = read_rounds_csv(out_threaded / path.name)
-            assert [r["mse"] for r in a] == [r["mse"] for r in b]
-            assert [r["selected"] for r in a] == [r["selected"] for r in b]
-
-    def test_bad_thread_count_is_exit_2(self, tmp_path, monkeypatch):
-        cfg = write_config(tmp_path)
-        monkeypatch.setenv("FEDSLICE_THREADS", "many")
-        assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 2
-
 
 class TestGenData:
     def profiles_file(self, tmp_path, **overrides):
@@ -207,6 +190,56 @@ class TestGenData:
         (tmp_path / "empty").mkdir()
         assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 2
         assert "missing dataset" in capsys.readouterr().err
+
+
+class TestMalformedData:
+    """Bad CSV input fails at ingestion with exit 2 and names the file."""
+
+    def generate(self, tmp_path, n_rows):
+        profiles = tmp_path / "profiles.json"
+        profiles.write_text(json.dumps({"n_clients": 3, "samples_per_client": n_rows,
+                                        "seed": 42, "slices": ["eMBB"]}))
+        data_dir = tmp_path / "data"
+        assert run_cli("gen-data", "--profiles", profiles, "--out", data_dir) == 0
+        return data_dir
+
+    def run_on(self, tmp_path, data_dir, **overrides):
+        cfg = write_config(tmp_path, n_clients=3, slices=["eMBB"],
+                           data_dir=str(data_dir), **overrides)
+        return run_cli("run", "--config", cfg, "--out", tmp_path / "o",
+                       "--policies", "no_policy")
+
+    def test_non_finite_cell_is_exit_2(self, tmp_path, capsys):
+        data_dir = self.generate(tmp_path, 60)
+        path = data_dir / "client02_eMBB.csv"
+        lines = path.read_text().splitlines()
+        fields = lines[5].split(",")
+        fields[10] = "nan"  # CQI
+        lines[5] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        assert self.run_on(tmp_path, data_dir) == 2
+        err = capsys.readouterr().err
+        assert "client02_eMBB.csv: row 6, column 'CQI'" in err
+
+    def test_ragged_clients_are_exit_2(self, tmp_path, capsys):
+        data_dir = self.generate(tmp_path, 60)
+        path = data_dir / "client01_eMBB.csv"
+        path.write_text("\n".join(path.read_text().splitlines()[:40]) + "\n")
+        assert self.run_on(tmp_path, data_dir) == 2
+        err = capsys.readouterr().err
+        assert "client01_eMBB.csv (39 rows)" in err
+        assert "client00_eMBB.csv (60 rows)" in err
+
+    def test_attribution_pool_larger_than_train_split_is_exit_2(self, tmp_path, capsys):
+        data_dir = self.generate(tmp_path, 60)
+        assert self.run_on(tmp_path, data_dir, attribution_samples=100) == 2
+        err = capsys.readouterr().err
+        assert "client00_eMBB.csv: train split has 48 rows" in err
+
+    def test_long_files_are_not_held_to_samples_per_client(self, tmp_path):
+        data_dir = self.generate(tmp_path, 200)
+        assert self.run_on(tmp_path, data_dir, samples_per_client=40,
+                           attribution_samples=100) == 0
 
 
 class TestCompare:

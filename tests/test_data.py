@@ -213,7 +213,7 @@ class TestCsv:
         path = tmp_path / "client.csv"
         path.write_text(",".join(cols) + "\n" + ",".join("1" * len(cols)) + "\n")
         with pytest.raises(DataSchemaError, match="CQI"):
-            ingest_csv(path, EMBB)
+            ingest_csv(path, EMBB, client_id=0)
 
     def test_bad_cell_reports_row_number(self, tmp_path):
         header = ",".join(CSV_COLUMNS)
@@ -222,13 +222,23 @@ class TestCsv:
         path = tmp_path / "client.csv"
         path.write_text(header + "\n" + good + "\n" + bad + "\n")
         with pytest.raises(DataParseError, match="row 3"):
-            ingest_csv(path, EMBB)
+            ingest_csv(path, EMBB, client_id=0)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_reports_row_and_column(self, tmp_path, cell):
+        header = ",".join(CSV_COLUMNS)
+        good = ",".join(["1"] * 13)
+        bad = ",".join(["1"] * 10 + [cell, "1", "1"])
+        path = tmp_path / "client.csv"
+        path.write_text(header + "\n" + good + "\n\n" + bad + "\n")
+        with pytest.raises(DataParseError, match=r"client\.csv: row 4, column 'CQI'"):
+            read_table_csv(path)
 
     def test_empty_file_is_schema_error(self, tmp_path):
         path = tmp_path / "client.csv"
         path.write_text("")
         with pytest.raises(DataSchemaError):
-            ingest_csv(path, EMBB)
+            ingest_csv(path, EMBB, client_id=0)
 
     def test_export_then_ingest_roundtrip(self, tmp_path):
         p = profile(client_id=3)
@@ -245,12 +255,6 @@ class TestCsv:
         re_read = read_table_csv(path)
         for col in CSV_COLUMNS:
             assert np.array_equal(re_read[col], table[col])
-
-    def test_client_id_parsed_from_filename(self, tmp_path):
-        table = generate_client_table(profile(), EMBB, 10, seed=2)
-        path = tmp_path / "client07_eMBB.csv"
-        write_client_csv(table, path)
-        assert ingest_csv(path, EMBB).client_id == 7
 
     def test_aggregate_matches_row_sum_oracle(self, rng):
         table = generate_client_table(profile(), EMBB, 60, seed=14)

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import small_config
-from fedslice.errors import ConfigError
+from fedslice.attribution import client_attribution
+from fedslice.errors import ConfigError, NumericError
 from fedslice.federation import (
     ExperimentConfig,
+    _select,
     build_datasets,
     evaluate_global,
     fedavg_aggregate,
@@ -115,13 +117,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             small_config(policy="oracle")
 
-    def test_unknown_apportionment_rejected(self):
-        with pytest.raises(ConfigError):
-            small_config(apportionment="dhondt")
-
     def test_attribution_pool_must_fit_train_split(self):
         with pytest.raises(ConfigError):
             small_config(samples_per_client=100, attribution_samples=90)
+
+    def test_data_dir_skips_the_synthetic_pool_bound(self):
+        # Ingestion checks the pool against each file's own train split.
+        cfg = small_config(samples_per_client=100, attribution_samples=90, data_dir="data")
+        assert cfg.attribution_samples == 90
 
     def test_layer_width_must_match_features(self):
         with pytest.raises(ConfigError):
@@ -150,7 +153,7 @@ class TestRounds:
     def test_m_equals_one_takes_single_client_params(self, small_datasets):
         cfg = small_config(n_selected=1)
         state = initialize_state(cfg, "eMBB", small_datasets["eMBB"])
-        new_state, record = run_round(state, cfg)
+        new_state, record, _ = run_round(state, cfg)
         assert len(record.selected) == 1
 
         client = small_datasets["eMBB"][record.selected[0]]
@@ -166,24 +169,38 @@ class TestRounds:
         cfg = small_config()
         state = initialize_state(cfg, "eMBB", small_datasets["eMBB"])
         for _ in range(2):
-            state, _ = run_round(state, cfg)
-            for local in state.client_params:
-                assert np.array_equal(local.values, state.global_params.values)
+            state, _, _ = run_round(state, cfg)
+            # Every client's refreshed attribution is taken on the new global model.
+            for ds, row in zip(state.datasets, state.chi):
+                expected = client_attribution(state.global_params, ds, cfg.ig_config)
+                assert np.array_equal(row, expected.values)
 
     def test_round_past_horizon_rejected(self, small_datasets):
         cfg = small_config(n_rounds=1)
         state = initialize_state(cfg, "eMBB", small_datasets["eMBB"])
-        state, _ = run_round(state, cfg)
+        state, _, _ = run_round(state, cfg)
         with pytest.raises(ConfigError):
             run_round(state, cfg)
 
     def test_round_record_comm_count(self, small_datasets):
         cfg = small_config()
         state = initialize_state(cfg, "eMBB", small_datasets["eMBB"])
-        _, record = run_round(state, cfg)
+        _, record, selection = run_round(state, cfg)
+        assert record.selected == selection.selected
         p = cfg.network_spec.param_count
         expected = cfg.n_clients * p + cfg.n_selected * p + cfg.n_clients * cfg.n_features
         assert record.params_transmitted == expected
+
+    def test_training_overflow_names_round_slice_and_clients(self, small_datasets):
+        # A huge step size sends the weights past float range on the next step.
+        cfg = small_config(learning_rate=1e300)
+        state = initialize_state(cfg, "eMBB", small_datasets["eMBB"])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError) as info:
+                run_round(state, cfg)
+        chosen = sorted(_select(cfg, state.chi).selected)
+        assert str(info.value) == (f"round 0, slice eMBB, clients {chosen}: "
+                                   "non-finite gradient during local training")
 
 
 class TestExperiment:
