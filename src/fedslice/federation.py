@@ -1,10 +1,11 @@
 """Round-based federated training of one global model per network slice.
 
 Every round: select clients under the configured policy, train each selected
-client locally for a fixed number of epochs, aggregate the local weights as a
-dataset-size-weighted average, redistribute the global model to everyone,
-refresh per-client attributions, and evaluate the pooled test MSE. Slices are
-fully independent federations sharing only the configuration and seed.
+client locally for a fixed number of epochs, aggregate the local weights as an
+average weighted by each client's train rows, redistribute the global model
+to everyone, refresh per-client attributions, and evaluate the pooled test
+MSE. Slices are fully independent federations sharing only the configuration
+and seed.
 """
 
 from __future__ import annotations
@@ -221,10 +222,12 @@ def evaluate_global(params: ModelParams, test_features: np.ndarray, test_targets
 
 
 def fedavg_aggregate(params_list: list[ModelParams], sizes: list[int]) -> ModelParams:
-    """Dataset-size-weighted average of local parameter vectors.
+    """Size-weighted average of local parameter vectors.
 
-    Weights are each client's share of the selected clients' total samples,
-    so they sum to 1 and the update is a convex combination.
+    Weights are each client's share of the selected clients' total sizes, so
+    they sum to 1 and the update is a convex combination. `run_round` passes
+    each client's train rows, the samples its local model was fitted on; test
+    rows do not count.
     """
     if not params_list or len(params_list) != len(sizes):
         raise ValueError("need matching non-empty params and sizes")
@@ -242,13 +245,18 @@ def _compute_chi(
     """Per-client normalized attributions on the current global model.
 
     A client whose attributions degenerate to all-zero contributes the uniform
-    vector instead, since proportional normalization is undefined there.
+    vector instead, since proportional normalization is undefined there; each
+    such fallback is logged as a warning.
     """
     rows = []
     for ds in datasets:
         try:
             rows.append(client_attribution(params, ds, cfg.ig_config).values)
         except DegenerateAttributionError:
+            logger.warning(
+                "slice %s, client %d: all-zero attribution, using the uniform vector",
+                ds.slice_name, ds.client_id,
+            )
             rows.append(uniform_attribution(cfg.n_features, ds.client_id).values)
     return np.stack(rows, axis=0)
 
@@ -319,7 +327,7 @@ def run_round(
             f"round {state.round_index}, slice {state.slice_name}, "
             f"clients {ordered}: {exc}"
         ) from exc
-    sizes = [ds.size for ds in participants]
+    sizes = [len(ds.train_indices) for ds in participants]
 
     new_global = fedavg_aggregate(trained, sizes)
     chi = None if cfg.policy == POLICY_NO_POLICY else _compute_chi(new_global, state.datasets, cfg)

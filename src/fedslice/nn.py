@@ -6,6 +6,11 @@ parameter vector, which is the unit exchanged between server and clients.
 Gradients are hand-written reverse mode; the optimizer is Adam. One stacked
 kernel computes every forward and backward pass, so the single-network
 helpers run exactly the arithmetic that training runs.
+
+Training stacks K client networks in flat layer-major buffers (see
+`_layer_views`): parameters, gradient and both Adam moments are each one
+K x param_count array whose per-layer views the kernel reads and writes in
+place, so a step is one pass, one finiteness check and one Adam update.
 """
 
 from __future__ import annotations
@@ -82,17 +87,24 @@ class ModelParams:
         return self.values.shape[0]
 
 
-def _unpack(params: ModelParams) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Split the flat vector into per-layer (weights, biases) views."""
-    out = []
+def _layer_views(
+    buf: np.ndarray, spec: NetworkSpec, n_networks: int
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer weight (n, fan_in, fan_out) and bias (n, 1, fan_out) views of a flat buffer.
+
+    The buffer holds `n_networks` networks layer-major: every network's layer-1
+    weights, then every network's layer-1 biases, then layer 2, and so on, so
+    each view is C-contiguous. With one network this is the ModelParams layout.
+    """
+    ws, bs = [], []
     offset = 0
-    for n_in, n_out in params.spec.layer_shapes():
-        w = params.values[offset:offset + n_in * n_out].reshape(n_in, n_out)
-        offset += n_in * n_out
-        b = params.values[offset:offset + n_out]
-        offset += n_out
-        out.append((w, b))
-    return out
+    for n_in, n_out in spec.layer_shapes():
+        size = n_networks * n_in * n_out
+        ws.append(buf[offset:offset + size].reshape(n_networks, n_in, n_out))
+        offset += size
+        bs.append(buf[offset:offset + n_networks * n_out].reshape(n_networks, 1, n_out))
+        offset += n_networks * n_out
+    return ws, bs
 
 
 def pack(spec: NetworkSpec, layers: list[tuple[np.ndarray, np.ndarray]]) -> ModelParams:
@@ -132,9 +144,8 @@ def _as_batch(params: ModelParams, features: np.ndarray) -> np.ndarray:
 
 
 def _stack(params: ModelParams) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per-layer weights as (1, fan_in, fan_out) and biases as (1, 1, fan_out) views."""
-    layers = _unpack(params)
-    return [w[None] for w, _ in layers], [b[None, None] for _, b in layers]
+    """Layer views of one network, shaped as a K=1 stack for `_pass`."""
+    return _layer_views(params.values, params.spec, 1)
 
 
 def _pass(
@@ -142,16 +153,17 @@ def _pass(
     bs: list[np.ndarray],
     x: np.ndarray,
     targets: np.ndarray | None = None,
+    grads: tuple[list[np.ndarray], list[np.ndarray]] | None = None,
     input_grads: bool = False,
-) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]] | None, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Forward and backward pass of K stacked networks over (K, B, F) inputs.
 
     `ws[i]` is (K, fan_in, fan_out) and `bs[i]` is (K, 1, fan_out). Returns the
-    (K, B) predictions, then two optional gradients. The backward pass starts
-    from the batch-mean squared error against `targets` (K, B) when given,
-    else from the prediction itself. With `targets`, the first gradient lists
-    each layer's (weights, biases) gradient; with `input_grads`, the second is
-    the gradient with respect to every input row, (K, B, F).
+    (K, B) predictions and, with `input_grads`, the gradient of each prediction
+    with respect to its input row, (K, B, F). With `targets` (K, B), the
+    gradient of the batch-mean squared error with respect to every weight and
+    bias is written into `grads`, views shaped like `ws` and `bs`; otherwise
+    the backward pass starts from the prediction itself.
     """
     n_layers = len(ws)
     layer_inputs, pre_acts = [], []  # inputs are kept only for parameter gradients
@@ -164,28 +176,26 @@ def _pass(
         a = z if i == n_layers - 1 else np.maximum(z, 0.0)
     pred = pre_acts[-1][:, :, 0]
     if targets is None and not input_grads:
-        return pred, None, None
+        return pred, None
 
     if targets is None:
         delta = np.ones_like(pre_acts[-1])
     else:
         delta = ((2.0 / targets.shape[1]) * (pred - targets))[:, :, None]
-    param_grads: list = [None] * n_layers
     for i in range(n_layers - 1, -1, -1):
         if targets is not None:
-            param_grads[i] = (layer_inputs[i].transpose(0, 2, 1) @ delta,
-                              delta.sum(axis=1, keepdims=True))
+            np.matmul(layer_inputs[i].transpose(0, 2, 1), delta, out=grads[0][i])
+            delta.sum(axis=1, keepdims=True, out=grads[1][i])
         if i > 0:
             delta = (delta @ ws[i].transpose(0, 2, 1)) * (pre_acts[i - 1] > 0.0)
         elif input_grads:
             delta = delta @ ws[0].transpose(0, 2, 1)
-    return (pred, param_grads if targets is not None else None,
-            delta if input_grads else None)
+    return pred, delta if input_grads else None
 
 
 def forward_batch(params: ModelParams, features: np.ndarray) -> np.ndarray:
     """Predictions for a batch of feature rows; returns shape (B,)."""
-    pred, _, _ = _pass(*_stack(params), _as_batch(params, features)[None])
+    pred, _ = _pass(*_stack(params), _as_batch(params, features)[None])
     return pred[0]
 
 
@@ -197,13 +207,14 @@ def param_gradients(params: ModelParams, features: np.ndarray, targets: np.ndarr
         raise ValueError("gradient of an empty batch is undefined")
     if y.shape[0] != x.shape[0]:
         raise ConfigError(f"batch has {x.shape[0]} rows but {y.shape[0]} targets")
-    _, grads, _ = _pass(*_stack(params), x[None], y[None])
-    return np.concatenate([g[0].reshape(-1) for layer in grads for g in layer])
+    grad = np.empty(params.spec.param_count)
+    _pass(*_stack(params), x[None], y[None], _layer_views(grad, params.spec, 1))
+    return grad
 
 
 def input_gradients_batch(params: ModelParams, features: np.ndarray) -> np.ndarray:
     """d(prediction)/d(input) for each row independently; returns (B, F)."""
-    _, _, grads = _pass(*_stack(params), _as_batch(params, features)[None], input_grads=True)
+    _, grads = _pass(*_stack(params), _as_batch(params, features)[None], input_grads=True)
     return grads[0]
 
 
@@ -225,12 +236,25 @@ def train_clients(
     permutation of the rows (from `shuffle_rngs`, or row order when absent);
     otherwise each epoch is one full-batch step. Clients must share a row
     count to train in lockstep.
+
+    The K clients' parameters, gradient and Adam moments live in four flat
+    K x param_count buffers (plus two scratch buffers of that size) laid out
+    as `_layer_views` describes, so `_pass` reads the weights and writes the
+    gradient in place, and each step is one finiteness check and one Adam
+    update over the whole buffer. Each epoch gathers the permuted rows once;
+    its minibatches are slices of that gather.
     """
     if epochs < 1:
         raise ValueError("epochs must be at least 1")
     if not features or len(features) != len(targets):
         raise ValueError("need matching non-empty feature/target lists")
-    xs = np.stack([np.asarray(f, dtype=np.float64) for f in features], axis=0)
+    features = [np.asarray(f, dtype=np.float64) for f in features]
+    row_counts = [f.shape[0] for f in features]
+    if len(set(row_counts)) > 1:
+        raise ValueError(f"clients must share a row count to train in lockstep, got {row_counts}")
+    # Client-major rows give each client's BLAS calls the same strides at any
+    # stack width, so a client trains bit-identically alone or stacked.
+    xs = np.stack(features, axis=0)
     ys = np.stack([np.asarray(t, dtype=np.float64).reshape(-1) for t in targets], axis=0)
     n_clients, n_rows, _ = xs.shape
     if n_rows == 0:
@@ -238,59 +262,58 @@ def train_clients(
     if xs.shape[2] != params.spec.n_features:
         raise ConfigError(f"expected feature dimension {params.spec.n_features}, got {xs.shape}")
 
-    n_layers = len(params.spec.layer_shapes())
-    ws, bs = [], []
-    mw, vw, mb, vb = [], [], [], []
-    for w, b in _unpack(params):
-        ws.append(np.broadcast_to(w, (n_clients, *w.shape)).copy())
-        bs.append(np.broadcast_to(b, (n_clients, 1, b.shape[0])).copy())
-        mw.append(np.zeros_like(ws[-1]))
-        vw.append(np.zeros_like(ws[-1]))
-        mb.append(np.zeros_like(bs[-1]))
-        vb.append(np.zeros_like(bs[-1]))
+    spec = params.spec
+    theta = np.empty(n_clients * spec.param_count)
+    grad = np.empty_like(theta)
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
+    scratch = np.empty_like(theta)
+    update = np.empty_like(theta)
+    ws, bs = _layer_views(theta, spec, n_clients)
+    grads = _layer_views(grad, spec, n_clients)
+    start_ws, start_bs = _stack(params)
+    for dst, src in zip(ws + bs, start_ws + start_bs):
+        dst[...] = src
 
     if batch_size is None or batch_size >= n_rows:
-        batches = [np.arange(n_rows)]
+        batches = [slice(None)]
         shuffle_rngs = None
     else:
-        batches = [np.arange(start, min(start + batch_size, n_rows))
-                   for start in range(0, n_rows, batch_size)]
+        batches = [slice(start, start + batch_size) for start in range(0, n_rows, batch_size)]
 
+    x_epoch, y_epoch = xs, ys
     step = 0
     for _ in range(epochs):
         if shuffle_rngs is not None:
             orders = np.stack([rng.permutation(n_rows) for rng in shuffle_rngs], axis=0)
-        else:
-            orders = None
+            x_epoch = np.take_along_axis(xs, orders[:, :, None], axis=1)
+            y_epoch = np.take_along_axis(ys, orders, axis=1)
         for batch in batches:
-            if orders is not None:
-                idx = orders[:, batch]
-                xb = np.take_along_axis(xs, idx[:, :, None], axis=1)
-                yb = np.take_along_axis(ys, idx, axis=1)
-            else:
-                xb = xs[:, batch]
-                yb = ys[:, batch]
+            _pass(ws, bs, x_epoch[:, batch], y_epoch[:, batch], grads)
+            if not np.isfinite(grad).all():
+                raise NumericError("non-finite gradient during local training")
 
-            _, grads, _ = _pass(ws, bs, xb, yb)
-            for gw, gb in grads:
-                if not (np.all(np.isfinite(gw)) and np.all(np.isfinite(gb))):
-                    raise NumericError("non-finite gradient during local training")
-
+            # Same expression order as the textbook update, so each element
+            # rounds exactly as m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
+            # theta -= lr * (m / c1) / (sqrt(v / c2) + eps).
             step += 1
             correction1 = 1.0 - _BETA1 ** step
             correction2 = 1.0 - _BETA2 ** step
-            for i, (gw, gb) in enumerate(grads):
-                mw[i] = _BETA1 * mw[i] + (1.0 - _BETA1) * gw
-                vw[i] = _BETA2 * vw[i] + (1.0 - _BETA2) * gw * gw
-                mb[i] = _BETA1 * mb[i] + (1.0 - _BETA1) * gb
-                vb[i] = _BETA2 * vb[i] + (1.0 - _BETA2) * gb * gb
-                ws[i] = ws[i] - learning_rate * (mw[i] / correction1) / (
-                    np.sqrt(vw[i] / correction2) + _EPSILON)
-                bs[i] = bs[i] - learning_rate * (mb[i] / correction1) / (
-                    np.sqrt(vb[i] / correction2) + _EPSILON)
+            m *= _BETA1
+            np.multiply(grad, 1.0 - _BETA1, out=scratch)
+            m += scratch
+            v *= _BETA2
+            np.multiply(grad, 1.0 - _BETA2, out=scratch)
+            scratch *= grad
+            v += scratch
+            np.divide(v, correction2, out=scratch)
+            np.sqrt(scratch, out=scratch)
+            scratch += _EPSILON
+            np.divide(m, correction1, out=update)
+            update *= learning_rate
+            update /= scratch
+            theta -= update
 
-    out = []
-    for c in range(n_clients):
-        layers = [(ws[i][c], bs[i][c, 0]) for i in range(n_layers)]
-        out.append(pack(params.spec, layers))
-    return out
+    values = np.concatenate(
+        [a.reshape(n_clients, -1) for w, b in zip(ws, bs) for a in (w, b)], axis=1)
+    return [ModelParams(row, spec) for row in values]

@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from fedslice.attribution import client_attribution
 from fedslice.errors import ConfigError, NumericError
 from fedslice.federation import (
     ExperimentConfig,
+    _compute_chi,
     _select,
+    _shuffle_rngs,
     build_datasets,
     evaluate_global,
     fedavg_aggregate,
@@ -73,6 +76,50 @@ class TestFedAvg:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             fedavg_aggregate([], [])
+
+    def test_round_weights_clients_by_train_rows(self, small_datasets):
+        # Equal train rows, unequal test rows: the trained models count equally.
+        cfg = small_config(n_clients=2, n_selected=2, policy="no_policy")
+        full, other = small_datasets["eMBB"][:2]
+        keep = other.size - 5
+        trimmed = dataclasses.replace(
+            other,
+            features=other.features[:keep],
+            targets=other.targets[:keep],
+            test_indices=other.test_indices[:-5],
+            scaled_features=other.scaled_features[:keep],
+            scaled_targets=other.scaled_targets[:keep],
+        )
+        assert len(trimmed.train_indices) == len(full.train_indices)
+        assert trimmed.size < full.size
+
+        state = initialize_state(cfg, "eMBB", [full, trimmed])
+        new_state, _, _ = run_round(state, cfg)
+        trained = train_clients(
+            state.global_params,
+            [full.train_features, trimmed.train_features],
+            [full.train_targets, trimmed.train_targets],
+            cfg.local_epochs, learning_rate=cfg.learning_rate, batch_size=cfg.batch_size,
+            shuffle_rngs=_shuffle_rngs(cfg, "eMBB", 0, [0, 1]),
+        )
+        expected = np.mean([p.values for p in trained], axis=0)
+        assert np.array_equal(new_state.global_params.values, expected)
+
+
+class TestComputeChi:
+    def test_degenerate_attribution_falls_back_to_uniform_with_a_warning(
+        self, small_datasets, caplog
+    ):
+        # All-zero parameters have zero input gradients, so every client degenerates.
+        cfg = small_config()
+        zero = ModelParams(np.zeros(23), NetworkSpec())
+        with caplog.at_level(logging.WARNING, logger="fedslice.federation"):
+            chi = _compute_chi(zero, tuple(small_datasets["eMBB"]), cfg)
+        assert np.array_equal(chi, np.full((4, 3), 1.0 / 3.0))
+        assert [r.getMessage() for r in caplog.records] == [
+            f"slice eMBB, client {k}: all-zero attribution, using the uniform vector"
+            for k in range(4)
+        ]
 
 
 class TestEvaluateGlobal:
@@ -157,7 +204,6 @@ class TestRounds:
         assert len(record.selected) == 1
 
         client = small_datasets["eMBB"][record.selected[0]]
-        from fedslice.federation import _shuffle_rngs
         expected = train_clients(
             state.global_params, [client.train_features], [client.train_targets],
             cfg.local_epochs, learning_rate=cfg.learning_rate, batch_size=cfg.batch_size,

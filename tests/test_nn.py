@@ -5,7 +5,7 @@ from fedslice.errors import ConfigError, NumericError
 from fedslice.nn import (
     ModelParams,
     NetworkSpec,
-    _unpack,
+    _layer_views,
     forward_batch,
     init_params,
     input_gradients_batch,
@@ -71,8 +71,9 @@ def central_differences(f, x, h=1e-5):
 def near_relu_kink(params, x, threshold=1e-4):
     """True when any hidden pre-activation sits close enough to 0 to break FD."""
     a = np.asarray(x, dtype=np.float64)
-    for w, b in _unpack(params)[:-1]:
-        z = a @ w + b
+    ws, bs = _layer_views(params.values, params.spec, 1)
+    for w, b in zip(ws[:-1], bs[:-1]):
+        z = a @ w[0] + b[0, 0]
         if np.any(np.abs(z) < threshold):
             return True
         a = np.maximum(z, 0.0)
@@ -306,14 +307,18 @@ class TestTrainLocal:
 
 class TestTrainClients:
     def test_lockstep_matches_individual_training(self, rng):
-        p = init_params(NetworkSpec(), 11)
+        # A width-1 layer shows, in the last bit, any dependence of the BLAS
+        # row sums on how many clients share the stack.
         feats = [rng.uniform(0, 1, (48, 3)) for _ in range(3)]
         targs = [rng.uniform(0, 1, 48) for _ in range(3)]
-        together = train_clients(p, feats, targs, epochs=4, batch_size=16)
-        alone = [train_clients(p, [f], [t], epochs=4, batch_size=16)[0]
-                 for f, t in zip(feats, targs)]
-        for a, b in zip(together, alone):
-            assert np.array_equal(a.values, b.values)
+        for layer_sizes in ((3, 3, 2, 1), (3, 1, 1)):
+            p = init_params(NetworkSpec(layer_sizes), 11)
+            for batch_size in (16, None):
+                together = train_clients(p, feats, targs, epochs=4, batch_size=batch_size)
+                alone = [train_clients(p, [f], [t], epochs=4, batch_size=batch_size)[0]
+                         for f, t in zip(feats, targs)]
+                for a, b in zip(together, alone):
+                    assert np.array_equal(a.values, b.values)
 
     def test_shuffled_minibatches_are_seeded(self, rng):
         p = init_params(NetworkSpec(), 11)
@@ -327,6 +332,34 @@ class TestTrainClients:
                           shuffle_rngs=[np.random.default_rng(10)])
         assert np.array_equal(a[0].values, b[0].values)
         assert not np.array_equal(a[0].values, c[0].values)
+
+    def test_shuffled_minibatches_equal_reference_loop(self, rng):
+        # 50 rows in batches of 16 leave a 2-row tail batch every epoch.
+        p = init_params(NetworkSpec(), 11)
+        feats = [rng.uniform(0, 1, (50, 3)) for _ in range(3)]
+        targs = [rng.uniform(0, 1, 50) for _ in range(3)]
+        trained = train_clients(p, feats, targs, 4, batch_size=16,
+                                shuffle_rngs=[np.random.default_rng(s) for s in (3, 4, 5)])
+        for seed, xs, ys, got in zip((3, 4, 5), feats, targs, trained):
+            shuffle = np.random.default_rng(seed)
+            expected = p
+            state = (np.zeros(23), np.zeros(23), 0)
+            for _ in range(4):
+                order = shuffle.permutation(50)
+                for start in range(0, 50, 16):
+                    rows = order[start:start + 16]
+                    grads = param_gradients(expected, xs[rows], ys[rows])
+                    values, state = reference_adam(expected.values, grads, state)
+                    expected = ModelParams(values, p.spec)
+            assert state[2] == 16
+            assert np.array_equal(got.values, expected.values)
+
+    def test_unequal_row_counts_are_listed(self, rng):
+        p = init_params(NetworkSpec(), 11)
+        feats = [rng.uniform(0, 1, (n, 3)) for n in (48, 47, 48)]
+        targs = [rng.uniform(0, 1, f.shape[0]) for f in feats]
+        with pytest.raises(ValueError, match=r"\[48, 47, 48\]"):
+            train_clients(p, feats, targs, 1)
 
 
 class TestInit:
