@@ -5,7 +5,7 @@ picks each round's participants from integrated-gradients feature
 attributions, apportioning selection slots across features by importance.
 """
 
-from .attribution import AttributionVector, IgConfig, client_attribution
+from .attribution import IgConfig, client_attribution
 from .data import ClientDataset, MinMaxScaler, NonIidProfile, SLICES, SliceSpec
 from .federation import (
     ExperimentConfig,
@@ -31,7 +31,6 @@ from .selection import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttributionVector",
     "ClientDataset",
     "CommLedger",
     "ExperimentConfig",

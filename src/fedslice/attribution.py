@@ -21,34 +21,16 @@ DEFAULT_ATTRIBUTION_SAMPLES = 150
 
 @dataclass(frozen=True)
 class IgConfig:
-    """Path-integral settings: step count and pool size."""
+    """Path-integral settings: step count and pool size (`ig_steps`, `attribution_samples`)."""
 
     steps: int = DEFAULT_IG_STEPS
     sample_count: int = DEFAULT_ATTRIBUTION_SAMPLES
 
     def __post_init__(self) -> None:
         if self.steps < 1:
-            raise ConfigError("integration needs at least 1 step")
+            raise ConfigError(f"ig_steps must be at least 1, got {self.steps}")
         if self.sample_count < 1:
-            raise ConfigError("attribution pool needs at least 1 sample")
-
-
-@dataclass(frozen=True)
-class AttributionVector:
-    """Normalized per-feature importances of one client; sums to 1."""
-
-    values: np.ndarray
-    client_id: int
-    sample_count: int
-
-    def __post_init__(self) -> None:
-        v = np.ascontiguousarray(self.values, dtype=np.float64)
-        if v.ndim != 1:
-            raise ConfigError("attribution vector must be 1-D")
-        if np.any(v < 0.0):
-            raise ConfigError("attribution components cannot be negative")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+            raise ConfigError(f"attribution_samples must be at least 1, got {self.sample_count}")
 
 
 def _midpoint_alphas(steps: int) -> np.ndarray:
@@ -68,8 +50,10 @@ def sample_attributions(params: ModelParams, samples: np.ndarray, cfg: IgConfig)
     return xs * mean_grads
 
 
-def client_attribution(params: ModelParams, dataset, cfg: IgConfig) -> AttributionVector:
+def client_attribution(params: ModelParams, dataset, cfg: IgConfig) -> np.ndarray:
     """Absolute-mean attribution over the client's fixed sample pool, normalized.
+
+    Returns one non-negative float64 importance per feature, summing to 1.
 
     The pool is the client's seeded shuffle of its train split; the first
     `cfg.sample_count` rows are used every round so rounds stay comparable.
@@ -87,9 +71,9 @@ def client_attribution(params: ModelParams, dataset, cfg: IgConfig) -> Attributi
         raise DegenerateAttributionError(
             f"client {dataset.client_id} produced an all-zero attribution vector"
         )
-    return AttributionVector(abs_mean / total, dataset.client_id, cfg.sample_count)
+    return abs_mean / total
 
 
-def uniform_attribution(n_features: int, client_id: int, sample_count: int = 0) -> AttributionVector:
+def uniform_attribution(n_features: int) -> np.ndarray:
     """Least-informative fallback used when attributions degenerate to zero."""
-    return AttributionVector(np.full(n_features, 1.0 / n_features), client_id, sample_count)
+    return np.full(n_features, 1.0 / n_features)

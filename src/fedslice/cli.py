@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import logging
 import sys
@@ -26,7 +25,7 @@ from .federation import (
     ExperimentConfig,
     SliceRun,
     client_seed,
-    run_slice,
+    run_experiment,
 )
 from .metrics import comm_cost, convergence_round, slice_provisioning
 from .selection import POLICIES, POLICY_INTELLISELECT
@@ -62,8 +61,12 @@ def _parse_override(text: str) -> tuple[str, object]:
     return key, value
 
 
-def _load_config(config_path: str | None, overrides: list[str]) -> tuple[dict, list[str]]:
-    """Merge file config and overrides; returns (raw config dict, policies)."""
+def _load_config(config_path: str | None, overrides: list[str],
+                 policies_flag: str | None) -> tuple[dict, list[str]]:
+    """Merge file config and overrides; returns (raw config dict, policies).
+
+    The `--policies` flag, when given, wins over a `policies` key.
+    """
     raw: dict = {}
     if config_path is not None:
         text = Path(config_path).read_text()
@@ -74,7 +77,12 @@ def _load_config(config_path: str | None, overrides: list[str]) -> tuple[dict, l
     for text in overrides:
         key, value = _parse_override(text)
         raw[key] = value
+    if "policy" in raw:
+        raise ConfigError("config key 'policy' is not accepted; "
+                          "name the policies to run with 'policies' or --policies")
     policies = raw.pop("policies", list(POLICIES))
+    if policies_flag:
+        policies = policies_flag
     if isinstance(policies, str):
         policies = [p.strip() for p in policies.split(",") if p.strip()]
     for policy in policies:
@@ -82,7 +90,6 @@ def _load_config(config_path: str | None, overrides: list[str]) -> tuple[dict, l
             raise ConfigError(f"unknown policy {policy!r}, expected one of {POLICIES}")
     if not policies:
         raise ConfigError("at least one policy is required")
-    raw.pop("policy", None)
     return raw, list(policies)
 
 
@@ -125,15 +132,7 @@ def _ingest_datasets(cfg: ExperimentConfig) -> dict[str, list]:
     return datasets
 
 
-def _run_all(base: ExperimentConfig, policies: list[str], datasets) -> dict[str, list[SliceRun]]:
-    by_policy: dict[str, list[SliceRun]] = {}
-    for policy in policies:
-        cfg = dataclasses.replace(base, policy=policy)
-        by_policy[policy] = [run_slice(cfg, name, datasets[name]) for name in cfg.slices]
-    return by_policy
-
-
-def _provisioning_rows(runs_by_policy: dict[str, list[SliceRun]],
+def _provisioning_rows(runs: list[SliceRun],
                        policies: list[str]) -> dict[str, tuple[str, list]]:
     """Per-slice provisioning at round 0 and at the convergence round.
 
@@ -142,8 +141,8 @@ def _provisioning_rows(runs_by_policy: dict[str, list[SliceRun]],
     """
     chosen = POLICY_INTELLISELECT if POLICY_INTELLISELECT in policies else policies[0]
     rows: dict[str, tuple[str, list]] = {}
-    for run in runs_by_policy[chosen]:
-        if not run.records:
+    for run in runs:
+        if run.policy != chosen or not run.records:
             continue
         mses = [r.mse for r in run.records]
         conv = convergence_round(mses)
@@ -155,12 +154,7 @@ def _provisioning_rows(runs_by_policy: dict[str, list[SliceRun]],
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    raw, policies = _load_config(args.config, args.override)
-    if args.policies:
-        policies = [p.strip() for p in args.policies.split(",") if p.strip()]
-        for policy in policies:
-            if policy not in POLICIES:
-                raise ConfigError(f"unknown policy {policy!r}, expected one of {POLICIES}")
+    raw, policies = _load_config(args.config, args.override, args.policies)
     base = ExperimentConfig.from_dict(raw)
 
     out_dir = Path(args.out)
@@ -171,18 +165,19 @@ def cmd_run(args: argparse.Namespace) -> int:
         from .federation import build_datasets
         datasets = build_datasets(base)
 
-    runs_by_policy = _run_all(base, policies, datasets)
-    all_runs = [run for policy in policies for run in runs_by_policy[policy]]
+    runs = run_experiment(base, policies, datasets)
+    spec = base.network_spec
     ledgers = [
-        comm_cost(policy, base.n_clients, base.n_selected, base.n_features,
-                  base.network_spec.param_count, base.n_rounds)
+        comm_cost(policy, base.n_clients, base.n_selected, spec.n_features,
+                  spec.param_count, base.n_rounds)
         for policy in policies
     ]
-    provisioning = _provisioning_rows(runs_by_policy, policies) if base.n_rounds > 0 else {}
+    provisioning = _provisioning_rows(runs, policies)
 
     config_echo = base.to_dict()
+    del config_echo["policy"]  # the runs' policies are echoed under "policies"
     config_echo["policies"] = policies
-    paths = metrics_mod.persist(out_dir, all_runs, ledgers, provisioning, config_echo)
+    paths = metrics_mod.persist(out_dir, runs, ledgers, provisioning, config_echo)
 
     manifest = {
         "schema_version": MANIFEST_SCHEMA_VERSION,
@@ -195,7 +190,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     }
     (out_dir / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
-    for run in all_runs:
+    for run in runs:
         final = run.records[-1].mse if run.records else float("nan")
         print(f"slice={run.slice_name} policy={run.policy} "
               f"rounds={len(run.records)} final_mse={final:.6g}")

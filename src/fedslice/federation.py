@@ -1,17 +1,18 @@
 """Round-based federated training of one global model per network slice.
 
-Every round: select clients under the configured policy, train each selected
-client locally for a fixed number of epochs, aggregate the local weights as an
-average weighted by each client's train rows, redistribute the global model
-to everyone, refresh per-client attributions, and evaluate the pooled test
-MSE. Slices are fully independent federations sharing only the configuration
-and seed.
+Every round: attribute each client's data on the current global model
+(attribution policies only), select clients under the configured policy,
+train each selected client locally for a fixed number of epochs, aggregate
+the local weights as an average weighted by each client's train rows into the
+new global model, and evaluate it on the pooled test set. Slices are fully
+independent federations sharing only the configuration and seed.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -20,6 +21,7 @@ import numpy as np
 from . import metrics as metrics_mod
 from .attribution import IgConfig, client_attribution, uniform_attribution
 from .data import (
+    N_FEATURES,
     ClientDataset,
     SLICES,
     default_profiles,
@@ -61,7 +63,6 @@ class ExperimentConfig:
     n_rounds: int = 30
     local_epochs: int = 150
     attribution_samples: int = 150
-    n_features: int = 3
     samples_per_client: int = 1000
     learning_rate: float = 0.0015
     seed: int = 42
@@ -84,16 +85,23 @@ class ExperimentConfig:
             )
         if self.n_rounds < 0:
             raise ConfigError("n_rounds cannot be negative")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ConfigError(f"learning_rate must be finite and positive, got {self.learning_rate}")
+        self.ig_config  # checks ig_steps and attribution_samples under every policy
         if self.local_epochs < 1:
             raise ConfigError("local_epochs must be at least 1")
         if self.batch_size is not None and self.batch_size < 1:
             raise ConfigError("batch_size must be positive or null for full batch")
         if self.policy not in POLICIES:
             raise ConfigError(f"unknown policy {self.policy!r}, expected one of {POLICIES}")
-        if self.layer_sizes[0] != self.n_features:
+        if self.network_spec.n_features != N_FEATURES:
             raise ConfigError(
-                f"input layer ({self.layer_sizes[0]}) must match n_features ({self.n_features})"
+                f"layer_sizes[0] ({self.layer_sizes[0]}) must equal the {N_FEATURES} data features"
             )
+        if not self.slices:
+            raise ConfigError("slices must name at least one slice")
         for name in self.slices:
             slice_by_name(name)
         # Under data_dir the train splits come from the files, which ingestion checks.
@@ -129,13 +137,20 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """What one round produced: error, time, participants, link load."""
+    """What one round produced: error, time, participants, link load.
+
+    `cum_time_ms` sums, over this and every earlier round, the wall time of
+    attribute, select, train and aggregate; evaluation is excluded. `chi` is
+    the attribution matrix the selection used, one row per client, or None
+    under the all-clients baseline.
+    """
 
     round_index: int
     mse: float
     cum_time_ms: float
     selected: tuple[int, ...]
     params_transmitted: int
+    chi: np.ndarray | None
 
 
 @dataclass
@@ -145,7 +160,6 @@ class FederationState:
     slice_name: str
     round_index: int
     global_params: ModelParams
-    chi: np.ndarray | None
     datasets: tuple[ClientDataset, ...]
     test_features: np.ndarray
     test_targets: np.ndarray
@@ -160,7 +174,6 @@ class SliceRun:
     policy: str
     records: list[RoundRecord] = field(default_factory=list)
     round_params: list[ModelParams] = field(default_factory=list)
-    chi_rounds: list[np.ndarray] = field(default_factory=list)
     selections: list[SelectionResult] = field(default_factory=list)
     initial_params: ModelParams | None = None
     datasets: tuple[ClientDataset, ...] = ()
@@ -251,21 +264,19 @@ def _compute_chi(
     rows = []
     for ds in datasets:
         try:
-            rows.append(client_attribution(params, ds, cfg.ig_config).values)
+            rows.append(client_attribution(params, ds, cfg.ig_config))
         except DegenerateAttributionError:
             logger.warning(
                 "slice %s, client %d: all-zero attribution, using the uniform vector",
                 ds.slice_name, ds.client_id,
             )
-            rows.append(uniform_attribution(cfg.n_features, ds.client_id).values)
+            rows.append(uniform_attribution(params.spec.n_features))
     return np.stack(rows, axis=0)
 
 
 def _select(cfg: ExperimentConfig, chi: np.ndarray | None) -> SelectionResult:
     if cfg.policy == POLICY_NO_POLICY:
         return select_no_policy(cfg.n_clients)
-    if chi is None:
-        raise ConfigError(f"policy {cfg.policy!r} needs an attribution matrix")
     tau = aggregate_importance(chi)
     if cfg.policy == POLICY_INTELLISELECT:
         quotas = apportion(tau, cfg.n_selected)
@@ -276,26 +287,17 @@ def _select(cfg: ExperimentConfig, chi: np.ndarray | None) -> SelectionResult:
 def initialize_state(
     cfg: ExperimentConfig, slice_name: str, datasets: list[ClientDataset]
 ) -> FederationState:
-    """Shared global init from the run seed, distributed to all clients.
-
-    Attribution-driven policies also compute the pre-loop attribution matrix
-    on the freshly initialized model; the all-clients baseline skips
-    attributions entirely.
-    """
+    """Shared global init from the run seed, distributed to all clients."""
     if len(datasets) != cfg.n_clients:
         raise ConfigError(
             f"slice {slice_name!r} has {len(datasets)} datasets, expected {cfg.n_clients}"
         )
-    global_params = init_params(cfg.network_spec, cfg.seed)
-    datasets_t = tuple(datasets)
-    chi = None if cfg.policy == POLICY_NO_POLICY else _compute_chi(global_params, datasets_t, cfg)
     test_features, test_targets = pooled_test_set(datasets)
     return FederationState(
         slice_name=slice_name,
         round_index=0,
-        global_params=global_params,
-        chi=chi,
-        datasets=datasets_t,
+        global_params=init_params(cfg.network_spec, cfg.seed),
+        datasets=tuple(datasets),
         test_features=test_features,
         test_targets=test_targets,
     )
@@ -309,7 +311,9 @@ def run_round(
         raise ConfigError(f"round {state.round_index} is past the configured {cfg.n_rounds}")
     started = time.perf_counter()
 
-    selection = _select(cfg, state.chi)
+    chi = (None if cfg.policy == POLICY_NO_POLICY
+           else _compute_chi(state.global_params, state.datasets, cfg))
+    selection = _select(cfg, chi)
     ordered = sorted(selection.selected)
     participants = [state.datasets[client_id] for client_id in ordered]
     try:
@@ -330,12 +334,12 @@ def run_round(
     sizes = [len(ds.train_indices) for ds in participants]
 
     new_global = fedavg_aggregate(trained, sizes)
-    chi = None if cfg.policy == POLICY_NO_POLICY else _compute_chi(new_global, state.datasets, cfg)
     elapsed_ms = (time.perf_counter() - started) * 1e3
 
     mse = evaluate_global(new_global, state.test_features, state.test_targets)
+    spec = cfg.network_spec
     downlink, uplink = metrics_mod.per_round_comm(
-        cfg.policy, cfg.n_clients, cfg.n_selected, cfg.n_features, cfg.network_spec.param_count
+        cfg.policy, cfg.n_clients, cfg.n_selected, spec.n_features, spec.param_count
     )
     record = RoundRecord(
         round_index=state.round_index,
@@ -343,6 +347,7 @@ def run_round(
         cum_time_ms=state.cum_time_ms + elapsed_ms,
         selected=selection.selected,
         params_transmitted=downlink + uplink,
+        chi=chi,
     )
     logger.info(
         "slice=%s policy=%s round=%d mse=%.6g selected=%s",
@@ -352,7 +357,6 @@ def run_round(
         state,
         round_index=state.round_index + 1,
         global_params=new_global,
-        chi=chi,
         cum_time_ms=record.cum_time_ms,
     )
     return new_state, record, selection
@@ -370,24 +374,28 @@ def run_slice(
         datasets=state.datasets,
     )
     for _ in range(cfg.n_rounds):
-        chi_used = state.chi
         state, record, selection = run_round(state, cfg)
         run.records.append(record)
         run.round_params.append(state.global_params)
-        if chi_used is not None:
-            run.chi_rounds.append(chi_used)
         run.selections.append(selection)
     return run
 
 
 def run_experiment(
     cfg: ExperimentConfig,
-    datasets: dict[str, list[ClientDataset]] | None = None,
+    policies: list[str],
+    datasets: dict[str, list[ClientDataset]],
 ) -> list[SliceRun]:
-    """Independent federations for every configured slice under one policy."""
-    if datasets is None:
-        datasets = build_datasets(cfg)
+    """Independent federations for every (policy, configured slice), policy-major.
+
+    `cfg.policy` is replaced by each entry of `policies` in turn; every
+    federation of a slice trains on the same datasets.
+    """
     missing = [s for s in cfg.slices if s not in datasets]
     if missing:
         raise ConfigError(f"no datasets for slice(s): {', '.join(missing)}")
-    return [run_slice(cfg, name, datasets[name]) for name in cfg.slices]
+    return [
+        run_slice(dataclasses.replace(cfg, policy=policy), name, datasets[name])
+        for policy in policies
+        for name in cfg.slices
+    ]

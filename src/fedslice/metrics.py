@@ -307,9 +307,10 @@ def persist(out_dir: str | Path, runs, ledgers: list[CommLedger],
         rounds_path = out / f"rounds_{stem}.csv"
         write_rounds_csv(rounds_path, run.records)
         paths[f"rounds_{stem}"] = rounds_path
-        if run.chi_rounds:
+        chi_rounds = [r.chi for r in run.records if r.chi is not None]
+        if chi_rounds:
             chi_path = out / f"attributions_{stem}.csv"
-            write_attributions_csv(chi_path, run.chi_rounds)
+            write_attributions_csv(chi_path, chi_rounds)
             paths[f"attributions_{stem}"] = chi_path
         if any(s.audit for s in run.selections):
             sel_path = out / f"selection_{stem}.csv"

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from fedslice.attribution import IgConfig, sample_attributions
-from fedslice.federation import ExperimentConfig, build_datasets, run_slice
+from fedslice.federation import ExperimentConfig, build_datasets, run_experiment
 from fedslice.metrics import comm_cost, convergence_round, slice_provisioning
 from fedslice.nn import (
     ModelParams,
@@ -48,12 +48,8 @@ def default_datasets(default_config):
 @pytest.fixture(scope="module")
 def trend_runs(default_config, default_datasets):
     """Full default-scale runs for intelliselect and no_policy on all slices."""
-    runs = {}
-    for policy in ("intelliselect", "no_policy"):
-        cfg = dataclasses.replace(default_config, policy=policy)
-        for name in SLICE_NAMES:
-            runs[(policy, name)] = run_slice(cfg, name, default_datasets[name])
-    return runs
+    runs = run_experiment(default_config, ["intelliselect", "no_policy"], default_datasets)
+    return {(run.policy, run.slice_name): run for run in runs}
 
 
 def test_criterion_1_ig_completeness(rng):
@@ -196,10 +192,8 @@ def test_criterion_8_scalability_trend(default_config):
     finals = {}
     for n_clients in (40, 50):
         cfg = dataclasses.replace(default_config, n_clients=n_clients, n_selected=25)
-        datasets = build_datasets(cfg)
-        for name in SLICE_NAMES:
-            run = run_slice(cfg, name, datasets[name])
-            finals[(n_clients, name)] = run.records[-1].mse
+        for run in run_experiment(cfg, [cfg.policy], build_datasets(cfg)):
+            finals[(n_clients, run.slice_name)] = run.records[-1].mse
     details = []
     ok = True
     for name in SLICE_NAMES:

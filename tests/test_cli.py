@@ -94,10 +94,54 @@ class TestRun:
         assert run_cli("run", "--config", cfg, "--out", tmp_path / "o",
                        "--policies", "uniform") == 2
 
+    def test_empty_policy_list_is_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert run_cli("run", "--config", cfg, "--out", tmp_path / "o",
+                       "--policies", ",") == 2
+        assert "at least one policy" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["override", "config file"])
+    def test_policy_key_is_exit_2_pointing_to_policies(self, tmp_path, capsys, where):
+        if where == "override":
+            args = ("--config", write_config(tmp_path), "--override", "policy=score")
+        else:
+            args = ("--config", write_config(tmp_path, policy="score"))
+        assert run_cli("run", *args, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert "'policy'" in err and "policies" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_config_echo_names_only_the_policies_run(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", write_config(tmp_path), "--out", out,
+                       "--policies", "no_policy") == 0
+        for name in ("manifest.json", "summary.json"):
+            config = json.loads((out / name).read_text())["config"]
+            assert "policy" not in config
+            assert "n_features" not in config
+            assert config["policies"] == ["no_policy"]
+
+    @pytest.mark.parametrize("override", [
+        "seed=-1",
+        "learning_rate=NaN",
+        "learning_rate=-1",
+        "ig_steps=0",
+        "attribution_samples=0",
+        "slices=[]",
+        "layer_sizes=[4,3,2,1]",
+        "n_features=3",
+    ])
+    def test_bad_config_value_is_exit_2_before_any_output(self, tmp_path, capsys,
+                                                          override):
+        assert run_cli("run", "--config", write_config(tmp_path), "--out", tmp_path / "o",
+                       "--policies", "no_policy", "--override", override) == 2
+        assert override.split("=")[0] in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_runtime_failure_maps_to_exit_3(self, tmp_path, monkeypatch):
         def boom(*args, **kwargs):
             raise RuntimeError("deliberate")
-        monkeypatch.setattr(cli, "run_slice", boom)
+        monkeypatch.setattr(cli, "run_experiment", boom)
         cfg = write_config(tmp_path)
         assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 3
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import small_config
-from fedslice.attribution import client_attribution
+from fedslice import federation
 from fedslice.errors import ConfigError, NumericError
 from fedslice.federation import (
     ExperimentConfig,
@@ -177,6 +177,26 @@ class TestConfig:
         with pytest.raises(ConfigError):
             small_config(layer_sizes=(4, 3, 2, 1))
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"seed": -1}, "seed"),
+        ({"learning_rate": float("nan")}, "learning_rate"),
+        ({"learning_rate": float("inf")}, "learning_rate"),
+        ({"learning_rate": 0.0}, "learning_rate"),
+        ({"learning_rate": -1.0}, "learning_rate"),
+        ({"ig_steps": 0}, "ig_steps"),
+        ({"ig_steps": 0, "policy": "no_policy"}, "ig_steps"),
+        ({"attribution_samples": 0}, "attribution_samples"),
+        ({"attribution_samples": 0, "policy": "no_policy"}, "attribution_samples"),
+        ({"slices": ()}, "slices"),
+        ({"layer_sizes": (4, 3, 2, 1)}, "layer_sizes"),
+    ])
+    def test_bad_value_is_rejected_up_front(self, overrides, message):
+        with pytest.raises(ConfigError, match=message):
+            small_config(**overrides)
+
+    def test_zero_rounds_and_huge_learning_rate_are_accepted(self):
+        assert small_config(n_rounds=0, learning_rate=1e300).n_rounds == 0
+
     def test_roundtrip_through_dict(self):
         cfg = small_config()
         assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
@@ -188,7 +208,7 @@ class TestConfig:
         assert cfg.n_rounds == 30
         assert cfg.local_epochs == 150
         assert cfg.attribution_samples == 150
-        assert cfg.n_features == 3
+        assert cfg.network_spec.n_features == 3
         assert cfg.samples_per_client == 1000
         assert cfg.learning_rate == 0.0015
         assert cfg.seed == 42
@@ -214,12 +234,30 @@ class TestRounds:
     def test_redistribution_invariant(self, small_datasets):
         cfg = small_config()
         state = initialize_state(cfg, "eMBB", small_datasets["eMBB"])
-        for _ in range(2):
-            state, _, _ = run_round(state, cfg)
-            # Every client's refreshed attribution is taken on the new global model.
-            for ds, row in zip(state.datasets, state.chi):
-                expected = client_attribution(state.global_params, ds, cfg.ig_config)
-                assert np.array_equal(row, expected.values)
+        for _ in range(cfg.n_rounds):
+            # Round t+1 attributes every client on round t's global model.
+            expected = _compute_chi(state.global_params, state.datasets, cfg)
+            state, record, _ = run_round(state, cfg)
+            assert np.array_equal(record.chi, expected)
+
+    @pytest.mark.parametrize("policy", ["intelliselect", "score", "no_policy"])
+    @pytest.mark.parametrize("n_rounds", [0, 2])
+    def test_one_attribution_pass_per_round(self, small_datasets, monkeypatch,
+                                            policy, n_rounds):
+        # R rounds attribute each of the K clients R times: no pass after the last round.
+        original = federation.client_attribution
+        calls = []
+
+        def counting(params, dataset, cfg):
+            calls.append(dataset.client_id)
+            return original(params, dataset, cfg)
+
+        monkeypatch.setattr(federation, "client_attribution", counting)
+        cfg = small_config(n_rounds=n_rounds, policy=policy)
+        run = run_slice(cfg, "eMBB", small_datasets["eMBB"])
+        attributed = policy != "no_policy"
+        assert calls == list(range(cfg.n_clients)) * n_rounds * attributed
+        assert [r.chi is not None for r in run.records] == [attributed] * n_rounds
 
     def test_round_past_horizon_rejected(self, small_datasets):
         cfg = small_config(n_rounds=1)
@@ -234,7 +272,7 @@ class TestRounds:
         _, record, selection = run_round(state, cfg)
         assert record.selected == selection.selected
         p = cfg.network_spec.param_count
-        expected = cfg.n_clients * p + cfg.n_selected * p + cfg.n_clients * cfg.n_features
+        expected = cfg.n_clients * p + cfg.n_selected * p + cfg.n_clients * 3
         assert record.params_transmitted == expected
 
     def test_training_overflow_names_round_slice_and_clients(self, small_datasets):
@@ -244,7 +282,8 @@ class TestRounds:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericError) as info:
                 run_round(state, cfg)
-        chosen = sorted(_select(cfg, state.chi).selected)
+        chi = _compute_chi(state.global_params, state.datasets, cfg)
+        chosen = sorted(_select(cfg, chi).selected)
         assert str(info.value) == (f"round 0, slice eMBB, clients {chosen}: "
                                    "non-finite gradient during local training")
 
@@ -269,14 +308,13 @@ class TestExperiment:
             assert ra.mse == rb.mse
             assert ra.selected == rb.selected
             assert ra.params_transmitted == rb.params_transmitted
+            assert np.array_equal(ra.chi, rb.chi)
         for pa, pb in zip(a.round_params, b.round_params):
             assert np.array_equal(pa.values, pb.values)
-        for ca, cb in zip(a.chi_rounds, b.chi_rounds):
-            assert np.array_equal(ca, cb)
 
     def test_zero_rounds_returns_initial_model(self, small_datasets):
         cfg = small_config(n_rounds=0)
-        runs = run_experiment(cfg, small_datasets)
+        runs = run_experiment(cfg, [cfg.policy], small_datasets)
         assert all(run.records == [] for run in runs)
         expected = init_params(cfg.network_spec, cfg.seed)
         for run in runs:
@@ -284,23 +322,25 @@ class TestExperiment:
 
     def test_all_slices_run_independently(self, small_datasets):
         cfg = small_config(n_rounds=1)
-        runs = run_experiment(cfg, small_datasets)
+        runs = run_experiment(cfg, [cfg.policy], small_datasets)
         assert [r.slice_name for r in runs] == ["eMBB", "SocialMedia", "Browsing"]
         mses = {r.slice_name: r.records[0].mse for r in runs}
         assert len(set(mses.values())) == 3  # different data per slice
 
     def test_shared_initial_model_across_slices_and_policies(self, small_datasets):
         cfg = small_config(n_rounds=0)
-        runs = run_experiment(cfg, small_datasets)
-        score_runs = run_experiment(dataclasses.replace(cfg, policy="score"), small_datasets)
+        runs = run_experiment(cfg, ["intelliselect", "score"], small_datasets)
+        assert [(r.policy, r.slice_name) for r in runs] == [
+            (policy, name) for policy in ("intelliselect", "score") for name in cfg.slices
+        ]
         reference = runs[0].initial_params.values
-        for run in runs + score_runs:
+        for run in runs:
             assert np.array_equal(run.initial_params.values, reference)
 
     def test_missing_slice_data_rejected(self, small_datasets):
         cfg = small_config()
         with pytest.raises(ConfigError):
-            run_experiment(cfg, {"eMBB": small_datasets["eMBB"]})
+            run_experiment(cfg, [cfg.policy], {"eMBB": small_datasets["eMBB"]})
 
     def test_datasets_do_not_depend_on_policy(self):
         a = build_datasets(small_config(policy="intelliselect"))

@@ -144,7 +144,7 @@ class TestConvergenceRound:
 @pytest.fixture(scope="module")
 def tiny_runs():
     cfg = small_config(n_rounds=2)
-    return cfg, run_experiment(cfg, build_datasets(cfg))
+    return cfg, run_experiment(cfg, [cfg.policy], build_datasets(cfg))
 
 
 class TestPersistence:
@@ -172,7 +172,8 @@ class TestPersistence:
     def test_persist_writes_all_files_and_valid_summary(self, tmp_path, tiny_runs):
         cfg, runs = tiny_runs
         ledgers = [comm_cost(cfg.policy, cfg.n_clients, cfg.n_selected,
-                             cfg.n_features, cfg.network_spec.param_count, cfg.n_rounds)]
+                             cfg.network_spec.n_features, cfg.network_spec.param_count,
+                             cfg.n_rounds)]
         report = slice_provisioning(runs[0].round_params[-1], runs[0].datasets)
         paths = persist(tmp_path, runs, ledgers,
                         {"eMBB": (cfg.policy, [(0, report)])},
@@ -192,7 +193,8 @@ class TestPersistence:
     def test_summary_schema_rejects_bad_documents(self, tiny_runs):
         cfg, runs = tiny_runs
         ledgers = [comm_cost(cfg.policy, cfg.n_clients, cfg.n_selected,
-                             cfg.n_features, cfg.network_spec.param_count, cfg.n_rounds)]
+                             cfg.network_spec.n_features, cfg.network_spec.param_count,
+                             cfg.n_rounds)]
         good = build_summary(cfg.to_dict(), runs, ledgers, {})
         validate_summary(good)
 
