@@ -9,7 +9,6 @@ from .attribution import IgConfig, client_attribution
 from .data import ClientDataset, MinMaxScaler, NonIidProfile, SLICES, SliceSpec
 from .federation import (
     ExperimentConfig,
-    FederationState,
     RoundRecord,
     SliceRun,
     evaluate_global,
@@ -34,7 +33,6 @@ __all__ = [
     "ClientDataset",
     "CommLedger",
     "ExperimentConfig",
-    "FederationState",
     "IgConfig",
     "MinMaxScaler",
     "ModelParams",

@@ -81,6 +81,9 @@ def _load_config(config_path: str | None, overrides: list[str],
         raise ConfigError("config key 'policy' is not accepted; "
                           "name the policies to run with 'policies' or --policies")
     policies = raw.pop("policies", list(POLICIES))
+    if not (isinstance(policies, str) or isinstance(policies, list)
+            and all(isinstance(p, str) for p in policies)):
+        raise ConfigError(f"policies must be a string or a list of strings, got {policies!r}")
     if policies_flag:
         policies = policies_flag
     if isinstance(policies, str):
@@ -146,9 +149,8 @@ def _provisioning_rows(runs: list[SliceRun],
             continue
         mses = [r.mse for r in run.records]
         conv = convergence_round(mses)
-        report_rounds = [(0, slice_provisioning(run.round_params[0], run.datasets))]
-        if conv != 0:
-            report_rounds.append((conv, slice_provisioning(run.round_params[conv], run.datasets)))
+        report_rounds = [(t, slice_provisioning(run.records[t].global_params, run.datasets))
+                         for t in sorted({0, conv})]
         rows[run.slice_name] = (chosen, report_rounds)
     return rows
 
@@ -175,7 +177,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     provisioning = _provisioning_rows(runs, policies)
 
     config_echo = base.to_dict()
-    del config_echo["policy"]  # the runs' policies are echoed under "policies"
     config_echo["policies"] = policies
     paths = metrics_mod.persist(out_dir, runs, ledgers, provisioning, config_echo)
 

@@ -97,9 +97,6 @@ class MinMaxScaler:
         scaled = (features - self.feature_min) / span
         return np.where(self.feature_span > 0.0, scaled, 0.0)
 
-    def inverse_features(self, scaled: np.ndarray) -> np.ndarray:
-        return scaled * self.feature_span + self.feature_min
-
     def transform_target(self, targets: np.ndarray) -> np.ndarray:
         if self.target_span > 0.0:
             return (targets - self.target_min) / self.target_span

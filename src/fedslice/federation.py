@@ -1,11 +1,12 @@
 """Round-based federated training of one global model per network slice.
 
-Every round: attribute each client's data on the current global model
-(attribution policies only), select clients under the configured policy,
-train each selected client locally for a fixed number of epochs, aggregate
-the local weights as an average weighted by each client's train rows into the
-new global model, and evaluate it on the pooled test set. Slices are fully
-independent federations sharing only the configuration and seed.
+A `SliceRun` is one (slice, policy) federation: its clients' datasets, the
+shared initial model and one `RoundRecord` per finished round, the last of
+which holds the current global model. Every round attributes each client's
+data on that model (attribution policies only), selects clients under the
+run's policy, trains the selected clients locally, averages their weights by
+train rows into the new global model, evaluates it on the pooled test set and
+appends its record. Slices share only the configuration and seed.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import metrics as metrics_mod
 from .attribution import IgConfig, client_attribution, uniform_attribution
 from .data import (
     N_FEATURES,
@@ -40,7 +40,6 @@ from .selection import (
     POLICIES,
     POLICY_INTELLISELECT,
     POLICY_NO_POLICY,
-    POLICY_SCORE,
     SelectionResult,
     aggregate_importance,
     apportion,
@@ -52,6 +51,23 @@ from .selection import (
 logger = logging.getLogger(__name__)
 
 DEFAULT_SLICE_NAMES = tuple(s.name for s in SLICES)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# Each config field's annotation -> (value check, what the error says it must be).
+_FIELD_TYPES = {
+    "int": (_is_int, "an integer"),
+    "float": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    "int | None": (lambda v: v is None or _is_int(v), "an integer or null"),
+    "str | None": (lambda v: v is None or isinstance(v, str), "a string or null"),
+    "tuple[int, ...]": (lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)),
+                        "a list of integers"),
+    "tuple[str, ...]": (lambda v: isinstance(v, (list, tuple))
+                        and all(isinstance(x, str) for x in v), "a list of strings"),
+}
 
 
 @dataclass(frozen=True)
@@ -66,7 +82,6 @@ class ExperimentConfig:
     samples_per_client: int = 1000
     learning_rate: float = 0.0015
     seed: int = 42
-    policy: str = POLICY_INTELLISELECT
     ig_steps: int = 64
     batch_size: int | None = 32
     layer_sizes: tuple[int, ...] = (3, 3, 2, 1)
@@ -75,7 +90,12 @@ class ExperimentConfig:
     data_dir: str | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "layer_sizes", tuple(int(s) for s in self.layer_sizes))
+        for f in dataclasses.fields(self):
+            is_valid, kind = _FIELD_TYPES[f.type]
+            value = getattr(self, f.name)
+            if not is_valid(value):
+                raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
+        object.__setattr__(self, "layer_sizes", tuple(self.layer_sizes))
         object.__setattr__(self, "slices", tuple(self.slices))
         if self.n_clients < 1:
             raise ConfigError("n_clients must be at least 1")
@@ -94,8 +114,6 @@ class ExperimentConfig:
             raise ConfigError("local_epochs must be at least 1")
         if self.batch_size is not None and self.batch_size < 1:
             raise ConfigError("batch_size must be positive or null for full batch")
-        if self.policy not in POLICIES:
-            raise ConfigError(f"unknown policy {self.policy!r}, expected one of {POLICIES}")
         if self.network_spec.n_features != N_FEATURES:
             raise ConfigError(
                 f"layer_sizes[0] ({self.layer_sizes[0]}) must equal the {N_FEATURES} data features"
@@ -137,46 +155,41 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """What one round produced: error, time, participants, link load.
+    """What one round produced: error, time, selection, attributions, model.
 
     `cum_time_ms` sums, over this and every earlier round, the wall time of
     attribute, select, train and aggregate; evaluation is excluded. `chi` is
     the attribution matrix the selection used, one row per client, or None
-    under the all-clients baseline.
+    under the all-clients baseline. `global_params` is the aggregated model
+    the round ended with, which the next round starts from.
     """
 
     round_index: int
     mse: float
     cum_time_ms: float
-    selected: tuple[int, ...]
-    params_transmitted: int
+    selection: SelectionResult
     chi: np.ndarray | None
-
-
-@dataclass
-class FederationState:
-    """Mutable per-slice training state carried across rounds."""
-
-    slice_name: str
-    round_index: int
     global_params: ModelParams
-    datasets: tuple[ClientDataset, ...]
-    test_features: np.ndarray
-    test_targets: np.ndarray
-    cum_time_ms: float = 0.0
 
 
 @dataclass
 class SliceRun:
-    """Full trace of one (slice, policy) federation."""
+    """One (slice, policy) federation: its clients, initial model and rounds.
+
+    `records` is the only state that changes; the round index, the running
+    time and the current model all derive from it.
+    """
 
     slice_name: str
     policy: str
+    datasets: tuple[ClientDataset, ...]
+    initial_params: ModelParams
     records: list[RoundRecord] = field(default_factory=list)
-    round_params: list[ModelParams] = field(default_factory=list)
-    selections: list[SelectionResult] = field(default_factory=list)
-    initial_params: ModelParams | None = None
-    datasets: tuple[ClientDataset, ...] = ()
+
+    @property
+    def global_params(self) -> ModelParams:
+        """The model the next round starts from."""
+        return self.records[-1].global_params if self.records else self.initial_params
 
 
 def client_seed(seed: int, slice_index: int, client_id: int) -> int:
@@ -274,110 +287,76 @@ def _compute_chi(
     return np.stack(rows, axis=0)
 
 
-def _select(cfg: ExperimentConfig, chi: np.ndarray | None) -> SelectionResult:
-    if cfg.policy == POLICY_NO_POLICY:
+def _select(cfg: ExperimentConfig, policy: str, chi: np.ndarray | None) -> SelectionResult:
+    if policy == POLICY_NO_POLICY:
         return select_no_policy(cfg.n_clients)
     tau = aggregate_importance(chi)
-    if cfg.policy == POLICY_INTELLISELECT:
+    if policy == POLICY_INTELLISELECT:
         quotas = apportion(tau, cfg.n_selected)
         return select_clients(chi, quotas, cfg.n_selected)
     return select_by_score(chi, tau, cfg.n_selected)
 
 
-def initialize_state(
-    cfg: ExperimentConfig, slice_name: str, datasets: list[ClientDataset]
-) -> FederationState:
-    """Shared global init from the run seed, distributed to all clients."""
-    if len(datasets) != cfg.n_clients:
-        raise ConfigError(
-            f"slice {slice_name!r} has {len(datasets)} datasets, expected {cfg.n_clients}"
-        )
-    test_features, test_targets = pooled_test_set(datasets)
-    return FederationState(
-        slice_name=slice_name,
-        round_index=0,
-        global_params=init_params(cfg.network_spec, cfg.seed),
-        datasets=tuple(datasets),
-        test_features=test_features,
-        test_targets=test_targets,
-    )
-
-
-def run_round(
-    state: FederationState, cfg: ExperimentConfig
-) -> tuple[FederationState, RoundRecord, SelectionResult]:
-    """One full federated round; returns the advanced state, its record and selection."""
-    if state.round_index >= cfg.n_rounds:
-        raise ConfigError(f"round {state.round_index} is past the configured {cfg.n_rounds}")
+def run_round(run: SliceRun, cfg: ExperimentConfig) -> None:
+    """One full federated round from `run.global_params`; appends its record to `run`."""
+    round_index = len(run.records)
+    if round_index >= cfg.n_rounds:
+        raise ConfigError(f"round {round_index} is past the configured {cfg.n_rounds}")
     started = time.perf_counter()
 
-    chi = (None if cfg.policy == POLICY_NO_POLICY
-           else _compute_chi(state.global_params, state.datasets, cfg))
-    selection = _select(cfg, chi)
+    chi = (None if run.policy == POLICY_NO_POLICY
+           else _compute_chi(run.global_params, run.datasets, cfg))
+    selection = _select(cfg, run.policy, chi)
     ordered = sorted(selection.selected)
-    participants = [state.datasets[client_id] for client_id in ordered]
+    participants = [run.datasets[client_id] for client_id in ordered]
     try:
         trained = train_clients(
-            state.global_params,
+            run.global_params,
             [ds.train_features for ds in participants],
             [ds.train_targets for ds in participants],
             cfg.local_epochs,
             learning_rate=cfg.learning_rate,
             batch_size=cfg.batch_size,
-            shuffle_rngs=_shuffle_rngs(cfg, state.slice_name, state.round_index, ordered),
+            shuffle_rngs=_shuffle_rngs(cfg, run.slice_name, round_index, ordered),
         )
     except ArithmeticError as exc:
         raise type(exc)(
-            f"round {state.round_index}, slice {state.slice_name}, "
-            f"clients {ordered}: {exc}"
+            f"round {round_index}, slice {run.slice_name}, clients {ordered}: {exc}"
         ) from exc
     sizes = [len(ds.train_indices) for ds in participants]
 
     new_global = fedavg_aggregate(trained, sizes)
     elapsed_ms = (time.perf_counter() - started) * 1e3
 
-    mse = evaluate_global(new_global, state.test_features, state.test_targets)
-    spec = cfg.network_spec
-    downlink, uplink = metrics_mod.per_round_comm(
-        cfg.policy, cfg.n_clients, cfg.n_selected, spec.n_features, spec.param_count
-    )
-    record = RoundRecord(
-        round_index=state.round_index,
+    mse = evaluate_global(new_global, *pooled_test_set(run.datasets))
+    previous_ms = run.records[-1].cum_time_ms if run.records else 0.0
+    run.records.append(RoundRecord(
+        round_index=round_index,
         mse=mse,
-        cum_time_ms=state.cum_time_ms + elapsed_ms,
-        selected=selection.selected,
-        params_transmitted=downlink + uplink,
+        cum_time_ms=previous_ms + elapsed_ms,
+        selection=selection,
         chi=chi,
-    )
+        global_params=new_global,
+    ))
     logger.info(
         "slice=%s policy=%s round=%d mse=%.6g selected=%s",
-        state.slice_name, cfg.policy, state.round_index, mse, list(selection.selected),
+        run.slice_name, run.policy, round_index, mse, list(selection.selected),
     )
-    new_state = dataclasses.replace(
-        state,
-        round_index=state.round_index + 1,
-        global_params=new_global,
-        cum_time_ms=record.cum_time_ms,
-    )
-    return new_state, record, selection
 
 
 def run_slice(
-    cfg: ExperimentConfig, slice_name: str, datasets: list[ClientDataset]
+    cfg: ExperimentConfig, policy: str, slice_name: str, datasets: list[ClientDataset]
 ) -> SliceRun:
-    """Run the configured policy for all rounds of one slice's federation."""
-    state = initialize_state(cfg, slice_name, datasets)
-    run = SliceRun(
-        slice_name=slice_name,
-        policy=cfg.policy,
-        initial_params=state.global_params,
-        datasets=state.datasets,
-    )
+    """Run `policy` for all rounds of one slice's federation from the shared init."""
+    if policy not in POLICIES:
+        raise ConfigError(f"unknown policy {policy!r}, expected one of {POLICIES}")
+    if len(datasets) != cfg.n_clients:
+        raise ConfigError(
+            f"slice {slice_name!r} has {len(datasets)} datasets, expected {cfg.n_clients}"
+        )
+    run = SliceRun(slice_name, policy, tuple(datasets), init_params(cfg.network_spec, cfg.seed))
     for _ in range(cfg.n_rounds):
-        state, record, selection = run_round(state, cfg)
-        run.records.append(record)
-        run.round_params.append(state.global_params)
-        run.selections.append(selection)
+        run_round(run, cfg)
     return run
 
 
@@ -388,14 +367,13 @@ def run_experiment(
 ) -> list[SliceRun]:
     """Independent federations for every (policy, configured slice), policy-major.
 
-    `cfg.policy` is replaced by each entry of `policies` in turn; every
-    federation of a slice trains on the same datasets.
+    Every federation of a slice trains on the same datasets.
     """
     missing = [s for s in cfg.slices if s not in datasets]
     if missing:
         raise ConfigError(f"no datasets for slice(s): {', '.join(missing)}")
     return [
-        run_slice(dataclasses.replace(cfg, policy=policy), name, datasets[name])
+        run_slice(cfg, policy, name, datasets[name])
         for policy in policies
         for name in cfg.slices
     ]

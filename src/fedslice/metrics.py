@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .nn import ModelParams, forward_batch
-from .selection import POLICIES, POLICY_INTELLISELECT, POLICY_NO_POLICY, POLICY_SCORE
+from .selection import POLICIES, POLICY_NO_POLICY, POLICY_SCORE
 
 SUMMARY_SCHEMA_VERSION = 1
 ROUNDS_HEADER = ("round", "mse", "cum_time_ms", "selected_ids", "params_transmitted")
@@ -154,7 +154,8 @@ def convergence_round(mses: list[float], tolerance: float = 0.05) -> int:
     return len(mses) - 1
 
 
-def write_rounds_csv(path: Path, records) -> None:
+def write_rounds_csv(path: Path, records, params_transmitted: int) -> None:
+    """One row per round; `params_transmitted` is the policy's per-round link load."""
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(ROUNDS_HEADER)
@@ -163,8 +164,8 @@ def write_rounds_csv(path: Path, records) -> None:
                 r.round_index,
                 _fmt(r.mse),
                 _fmt(r.cum_time_ms),
-                SELECTED_IDS_SEP.join(str(c) for c in r.selected),
-                r.params_transmitted,
+                SELECTED_IDS_SEP.join(str(c) for c in r.selection.selected),
+                params_transmitted,
             ])
 
 
@@ -304,17 +305,19 @@ def persist(out_dir: str | Path, runs, ledgers: list[CommLedger],
 
     for run in runs:
         stem = f"{run.slice_name}_{run.policy}"
+        ledger = next(l for l in ledgers if l.policy == run.policy)
         rounds_path = out / f"rounds_{stem}.csv"
-        write_rounds_csv(rounds_path, run.records)
+        write_rounds_csv(rounds_path, run.records, ledger.round_total)
         paths[f"rounds_{stem}"] = rounds_path
         chi_rounds = [r.chi for r in run.records if r.chi is not None]
         if chi_rounds:
             chi_path = out / f"attributions_{stem}.csv"
             write_attributions_csv(chi_path, chi_rounds)
             paths[f"attributions_{stem}"] = chi_path
-        if any(s.audit for s in run.selections):
+        selections = [r.selection for r in run.records]
+        if any(s.audit for s in selections):
             sel_path = out / f"selection_{stem}.csv"
-            write_selection_csv(sel_path, run.selections)
+            write_selection_csv(sel_path, selections)
             paths[f"selection_{stem}"] = sel_path
 
     ledger_path = out / "comm_ledger.csv"

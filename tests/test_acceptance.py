@@ -181,7 +181,7 @@ def test_criterion_7_convergence_trend(trend_runs):
         ok &= ratio <= 1.10 and reach is not None
         details.append(f"{name}: final ratio {ratio:.3f} (<= 1.10), "
                        f"reached no_policy final at round {reach}")
-    selected_counts = {len(r.selected) for run in
+    selected_counts = {len(r.selection.selected) for run in
                        (trend_runs[("intelliselect", n)] for n in SLICE_NAMES)
                        for r in run.records}
     ok &= selected_counts == {5}
@@ -192,7 +192,7 @@ def test_criterion_8_scalability_trend(default_config):
     finals = {}
     for n_clients in (40, 50):
         cfg = dataclasses.replace(default_config, n_clients=n_clients, n_selected=25)
-        for run in run_experiment(cfg, [cfg.policy], build_datasets(cfg)):
+        for run in run_experiment(cfg, ["intelliselect"], build_datasets(cfg)):
             finals[(n_clients, run.slice_name)] = run.records[-1].mse
     details = []
     ok = True
@@ -208,8 +208,8 @@ def test_criterion_9_provisioning_tradeoff(trend_runs):
     run = trend_runs[("intelliselect", "eMBB")]
     mses = [r.mse for r in run.records]
     conv = convergence_round(mses)
-    at_start = slice_provisioning(run.round_params[0], run.datasets)
-    at_conv = slice_provisioning(run.round_params[conv], run.datasets)
+    at_start = slice_provisioning(run.records[0].global_params, run.datasets)
+    at_conv = slice_provisioning(run.records[conv].global_params, run.datasets)
     ok = (at_conv.over_sum < at_start.over_sum
           and at_conv.under_sum < at_start.under_sum)
     report(9, ok,

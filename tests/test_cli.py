@@ -130,6 +130,13 @@ class TestRun:
         "slices=[]",
         "layer_sizes=[4,3,2,1]",
         "n_features=3",
+        'learning_rate="abc"',
+        'batch_size="x"',
+        'train_fraction="0.8"',
+        "layer_sizes=3",
+        "policies=3",
+        'slices="eMBB"',
+        "n_rounds=true",
     ])
     def test_bad_config_value_is_exit_2_before_any_output(self, tmp_path, capsys,
                                                           override):

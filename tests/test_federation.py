@@ -15,7 +15,6 @@ from fedslice.federation import (
     build_datasets,
     evaluate_global,
     fedavg_aggregate,
-    initialize_state,
     pooled_test_set,
     run_experiment,
     run_round,
@@ -79,7 +78,7 @@ class TestFedAvg:
 
     def test_round_weights_clients_by_train_rows(self, small_datasets):
         # Equal train rows, unequal test rows: the trained models count equally.
-        cfg = small_config(n_clients=2, n_selected=2, policy="no_policy")
+        cfg = small_config(n_clients=2, n_selected=2, n_rounds=1)
         full, other = small_datasets["eMBB"][:2]
         keep = other.size - 5
         trimmed = dataclasses.replace(
@@ -93,17 +92,16 @@ class TestFedAvg:
         assert len(trimmed.train_indices) == len(full.train_indices)
         assert trimmed.size < full.size
 
-        state = initialize_state(cfg, "eMBB", [full, trimmed])
-        new_state, _, _ = run_round(state, cfg)
+        run = run_slice(cfg, "no_policy", "eMBB", [full, trimmed])
         trained = train_clients(
-            state.global_params,
+            run.initial_params,
             [full.train_features, trimmed.train_features],
             [full.train_targets, trimmed.train_targets],
             cfg.local_epochs, learning_rate=cfg.learning_rate, batch_size=cfg.batch_size,
             shuffle_rngs=_shuffle_rngs(cfg, "eMBB", 0, [0, 1]),
         )
         expected = np.mean([p.values for p in trained], axis=0)
-        assert np.array_equal(new_state.global_params.values, expected)
+        assert np.array_equal(run.records[0].global_params.values, expected)
 
 
 class TestComputeChi:
@@ -160,9 +158,20 @@ class TestConfig:
         with pytest.raises(ConfigError, match="bogus_knob"):
             ExperimentConfig.from_dict({"bogus_knob": 3})
 
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ConfigError):
-            small_config(policy="oracle")
+    def test_unknown_policy_rejected(self, small_datasets, monkeypatch):
+        # The policy is checked before any round attributes or trains a client.
+        calls = []
+
+        def counting(name):
+            def record(*args, **kwargs):
+                calls.append(name)
+            return record
+
+        monkeypatch.setattr(federation, "client_attribution", counting("attribute"))
+        monkeypatch.setattr(federation, "train_clients", counting("train"))
+        with pytest.raises(ConfigError, match="oracle"):
+            run_experiment(small_config(), ["oracle"], small_datasets)
+        assert calls == []
 
     def test_attribution_pool_must_fit_train_split(self):
         with pytest.raises(ConfigError):
@@ -184,11 +193,20 @@ class TestConfig:
         ({"learning_rate": 0.0}, "learning_rate"),
         ({"learning_rate": -1.0}, "learning_rate"),
         ({"ig_steps": 0}, "ig_steps"),
-        ({"ig_steps": 0, "policy": "no_policy"}, "ig_steps"),
+        ({"ig_steps": 1.5}, "ig_steps"),
         ({"attribution_samples": 0}, "attribution_samples"),
-        ({"attribution_samples": 0, "policy": "no_policy"}, "attribution_samples"),
+        ({"attribution_samples": True}, "attribution_samples"),
         ({"slices": ()}, "slices"),
         ({"layer_sizes": (4, 3, 2, 1)}, "layer_sizes"),
+        ({"learning_rate": "abc"}, "learning_rate"),
+        ({"batch_size": "x"}, "batch_size"),
+        ({"train_fraction": "0.8"}, "train_fraction"),
+        ({"layer_sizes": 3}, "layer_sizes"),
+        ({"layer_sizes": (3, 3.0, 1)}, "layer_sizes"),
+        ({"slices": "eMBB"}, "slices"),
+        ({"n_rounds": True}, "n_rounds"),
+        ({"n_clients": 2.5}, "n_clients"),
+        ({"data_dir": 5}, "data_dir"),
     ])
     def test_bad_value_is_rejected_up_front(self, overrides, message):
         with pytest.raises(ConfigError, match=message):
@@ -196,6 +214,10 @@ class TestConfig:
 
     def test_zero_rounds_and_huge_learning_rate_are_accepted(self):
         assert small_config(n_rounds=0, learning_rate=1e300).n_rounds == 0
+
+    def test_integer_learning_rate_and_null_batch_size_are_accepted(self):
+        cfg = small_config(learning_rate=1, batch_size=None, slices=["eMBB"])
+        assert (cfg.learning_rate, cfg.batch_size, cfg.slices) == (1, None, ("eMBB",))
 
     def test_roundtrip_through_dict(self):
         cfg = small_config()
@@ -218,27 +240,27 @@ class TestConfig:
 
 class TestRounds:
     def test_m_equals_one_takes_single_client_params(self, small_datasets):
-        cfg = small_config(n_selected=1)
-        state = initialize_state(cfg, "eMBB", small_datasets["eMBB"])
-        new_state, record, _ = run_round(state, cfg)
-        assert len(record.selected) == 1
+        cfg = small_config(n_selected=1, n_rounds=1)
+        run = run_slice(cfg, "intelliselect", "eMBB", small_datasets["eMBB"])
+        record = run.records[0]
+        assert len(record.selection.selected) == 1
 
-        client = small_datasets["eMBB"][record.selected[0]]
+        client = small_datasets["eMBB"][record.selection.selected[0]]
         expected = train_clients(
-            state.global_params, [client.train_features], [client.train_targets],
+            run.initial_params, [client.train_features], [client.train_targets],
             cfg.local_epochs, learning_rate=cfg.learning_rate, batch_size=cfg.batch_size,
-            shuffle_rngs=_shuffle_rngs(cfg, "eMBB", 0, list(record.selected)),
+            shuffle_rngs=_shuffle_rngs(cfg, "eMBB", 0, list(record.selection.selected)),
         )[0]
-        assert np.array_equal(new_state.global_params.values, expected.values)
+        assert np.array_equal(record.global_params.values, expected.values)
 
     def test_redistribution_invariant(self, small_datasets):
         cfg = small_config()
-        state = initialize_state(cfg, "eMBB", small_datasets["eMBB"])
-        for _ in range(cfg.n_rounds):
+        run = run_slice(cfg, "intelliselect", "eMBB", small_datasets["eMBB"])
+        assert len(run.records) == cfg.n_rounds
+        starts = [run.initial_params] + [r.global_params for r in run.records[:-1]]
+        for start, record in zip(starts, run.records):
             # Round t+1 attributes every client on round t's global model.
-            expected = _compute_chi(state.global_params, state.datasets, cfg)
-            state, record, _ = run_round(state, cfg)
-            assert np.array_equal(record.chi, expected)
+            assert np.array_equal(record.chi, _compute_chi(start, run.datasets, cfg))
 
     @pytest.mark.parametrize("policy", ["intelliselect", "score", "no_policy"])
     @pytest.mark.parametrize("n_rounds", [0, 2])
@@ -253,76 +275,64 @@ class TestRounds:
             return original(params, dataset, cfg)
 
         monkeypatch.setattr(federation, "client_attribution", counting)
-        cfg = small_config(n_rounds=n_rounds, policy=policy)
-        run = run_slice(cfg, "eMBB", small_datasets["eMBB"])
+        cfg = small_config(n_rounds=n_rounds)
+        run = run_slice(cfg, policy, "eMBB", small_datasets["eMBB"])
         attributed = policy != "no_policy"
         assert calls == list(range(cfg.n_clients)) * n_rounds * attributed
         assert [r.chi is not None for r in run.records] == [attributed] * n_rounds
 
     def test_round_past_horizon_rejected(self, small_datasets):
         cfg = small_config(n_rounds=1)
-        state = initialize_state(cfg, "eMBB", small_datasets["eMBB"])
-        state, _, _ = run_round(state, cfg)
+        run = run_slice(cfg, "intelliselect", "eMBB", small_datasets["eMBB"])
         with pytest.raises(ConfigError):
-            run_round(state, cfg)
-
-    def test_round_record_comm_count(self, small_datasets):
-        cfg = small_config()
-        state = initialize_state(cfg, "eMBB", small_datasets["eMBB"])
-        _, record, selection = run_round(state, cfg)
-        assert record.selected == selection.selected
-        p = cfg.network_spec.param_count
-        expected = cfg.n_clients * p + cfg.n_selected * p + cfg.n_clients * 3
-        assert record.params_transmitted == expected
+            run_round(run, cfg)
+        assert len(run.records) == 1
 
     def test_training_overflow_names_round_slice_and_clients(self, small_datasets):
         # A huge step size sends the weights past float range on the next step.
         cfg = small_config(learning_rate=1e300)
-        state = initialize_state(cfg, "eMBB", small_datasets["eMBB"])
+        datasets = tuple(small_datasets["eMBB"])
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericError) as info:
-                run_round(state, cfg)
-        chi = _compute_chi(state.global_params, state.datasets, cfg)
-        chosen = sorted(_select(cfg, chi).selected)
+                run_slice(cfg, "intelliselect", "eMBB", datasets)
+        chi = _compute_chi(init_params(cfg.network_spec, cfg.seed), datasets, cfg)
+        chosen = sorted(_select(cfg, "intelliselect", chi).selected)
         assert str(info.value) == (f"round 0, slice eMBB, clients {chosen}: "
                                    "non-finite gradient during local training")
 
 
 class TestExperiment:
     def test_policy_equivalence_when_everyone_is_selected(self, small_datasets):
-        cfg_all = small_config(n_selected=4, policy="intelliselect")
-        cfg_nop = small_config(n_selected=4, policy="no_policy")
-        run_a = run_slice(cfg_all, "eMBB", small_datasets["eMBB"])
-        run_b = run_slice(cfg_nop, "eMBB", small_datasets["eMBB"])
+        cfg = small_config(n_selected=4)
+        run_a = run_slice(cfg, "intelliselect", "eMBB", small_datasets["eMBB"])
+        run_b = run_slice(cfg, "no_policy", "eMBB", small_datasets["eMBB"])
         for a, b in zip(run_a.records, run_b.records):
             assert a.mse == b.mse
-            assert sorted(a.selected) == sorted(b.selected)
-        for a, b in zip(run_a.round_params, run_b.round_params):
-            assert np.array_equal(a.values, b.values)
+            assert sorted(a.selection.selected) == sorted(b.selection.selected)
+            assert np.array_equal(a.global_params.values, b.global_params.values)
 
     def test_reruns_are_bit_identical(self, small_datasets):
         cfg = small_config()
-        a = run_slice(cfg, "eMBB", small_datasets["eMBB"])
-        b = run_slice(cfg, "eMBB", small_datasets["eMBB"])
+        a = run_slice(cfg, "intelliselect", "eMBB", small_datasets["eMBB"])
+        b = run_slice(cfg, "intelliselect", "eMBB", small_datasets["eMBB"])
         for ra, rb in zip(a.records, b.records):
             assert ra.mse == rb.mse
-            assert ra.selected == rb.selected
-            assert ra.params_transmitted == rb.params_transmitted
+            assert ra.selection == rb.selection
             assert np.array_equal(ra.chi, rb.chi)
-        for pa, pb in zip(a.round_params, b.round_params):
-            assert np.array_equal(pa.values, pb.values)
+            assert np.array_equal(ra.global_params.values, rb.global_params.values)
 
     def test_zero_rounds_returns_initial_model(self, small_datasets):
         cfg = small_config(n_rounds=0)
-        runs = run_experiment(cfg, [cfg.policy], small_datasets)
+        runs = run_experiment(cfg, ["intelliselect"], small_datasets)
         assert all(run.records == [] for run in runs)
         expected = init_params(cfg.network_spec, cfg.seed)
         for run in runs:
             assert np.array_equal(run.initial_params.values, expected.values)
+            assert run.global_params is run.initial_params
 
     def test_all_slices_run_independently(self, small_datasets):
         cfg = small_config(n_rounds=1)
-        runs = run_experiment(cfg, [cfg.policy], small_datasets)
+        runs = run_experiment(cfg, ["intelliselect"], small_datasets)
         assert [r.slice_name for r in runs] == ["eMBB", "SocialMedia", "Browsing"]
         mses = {r.slice_name: r.records[0].mse for r in runs}
         assert len(set(mses.values())) == 3  # different data per slice
@@ -340,21 +350,25 @@ class TestExperiment:
     def test_missing_slice_data_rejected(self, small_datasets):
         cfg = small_config()
         with pytest.raises(ConfigError):
-            run_experiment(cfg, [cfg.policy], {"eMBB": small_datasets["eMBB"]})
+            run_experiment(cfg, ["intelliselect"], {"eMBB": small_datasets["eMBB"]})
 
-    def test_datasets_do_not_depend_on_policy(self):
-        a = build_datasets(small_config(policy="intelliselect"))
-        b = build_datasets(small_config(policy="no_policy"))
-        for s in a:
-            for da, db in zip(a[s], b[s]):
+    def test_datasets_do_not_depend_on_policy(self, small_datasets):
+        cfg = small_config(n_rounds=0)
+        runs = run_experiment(cfg, ["intelliselect", "no_policy", "score"], small_datasets)
+        for run in runs:
+            assert all(a is b for a, b in
+                       zip(run.datasets, small_datasets[run.slice_name], strict=True))
+        rebuilt = build_datasets(cfg)
+        for s in rebuilt:
+            for da, db in zip(small_datasets[s], rebuilt[s]):
                 assert np.array_equal(da.features, db.features)
                 assert np.array_equal(da.targets, db.targets)
 
     def test_score_policy_runs(self, small_datasets):
-        cfg = small_config(policy="score", n_rounds=2)
-        run = run_slice(cfg, "eMBB", small_datasets["eMBB"])
+        cfg = small_config(n_rounds=2)
+        run = run_slice(cfg, "score", "eMBB", small_datasets["eMBB"])
         assert len(run.records) == 2
-        assert all(len(r.selected) == cfg.n_selected for r in run.records)
+        assert all(len(r.selection.selected) == cfg.n_selected for r in run.records)
 
     def test_pooled_test_set_is_client_ordered_concatenation(self, small_datasets):
         datasets = small_datasets["eMBB"]

@@ -144,26 +144,26 @@ class TestConvergenceRound:
 @pytest.fixture(scope="module")
 def tiny_runs():
     cfg = small_config(n_rounds=2)
-    return cfg, run_experiment(cfg, [cfg.policy], build_datasets(cfg))
+    return cfg, run_experiment(cfg, ["intelliselect"], build_datasets(cfg))
 
 
 class TestPersistence:
     def test_empty_records_write_header_only(self, tmp_path):
         path = tmp_path / "rounds.csv"
-        write_rounds_csv(path, [])
+        write_rounds_csv(path, [], 0)
         assert path.read_text() == "round,mse,cum_time_ms,selected_ids,params_transmitted\n"
 
     def test_rounds_roundtrip(self, tmp_path, tiny_runs):
         _, runs = tiny_runs
         path = tmp_path / "rounds.csv"
-        write_rounds_csv(path, runs[0].records)
+        write_rounds_csv(path, runs[0].records, 375)
         parsed = read_rounds_csv(path)
         assert len(parsed) == len(runs[0].records)
         for row, record in zip(parsed, runs[0].records):
             assert row["round"] == record.round_index
             assert row["mse"] == record.mse  # 17 significant digits survive
-            assert row["selected"] == record.selected
-            assert row["params_transmitted"] == record.params_transmitted
+            assert row["selected"] == record.selection.selected
+            assert row["params_transmitted"] == 375
 
     def test_seventeen_digit_floats_are_lossless(self, rng):
         for x in rng.normal(0, 1, 100):
@@ -171,12 +171,12 @@ class TestPersistence:
 
     def test_persist_writes_all_files_and_valid_summary(self, tmp_path, tiny_runs):
         cfg, runs = tiny_runs
-        ledgers = [comm_cost(cfg.policy, cfg.n_clients, cfg.n_selected,
+        ledgers = [comm_cost("intelliselect", cfg.n_clients, cfg.n_selected,
                              cfg.network_spec.n_features, cfg.network_spec.param_count,
                              cfg.n_rounds)]
-        report = slice_provisioning(runs[0].round_params[-1], runs[0].datasets)
+        report = slice_provisioning(runs[0].records[-1].global_params, runs[0].datasets)
         paths = persist(tmp_path, runs, ledgers,
-                        {"eMBB": (cfg.policy, [(0, report)])},
+                        {"eMBB": ("intelliselect", [(0, report)])},
                         cfg.to_dict())
         for name in ("rounds_eMBB_intelliselect", "comm_ledger", "summary",
                      "provisioning_eMBB", "attributions_eMBB_intelliselect",
@@ -190,9 +190,23 @@ class TestPersistence:
         reread = read_rounds_csv(paths["rounds_eMBB_intelliselect"])
         assert [r["mse"] for r in reread] == [r.mse for r in runs[0].records]
 
+    def test_rounds_link_load_matches_per_round_comm(self, tmp_path):
+        cfg = small_config(n_rounds=2, slices=("eMBB",))
+        policies = ["intelliselect", "no_policy", "score"]
+        spec = cfg.network_spec
+        ledgers = [comm_cost(p, cfg.n_clients, cfg.n_selected, spec.n_features,
+                             spec.param_count, cfg.n_rounds) for p in policies]
+        runs = run_experiment(cfg, policies, build_datasets(cfg))
+        paths = persist(tmp_path, runs, ledgers, {}, cfg.to_dict())
+        for policy in policies:
+            expected = sum(per_round_comm(policy, cfg.n_clients, cfg.n_selected,
+                                          spec.n_features, spec.param_count))
+            rows = read_rounds_csv(paths[f"rounds_eMBB_{policy}"])
+            assert [r["params_transmitted"] for r in rows] == [expected] * cfg.n_rounds
+
     def test_summary_schema_rejects_bad_documents(self, tiny_runs):
         cfg, runs = tiny_runs
-        ledgers = [comm_cost(cfg.policy, cfg.n_clients, cfg.n_selected,
+        ledgers = [comm_cost("intelliselect", cfg.n_clients, cfg.n_selected,
                              cfg.network_spec.n_features, cfg.network_spec.param_count,
                              cfg.n_rounds)]
         good = build_summary(cfg.to_dict(), runs, ledgers, {})
