@@ -18,7 +18,15 @@ class GenerationError(ValueError):
 
 
 class NumericError(ArithmeticError):
-    """A numeric operation produced or received non-finite values."""
+    """A numeric operation produced or received non-finite values.
+
+    `clients` lists the positions, within a stacked training call, of the
+    clients at fault; it is empty when no client is singled out.
+    """
+
+    def __init__(self, message: str, clients: tuple[int, ...] = ()) -> None:
+        super().__init__(message)
+        self.clients = clients
 
 
 class DegenerateAttributionError(ArithmeticError):

@@ -6,14 +6,16 @@ which holds the current global model. Every round attributes each client's
 data on that model (attribution policies only), selects clients under the
 run's policy, trains the selected clients locally, averages their weights by
 train rows into the new global model, evaluates it on the pooled test set and
-appends its record. Slices share only the configuration and seed.
+appends its record. Federations share only the configuration, the seed and
+the initial model; `run_round` advances them together so that the clients of
+all of them train in shared lockstep calls.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import logging
-import math
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -28,7 +30,7 @@ from .data import (
     generate_client,
     slice_by_name,
 )
-from .errors import ConfigError, DegenerateAttributionError
+from .errors import ConfigError, DegenerateAttributionError, NumericError
 from .nn import (
     ModelParams,
     NetworkSpec,
@@ -107,7 +109,8 @@ class ExperimentConfig:
             raise ConfigError("n_rounds cannot be negative")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+        # Exact int/float comparison: NaN, infinities and integers past float range fail.
+        if not 0.0 < self.learning_rate <= sys.float_info.max:
             raise ConfigError(f"learning_rate must be finite and positive, got {self.learning_rate}")
         self.ig_config  # checks ig_steps and attribution_samples under every policy
         if self.local_epochs < 1:
@@ -158,9 +161,10 @@ class RoundRecord:
     """What one round produced: error, time, selection, attributions, model.
 
     `cum_time_ms` sums, over this and every earlier round, the wall time of
-    attribute, select, train and aggregate; evaluation is excluded. `chi` is
-    the attribution matrix the selection used, one row per client, or None
-    under the all-clients baseline. `global_params` is the aggregated model
+    attribute, select, train and aggregate; evaluation is excluded, and
+    training counts the federation's share of each shared call (see
+    `run_round`). `chi` is the attribution matrix the selection used, one row
+    per client, or None under the all-clients baseline. `global_params` is the aggregated model
     the round ended with, which the next round starts from.
     """
 
@@ -197,17 +201,16 @@ def client_seed(seed: int, slice_index: int, client_id: int) -> int:
     return int(np.random.SeedSequence([seed, slice_index, client_id]).generate_state(1)[0])
 
 
-def _shuffle_rngs(
-    cfg: ExperimentConfig, slice_name: str, round_index: int, client_ids: list[int]
-) -> list[np.random.Generator] | None:
-    """Per-(slice, round, client) minibatch shuffle streams, policy-independent."""
-    if cfg.batch_size is None:
-        return None
+def _shuffle_rng(
+    cfg: ExperimentConfig, slice_name: str, round_index: int, client_id: int
+) -> np.random.Generator:
+    """Per-(slice, round, client) minibatch shuffle stream, policy-independent.
+
+    Full-batch training draws nothing from it.
+    """
     slice_index = DEFAULT_SLICE_NAMES.index(slice_name)
-    return [
-        np.random.default_rng(np.random.SeedSequence([cfg.seed, slice_index, round_index, cid]))
-        for cid in client_ids
-    ]
+    return np.random.default_rng(
+        np.random.SeedSequence([cfg.seed, slice_index, round_index, client_id]))
 
 
 def build_datasets(cfg: ExperimentConfig) -> dict[str, list[ClientDataset]]:
@@ -297,67 +300,102 @@ def _select(cfg: ExperimentConfig, policy: str, chi: np.ndarray | None) -> Selec
     return select_by_score(chi, tau, cfg.n_selected)
 
 
-def run_round(run: SliceRun, cfg: ExperimentConfig) -> None:
-    """One full federated round from `run.global_params`; appends its record to `run`."""
-    round_index = len(run.records)
+def run_round(runs: list[SliceRun], cfg: ExperimentConfig) -> None:
+    """Advance every federation in `runs`, all at the same round, by one round.
+
+    Each federation attributes its clients on its own current model and
+    selects. Then the selected clients of all federations train together:
+    one `train_clients` call per distinct train row count, stacked in `runs`
+    order and, within a federation, by ascending client id. Last, each
+    federation aggregates, evaluates and appends its record. A federation's
+    round time is its own attribute, select and aggregate wall time plus,
+    from each shared training call, its clients' share of that call's
+    client-steps.
+    """
+    if not runs:
+        return
+    round_index = len(runs[0].records)
+    if any(len(run.records) != round_index for run in runs):
+        raise ValueError("federations advanced together must be at the same round")
     if round_index >= cfg.n_rounds:
         raise ConfigError(f"round {round_index} is past the configured {cfg.n_rounds}")
-    started = time.perf_counter()
 
-    chi = (None if run.policy == POLICY_NO_POLICY
-           else _compute_chi(run.global_params, run.datasets, cfg))
-    selection = _select(cfg, run.policy, chi)
-    ordered = sorted(selection.selected)
-    participants = [run.datasets[client_id] for client_id in ordered]
-    try:
-        trained = train_clients(
-            run.global_params,
-            [ds.train_features for ds in participants],
-            [ds.train_targets for ds in participants],
-            cfg.local_epochs,
-            learning_rate=cfg.learning_rate,
-            batch_size=cfg.batch_size,
-            shuffle_rngs=_shuffle_rngs(cfg, run.slice_name, round_index, ordered),
+    chis, selections, elapsed = [], [], []
+    for run in runs:
+        started = time.perf_counter()
+        chi = (None if run.policy == POLICY_NO_POLICY
+               else _compute_chi(run.global_params, run.datasets, cfg))
+        chis.append(chi)
+        selections.append(_select(cfg, run.policy, chi))
+        elapsed.append(time.perf_counter() - started)
+
+    # (federation index, client id) of each participant, grouped by train rows.
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for i, (run, selection) in enumerate(zip(runs, selections)):
+        for client_id in sorted(selection.selected):
+            rows = len(run.datasets[client_id].train_indices)
+            groups.setdefault(rows, []).append((i, client_id))
+    trained: dict[tuple[int, int], ModelParams] = {}
+    for group in groups.values():
+        started = time.perf_counter()
+        participants = [runs[i].datasets[client_id] for i, client_id in group]
+        try:
+            models = train_clients(
+                [runs[i].global_params for i, _ in group],
+                [ds.train_features for ds in participants],
+                [ds.train_targets for ds in participants],
+                cfg.local_epochs,
+                learning_rate=cfg.learning_rate,
+                batch_size=cfg.batch_size,
+                shuffle_rngs=[_shuffle_rng(cfg, runs[i].slice_name, round_index, client_id)
+                              for i, client_id in group],
+            )
+        except NumericError as exc:
+            raise NumericError(
+                f"round {round_index}: {_at_fault(runs, group, exc.clients)}: {exc}"
+            ) from exc
+        share = (time.perf_counter() - started) / len(group)
+        for slot, model in zip(group, models):
+            trained[slot] = model
+            elapsed[slot[0]] += share
+
+    for i, (run, chi, selection) in enumerate(zip(runs, chis, selections)):
+        started = time.perf_counter()
+        ordered = sorted(selection.selected)
+        new_global = fedavg_aggregate(
+            [trained[i, client_id] for client_id in ordered],
+            [len(run.datasets[client_id].train_indices) for client_id in ordered],
         )
-    except ArithmeticError as exc:
-        raise type(exc)(
-            f"round {round_index}, slice {run.slice_name}, clients {ordered}: {exc}"
-        ) from exc
-    sizes = [len(ds.train_indices) for ds in participants]
+        elapsed_ms = (elapsed[i] + time.perf_counter() - started) * 1e3
 
-    new_global = fedavg_aggregate(trained, sizes)
-    elapsed_ms = (time.perf_counter() - started) * 1e3
+        mse = evaluate_global(new_global, *pooled_test_set(run.datasets))
+        previous_ms = run.records[-1].cum_time_ms if run.records else 0.0
+        run.records.append(RoundRecord(
+            round_index=round_index,
+            mse=mse,
+            cum_time_ms=previous_ms + elapsed_ms,
+            selection=selection,
+            chi=chi,
+            global_params=new_global,
+        ))
+        logger.info(
+            "slice=%s policy=%s round=%d mse=%.6g selected=%s",
+            run.slice_name, run.policy, round_index, mse, list(selection.selected),
+        )
 
-    mse = evaluate_global(new_global, *pooled_test_set(run.datasets))
-    previous_ms = run.records[-1].cum_time_ms if run.records else 0.0
-    run.records.append(RoundRecord(
-        round_index=round_index,
-        mse=mse,
-        cum_time_ms=previous_ms + elapsed_ms,
-        selection=selection,
-        chi=chi,
-        global_params=new_global,
-    ))
-    logger.info(
-        "slice=%s policy=%s round=%d mse=%.6g selected=%s",
-        run.slice_name, run.policy, round_index, mse, list(selection.selected),
+
+def _at_fault(
+    runs: list[SliceRun], group: list[tuple[int, int]], positions: tuple[int, ...]
+) -> str:
+    """'slice S, policy P, clients [...]' per federation with clients at `positions` of `group`."""
+    faulty: dict[int, list[int]] = {}
+    for position in positions:
+        i, client_id = group[position]
+        faulty.setdefault(i, []).append(client_id)
+    return "; ".join(
+        f"slice {runs[i].slice_name}, policy {runs[i].policy}, clients {client_ids}"
+        for i, client_ids in faulty.items()
     )
-
-
-def run_slice(
-    cfg: ExperimentConfig, policy: str, slice_name: str, datasets: list[ClientDataset]
-) -> SliceRun:
-    """Run `policy` for all rounds of one slice's federation from the shared init."""
-    if policy not in POLICIES:
-        raise ConfigError(f"unknown policy {policy!r}, expected one of {POLICIES}")
-    if len(datasets) != cfg.n_clients:
-        raise ConfigError(
-            f"slice {slice_name!r} has {len(datasets)} datasets, expected {cfg.n_clients}"
-        )
-    run = SliceRun(slice_name, policy, tuple(datasets), init_params(cfg.network_spec, cfg.seed))
-    for _ in range(cfg.n_rounds):
-        run_round(run, cfg)
-    return run
 
 
 def run_experiment(
@@ -365,15 +403,26 @@ def run_experiment(
     policies: list[str],
     datasets: dict[str, list[ClientDataset]],
 ) -> list[SliceRun]:
-    """Independent federations for every (policy, configured slice), policy-major.
+    """Every (policy, configured slice) federation, policy-major, run round by round together.
 
-    Every federation of a slice trains on the same datasets.
+    All federations start from one initial model, and every federation of a
+    slice trains on the same datasets. Policies and datasets are checked
+    before any round.
     """
+    for policy in policies:
+        if policy not in POLICIES:
+            raise ConfigError(f"unknown policy {policy!r}, expected one of {POLICIES}")
     missing = [s for s in cfg.slices if s not in datasets]
     if missing:
         raise ConfigError(f"no datasets for slice(s): {', '.join(missing)}")
-    return [
-        run_slice(cfg, policy, name, datasets[name])
-        for policy in policies
-        for name in cfg.slices
-    ]
+    for name in cfg.slices:
+        if len(datasets[name]) != cfg.n_clients:
+            raise ConfigError(
+                f"slice {name!r} has {len(datasets[name])} datasets, expected {cfg.n_clients}"
+            )
+    initial = init_params(cfg.network_spec, cfg.seed)
+    runs = [SliceRun(name, policy, tuple(datasets[name]), initial)
+            for policy in policies for name in cfg.slices]
+    for _ in range(cfg.n_rounds):
+        run_round(runs, cfg)
+    return runs

@@ -15,6 +15,7 @@ place, so a step is one pass, one finiteness check and one Adam update.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,7 +220,7 @@ def input_gradients_batch(params: ModelParams, features: np.ndarray) -> np.ndarr
 
 
 def train_clients(
-    params: ModelParams,
+    start_params: Sequence[ModelParams],
     features: list[np.ndarray],
     targets: list[np.ndarray],
     epochs: int,
@@ -227,42 +228,48 @@ def train_clients(
     batch_size: int | None = None,
     shuffle_rngs: list[np.random.Generator] | None = None,
 ) -> list[ModelParams]:
-    """Train one copy of `params` per client, all clients in lockstep.
+    """Train client k from `start_params[k]` on its own data, all clients in lockstep.
 
-    Every client starts from the same broadcast parameters with fresh Adam
-    moments and sees only its own data, so results are mathematically
-    independent per client; stacking them along a leading axis just amortizes
-    array overhead. With `batch_size` set, each epoch walks a per-client
-    permutation of the rows (from `shuffle_rngs`, or row order when absent);
-    otherwise each epoch is one full-batch step. Clients must share a row
-    count to train in lockstep.
+    Each client starts with fresh Adam moments and sees only its own data, so
+    results are mathematically independent per client; stacking them along a
+    leading axis just amortizes array overhead, and clients of different
+    federations can share a call. With `batch_size` set, each epoch walks a
+    per-client permutation of the rows (from `shuffle_rngs`, or row order when
+    absent); otherwise each epoch is one full-batch step. Clients must share a
+    network spec and a row count to train in lockstep.
 
     The K clients' parameters, gradient and Adam moments live in four flat
     K x param_count buffers (plus two scratch buffers of that size) laid out
     as `_layer_views` describes, so `_pass` reads the weights and writes the
     gradient in place, and each step is one finiteness check and one Adam
-    update over the whole buffer. Each epoch gathers the permuted rows once;
-    its minibatches are slices of that gather.
+    update over the whole buffer. Each epoch gathers every client's permuted
+    rows into one K x rows x features buffer, client by client so the stack is
+    never held twice; its minibatches are slices of that buffer. A non-finite
+    gradient raises `NumericError` whose `clients` lists the stack positions
+    at fault.
     """
     if epochs < 1:
         raise ValueError("epochs must be at least 1")
-    if not features or len(features) != len(targets):
-        raise ValueError("need matching non-empty feature/target lists")
+    if not features or not len(start_params) == len(features) == len(targets):
+        raise ValueError("need matching non-empty start model, feature and target lists")
+    spec = start_params[0].spec
+    if any(p.spec != spec for p in start_params):
+        raise ConfigError("clients must share a network spec to train in lockstep")
     features = [np.asarray(f, dtype=np.float64) for f in features]
+    targets = [np.asarray(t, dtype=np.float64).reshape(-1) for t in targets]
     row_counts = [f.shape[0] for f in features]
     if len(set(row_counts)) > 1:
         raise ValueError(f"clients must share a row count to train in lockstep, got {row_counts}")
     # Client-major rows give each client's BLAS calls the same strides at any
     # stack width, so a client trains bit-identically alone or stacked.
-    xs = np.stack(features, axis=0)
-    ys = np.stack([np.asarray(t, dtype=np.float64).reshape(-1) for t in targets], axis=0)
-    n_clients, n_rows, _ = xs.shape
+    x_epoch = np.stack(features, axis=0)
+    y_epoch = np.stack(targets, axis=0)
+    n_clients, n_rows, _ = x_epoch.shape
     if n_rows == 0:
         raise ValueError("cannot train on an empty dataset")
-    if xs.shape[2] != params.spec.n_features:
-        raise ConfigError(f"expected feature dimension {params.spec.n_features}, got {xs.shape}")
+    if x_epoch.shape[2] != spec.n_features:
+        raise ConfigError(f"expected feature dimension {spec.n_features}, got {x_epoch.shape}")
 
-    spec = params.spec
     theta = np.empty(n_clients * spec.param_count)
     grad = np.empty_like(theta)
     m = np.zeros_like(theta)
@@ -271,9 +278,15 @@ def train_clients(
     update = np.empty_like(theta)
     ws, bs = _layer_views(theta, spec, n_clients)
     grads = _layer_views(grad, spec, n_clients)
-    start_ws, start_bs = _stack(params)
-    for dst, src in zip(ws + bs, start_ws + start_bs):
-        dst[...] = src
+    # Row k of `starts` is client k's ModelParams layout: its per-layer chunks
+    # fill the k-th network of each layer view.
+    blocks = [a for w, b in zip(ws, bs) for a in (w, b)]
+    starts = np.stack([p.values for p in start_params], axis=0)
+    offset = 0
+    for block in blocks:
+        size = block[0].size
+        block[...] = starts[:, offset:offset + size].reshape(block.shape)
+        offset += size
 
     if batch_size is None or batch_size >= n_rows:
         batches = [slice(None)]
@@ -281,17 +294,20 @@ def train_clients(
     else:
         batches = [slice(start, start + batch_size) for start in range(0, n_rows, batch_size)]
 
-    x_epoch, y_epoch = xs, ys
     step = 0
     for _ in range(epochs):
         if shuffle_rngs is not None:
-            orders = np.stack([rng.permutation(n_rows) for rng in shuffle_rngs], axis=0)
-            x_epoch = np.take_along_axis(xs, orders[:, :, None], axis=1)
-            y_epoch = np.take_along_axis(ys, orders, axis=1)
+            for k, rng in enumerate(shuffle_rngs):
+                order = rng.permutation(n_rows)
+                x_epoch[k] = features[k][order]
+                y_epoch[k] = targets[k][order]
         for batch in batches:
             _pass(ws, bs, x_epoch[:, batch], y_epoch[:, batch], grads)
             if not np.isfinite(grad).all():
-                raise NumericError("non-finite gradient during local training")
+                finite = np.logical_and.reduce([np.isfinite(g).reshape(n_clients, -1).all(axis=1)
+                                                for g in grads[0] + grads[1]])
+                raise NumericError("non-finite gradient during local training",
+                                   tuple(int(k) for k in np.flatnonzero(~finite)))
 
             # Same expression order as the textbook update, so each element
             # rounds exactly as m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
@@ -314,6 +330,5 @@ def train_clients(
             update /= scratch
             theta -= update
 
-    values = np.concatenate(
-        [a.reshape(n_clients, -1) for w, b in zip(ws, bs) for a in (w, b)], axis=1)
+    values = np.concatenate([block.reshape(n_clients, -1) for block in blocks], axis=1)
     return [ModelParams(row, spec) for row in values]

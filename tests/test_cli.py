@@ -125,6 +125,7 @@ class TestRun:
         "seed=-1",
         "learning_rate=NaN",
         "learning_rate=-1",
+        pytest.param("learning_rate=1" + "0" * 400, id="learning_rate=10**400"),
         "ig_steps=0",
         "attribution_samples=0",
         "slices=[]",

@@ -9,16 +9,16 @@ from fedslice import federation
 from fedslice.errors import ConfigError, NumericError
 from fedslice.federation import (
     ExperimentConfig,
+    SliceRun,
     _compute_chi,
     _select,
-    _shuffle_rngs,
+    _shuffle_rng,
     build_datasets,
     evaluate_global,
     fedavg_aggregate,
     pooled_test_set,
     run_experiment,
     run_round,
-    run_slice,
 )
 from fedslice.nn import ModelParams, NetworkSpec, forward_batch, init_params, train_clients
 
@@ -26,6 +26,27 @@ from fedslice.nn import ModelParams, NetworkSpec, forward_batch, init_params, tr
 @pytest.fixture(scope="module")
 def small_datasets():
     return build_datasets(small_config())
+
+
+def run_embb(cfg, policy, datasets):
+    """The single eMBB federation of `policy` on `datasets`, run by `run_experiment`."""
+    [run] = run_experiment(dataclasses.replace(cfg, slices=("eMBB",)), [policy],
+                           {"eMBB": datasets})
+    return run
+
+
+def counting_calls(monkeypatch):
+    """Replace attribution and training with stubs; returns the list they log names to."""
+    calls = []
+
+    def counting(name):
+        def record(*args, **kwargs):
+            calls.append(name)
+        return record
+
+    monkeypatch.setattr(federation, "client_attribution", counting("attribute"))
+    monkeypatch.setattr(federation, "train_clients", counting("train"))
+    return calls
 
 
 class TestFedAvg:
@@ -92,13 +113,13 @@ class TestFedAvg:
         assert len(trimmed.train_indices) == len(full.train_indices)
         assert trimmed.size < full.size
 
-        run = run_slice(cfg, "no_policy", "eMBB", [full, trimmed])
+        run = run_embb(cfg, "no_policy", [full, trimmed])
         trained = train_clients(
-            run.initial_params,
+            [run.initial_params] * 2,
             [full.train_features, trimmed.train_features],
             [full.train_targets, trimmed.train_targets],
             cfg.local_epochs, learning_rate=cfg.learning_rate, batch_size=cfg.batch_size,
-            shuffle_rngs=_shuffle_rngs(cfg, "eMBB", 0, [0, 1]),
+            shuffle_rngs=[_shuffle_rng(cfg, "eMBB", 0, client_id) for client_id in (0, 1)],
         )
         expected = np.mean([p.values for p in trained], axis=0)
         assert np.array_equal(run.records[0].global_params.values, expected)
@@ -160,17 +181,23 @@ class TestConfig:
 
     def test_unknown_policy_rejected(self, small_datasets, monkeypatch):
         # The policy is checked before any round attributes or trains a client.
-        calls = []
-
-        def counting(name):
-            def record(*args, **kwargs):
-                calls.append(name)
-            return record
-
-        monkeypatch.setattr(federation, "client_attribution", counting("attribute"))
-        monkeypatch.setattr(federation, "train_clients", counting("train"))
+        calls = counting_calls(monkeypatch)
         with pytest.raises(ConfigError, match="oracle"):
             run_experiment(small_config(), ["oracle"], small_datasets)
+        assert calls == []
+
+    def test_every_policy_is_checked_before_any_round(self, small_datasets, monkeypatch):
+        # A valid policy listed first does not get to attribute or train.
+        calls = counting_calls(monkeypatch)
+        with pytest.raises(ConfigError, match="oracle"):
+            run_experiment(small_config(n_rounds=1), ["intelliselect", "oracle"], small_datasets)
+        assert calls == []
+
+    def test_dataset_count_is_checked_before_any_round(self, small_datasets, monkeypatch):
+        calls = counting_calls(monkeypatch)
+        datasets = dict(small_datasets, Browsing=small_datasets["Browsing"][:3])
+        with pytest.raises(ConfigError, match="Browsing"):
+            run_experiment(small_config(n_rounds=1), ["intelliselect"], datasets)
         assert calls == []
 
     def test_attribution_pool_must_fit_train_split(self):
@@ -207,6 +234,7 @@ class TestConfig:
         ({"n_rounds": True}, "n_rounds"),
         ({"n_clients": 2.5}, "n_clients"),
         ({"data_dir": 5}, "data_dir"),
+        ({"learning_rate": 10 ** 400}, "learning_rate"),
     ])
     def test_bad_value_is_rejected_up_front(self, overrides, message):
         with pytest.raises(ConfigError, match=message):
@@ -241,21 +269,22 @@ class TestConfig:
 class TestRounds:
     def test_m_equals_one_takes_single_client_params(self, small_datasets):
         cfg = small_config(n_selected=1, n_rounds=1)
-        run = run_slice(cfg, "intelliselect", "eMBB", small_datasets["eMBB"])
+        run = run_embb(cfg, "intelliselect", small_datasets["eMBB"])
         record = run.records[0]
         assert len(record.selection.selected) == 1
 
-        client = small_datasets["eMBB"][record.selection.selected[0]]
+        [client_id] = record.selection.selected
+        client = small_datasets["eMBB"][client_id]
         expected = train_clients(
-            run.initial_params, [client.train_features], [client.train_targets],
+            [run.initial_params], [client.train_features], [client.train_targets],
             cfg.local_epochs, learning_rate=cfg.learning_rate, batch_size=cfg.batch_size,
-            shuffle_rngs=_shuffle_rngs(cfg, "eMBB", 0, list(record.selection.selected)),
+            shuffle_rngs=[_shuffle_rng(cfg, "eMBB", 0, client_id)],
         )[0]
         assert np.array_equal(record.global_params.values, expected.values)
 
     def test_redistribution_invariant(self, small_datasets):
         cfg = small_config()
-        run = run_slice(cfg, "intelliselect", "eMBB", small_datasets["eMBB"])
+        run = run_embb(cfg, "intelliselect", small_datasets["eMBB"])
         assert len(run.records) == cfg.n_rounds
         starts = [run.initial_params] + [r.global_params for r in run.records[:-1]]
         for start, record in zip(starts, run.records):
@@ -276,36 +305,122 @@ class TestRounds:
 
         monkeypatch.setattr(federation, "client_attribution", counting)
         cfg = small_config(n_rounds=n_rounds)
-        run = run_slice(cfg, policy, "eMBB", small_datasets["eMBB"])
+        run = run_embb(cfg, policy, small_datasets["eMBB"])
         attributed = policy != "no_policy"
         assert calls == list(range(cfg.n_clients)) * n_rounds * attributed
         assert [r.chi is not None for r in run.records] == [attributed] * n_rounds
 
     def test_round_past_horizon_rejected(self, small_datasets):
         cfg = small_config(n_rounds=1)
-        run = run_slice(cfg, "intelliselect", "eMBB", small_datasets["eMBB"])
+        run = run_embb(cfg, "intelliselect", small_datasets["eMBB"])
         with pytest.raises(ConfigError):
-            run_round(run, cfg)
+            run_round([run], cfg)
         assert len(run.records) == 1
 
+    def test_federations_advanced_together_share_a_round(self, small_datasets):
+        cfg = small_config(n_rounds=2)
+        ahead = run_embb(dataclasses.replace(cfg, n_rounds=1), "score", small_datasets["eMBB"])
+        behind = SliceRun("eMBB", "score", ahead.datasets, ahead.initial_params)
+        with pytest.raises(ValueError, match="same round"):
+            run_round([ahead, behind], cfg)
+        assert (len(ahead.records), len(behind.records)) == (1, 0)
+
     def test_training_overflow_names_round_slice_and_clients(self, small_datasets):
-        # A huge step size sends the weights past float range on the next step.
+        # A huge step size sends every selected client's weights past float
+        # range on the next step, in all six federations of the shared call.
         cfg = small_config(learning_rate=1e300)
-        datasets = tuple(small_datasets["eMBB"])
+        policies = ["intelliselect", "score"]
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericError) as info:
-                run_slice(cfg, "intelliselect", "eMBB", datasets)
-        chi = _compute_chi(init_params(cfg.network_spec, cfg.seed), datasets, cfg)
-        chosen = sorted(_select(cfg, "intelliselect", chi).selected)
-        assert str(info.value) == (f"round 0, slice eMBB, clients {chosen}: "
+                run_experiment(cfg, policies, small_datasets)
+        initial = init_params(cfg.network_spec, cfg.seed)
+        at_fault = []
+        for policy in policies:
+            for name in cfg.slices:
+                chi = _compute_chi(initial, tuple(small_datasets[name]), cfg)
+                chosen = sorted(_select(cfg, policy, chi).selected)
+                at_fault.append(f"slice {name}, policy {policy}, clients {chosen}")
+        assert str(info.value) == (f"round 0: {'; '.join(at_fault)}: "
                                    "non-finite gradient during local training")
+
+    def test_training_overflow_names_only_the_clients_at_fault(self, small_datasets):
+        # One SocialMedia client with overflowing inputs; the six other
+        # clients of the shared call, eMBB's included, train finitely.
+        cfg = small_config(slices=["eMBB", "SocialMedia"])
+        victim = small_datasets["SocialMedia"][2]
+        poisoned = dataclasses.replace(
+            victim, scaled_features=np.full_like(victim.scaled_features, 1e300))
+        datasets = dict(small_datasets, SocialMedia=[
+            poisoned if ds is victim else ds for ds in small_datasets["SocialMedia"]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError) as info:
+                run_experiment(cfg, ["no_policy"], datasets)
+        assert str(info.value) == ("round 0: slice SocialMedia, policy no_policy, clients [2]: "
+                                   "non-finite gradient during local training")
+
+
+class TestBatching:
+    """Federations give the same records stacked into shared calls or advanced alone."""
+
+    POLICIES = ["intelliselect", "score", "no_policy"]
+
+    @staticmethod
+    def one_at_a_time(cfg, policies, datasets):
+        initial = init_params(cfg.network_spec, cfg.seed)
+        runs = [SliceRun(name, policy, tuple(datasets[name]), initial)
+                for policy in policies for name in cfg.slices]
+        for run in runs:
+            for _ in range(cfg.n_rounds):
+                run_round([run], cfg)
+        return runs
+
+    def assert_same_records(self, cfg, datasets, monkeypatch):
+        original = federation.train_clients
+        widths = []
+
+        def spying(start_params, *args, **kwargs):
+            widths.append(len(start_params))
+            return original(start_params, *args, **kwargs)
+
+        monkeypatch.setattr(federation, "train_clients", spying)
+        stacked = run_experiment(cfg, self.POLICIES, datasets)
+        stacked_widths = list(widths)
+        alone = self.one_at_a_time(cfg, self.POLICIES, datasets)
+        assert len(widths) - len(stacked_widths) == len(alone) * cfg.n_rounds
+        assert [(r.policy, r.slice_name) for r in stacked] == [
+            (r.policy, r.slice_name) for r in alone]
+        for a, b in zip(stacked, alone, strict=True):
+            assert len(a.records) == len(b.records) == cfg.n_rounds
+            for ra, rb in zip(a.records, b.records):
+                assert ra.mse == rb.mse
+                assert ra.selection == rb.selection
+                assert (ra.chi is None) == (rb.chi is None)
+                assert ra.chi is None or np.array_equal(ra.chi, rb.chi)
+                assert np.array_equal(ra.global_params.values, rb.global_params.values)
+        return stacked_widths
+
+    def test_stacked_equals_one_federation_at_a_time(self, small_datasets, monkeypatch):
+        cfg = small_config(slices=["eMBB", "Browsing"])
+        widths = self.assert_same_records(cfg, small_datasets, monkeypatch)
+        # Two selected clients under each attribution policy, all four under
+        # no_policy, for both slices: one call of 16 clients per round.
+        assert widths == [2 * (2 + 2 + 4)] * cfg.n_rounds
+
+    def test_unequal_train_rows_make_one_call_per_row_count(self, small_datasets, monkeypatch):
+        cfg = small_config(slices=["eMBB", "SocialMedia"])
+        longer = build_datasets(small_config(slices=["SocialMedia"], samples_per_client=80))
+        datasets = {"eMBB": small_datasets["eMBB"], "SocialMedia": longer["SocialMedia"]}
+        assert (len(datasets["eMBB"][0].train_indices),
+                len(datasets["SocialMedia"][0].train_indices)) == (48, 64)
+        widths = self.assert_same_records(cfg, datasets, monkeypatch)
+        assert widths == [2 + 2 + 4, 2 + 2 + 4] * cfg.n_rounds
 
 
 class TestExperiment:
     def test_policy_equivalence_when_everyone_is_selected(self, small_datasets):
         cfg = small_config(n_selected=4)
-        run_a = run_slice(cfg, "intelliselect", "eMBB", small_datasets["eMBB"])
-        run_b = run_slice(cfg, "no_policy", "eMBB", small_datasets["eMBB"])
+        run_a = run_embb(cfg, "intelliselect", small_datasets["eMBB"])
+        run_b = run_embb(cfg, "no_policy", small_datasets["eMBB"])
         for a, b in zip(run_a.records, run_b.records):
             assert a.mse == b.mse
             assert sorted(a.selection.selected) == sorted(b.selection.selected)
@@ -313,8 +428,8 @@ class TestExperiment:
 
     def test_reruns_are_bit_identical(self, small_datasets):
         cfg = small_config()
-        a = run_slice(cfg, "intelliselect", "eMBB", small_datasets["eMBB"])
-        b = run_slice(cfg, "intelliselect", "eMBB", small_datasets["eMBB"])
+        a = run_embb(cfg, "intelliselect", small_datasets["eMBB"])
+        b = run_embb(cfg, "intelliselect", small_datasets["eMBB"])
         for ra, rb in zip(a.records, b.records):
             assert ra.mse == rb.mse
             assert ra.selection == rb.selection
@@ -366,7 +481,7 @@ class TestExperiment:
 
     def test_score_policy_runs(self, small_datasets):
         cfg = small_config(n_rounds=2)
-        run = run_slice(cfg, "score", "eMBB", small_datasets["eMBB"])
+        run = run_embb(cfg, "score", small_datasets["eMBB"])
         assert len(run.records) == 2
         assert all(len(r.selection.selected) == cfg.n_selected for r in run.records)
 

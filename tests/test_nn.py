@@ -45,7 +45,7 @@ def reference_adam(values, grads, state, learning_rate=0.0015,
 
 def train_one(params, features, targets, epochs, **kwargs):
     """Train a single client through the lockstep trainer."""
-    return train_clients(params, [features], [targets], epochs, **kwargs)[0]
+    return train_clients([params], [features], [targets], epochs, **kwargs)[0]
 
 
 def predict(params, x):
@@ -308,27 +308,49 @@ class TestTrainLocal:
 class TestTrainClients:
     def test_lockstep_matches_individual_training(self, rng):
         # A width-1 layer shows, in the last bit, any dependence of the BLAS
-        # row sums on how many clients share the stack.
+        # row sums on how many clients share the stack. Each client starts
+        # from its own model, as clients of different federations do.
         feats = [rng.uniform(0, 1, (48, 3)) for _ in range(3)]
         targs = [rng.uniform(0, 1, 48) for _ in range(3)]
         for layer_sizes in ((3, 3, 2, 1), (3, 1, 1)):
-            p = init_params(NetworkSpec(layer_sizes), 11)
+            starts = [init_params(NetworkSpec(layer_sizes), seed) for seed in (11, 12, 13)]
             for batch_size in (16, None):
-                together = train_clients(p, feats, targs, epochs=4, batch_size=batch_size)
-                alone = [train_clients(p, [f], [t], epochs=4, batch_size=batch_size)[0]
-                         for f, t in zip(feats, targs)]
+                together = train_clients(starts, feats, targs, epochs=4, batch_size=batch_size)
+                alone = [train_clients([p], [f], [t], epochs=4, batch_size=batch_size)[0]
+                         for p, f, t in zip(starts, feats, targs)]
                 for a, b in zip(together, alone):
                     assert np.array_equal(a.values, b.values)
+
+    def test_non_finite_gradient_names_the_clients_at_fault(self, rng):
+        # Clients 1 and 3 of five overflow on the first step; the rest stay finite.
+        p = init_params(NetworkSpec(), 3)
+        feats = [rng.uniform(0, 1, (8, 3)) for _ in range(5)]
+        for k in (1, 3):
+            feats[k] = np.full((8, 3), 1e300)
+        targs = [rng.uniform(0, 1, 8) for _ in range(5)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match="non-finite gradient") as info:
+                train_clients([p] * 5, feats, targs, 1)
+        assert info.value.clients == (1, 3)
+
+    def test_start_model_per_client_required(self, rng):
+        p = init_params(NetworkSpec(), 3)
+        feats = [rng.uniform(0, 1, (8, 3)) for _ in range(2)]
+        targs = [rng.uniform(0, 1, 8) for _ in range(2)]
+        with pytest.raises(ValueError, match="start model"):
+            train_clients([p], feats, targs, 1)
+        with pytest.raises(ConfigError, match="network spec"):
+            train_clients([p, init_params(NetworkSpec((3, 4, 1)), 3)], feats, targs, 1)
 
     def test_shuffled_minibatches_are_seeded(self, rng):
         p = init_params(NetworkSpec(), 11)
         feats = [rng.uniform(0, 1, (48, 3))]
         targs = [rng.uniform(0, 1, 48)]
-        a = train_clients(p, feats, targs, 3, batch_size=16,
+        a = train_clients([p], feats, targs, 3, batch_size=16,
                           shuffle_rngs=[np.random.default_rng(9)])
-        b = train_clients(p, feats, targs, 3, batch_size=16,
+        b = train_clients([p], feats, targs, 3, batch_size=16,
                           shuffle_rngs=[np.random.default_rng(9)])
-        c = train_clients(p, feats, targs, 3, batch_size=16,
+        c = train_clients([p], feats, targs, 3, batch_size=16,
                           shuffle_rngs=[np.random.default_rng(10)])
         assert np.array_equal(a[0].values, b[0].values)
         assert not np.array_equal(a[0].values, c[0].values)
@@ -338,7 +360,7 @@ class TestTrainClients:
         p = init_params(NetworkSpec(), 11)
         feats = [rng.uniform(0, 1, (50, 3)) for _ in range(3)]
         targs = [rng.uniform(0, 1, 50) for _ in range(3)]
-        trained = train_clients(p, feats, targs, 4, batch_size=16,
+        trained = train_clients([p] * 3, feats, targs, 4, batch_size=16,
                                 shuffle_rngs=[np.random.default_rng(s) for s in (3, 4, 5)])
         for seed, xs, ys, got in zip((3, 4, 5), feats, targs, trained):
             shuffle = np.random.default_rng(seed)
@@ -359,7 +381,7 @@ class TestTrainClients:
         feats = [rng.uniform(0, 1, (n, 3)) for n in (48, 47, 48)]
         targs = [rng.uniform(0, 1, f.shape[0]) for f in feats]
         with pytest.raises(ValueError, match=r"\[48, 47, 48\]"):
-            train_clients(p, feats, targs, 1)
+            train_clients([p] * 3, feats, targs, 1)
 
 
 class TestInit:
