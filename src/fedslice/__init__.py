@@ -5,7 +5,7 @@ picks each round's participants from integrated-gradients feature
 attributions, apportioning selection slots across features by importance.
 """
 
-from .attribution import IgConfig, client_attribution
+from .attribution import client_attribution
 from .data import ClientDataset, MinMaxScaler, NonIidProfile, SLICES, SliceSpec
 from .federation import (
     ExperimentConfig,
@@ -33,7 +33,6 @@ __all__ = [
     "ClientDataset",
     "CommLedger",
     "ExperimentConfig",
-    "IgConfig",
     "MinMaxScaler",
     "ModelParams",
     "NetworkSpec",

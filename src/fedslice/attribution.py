@@ -1,70 +1,75 @@
 """Integrated-gradients feature attributions and their per-client reduction.
 
 Per sample, the attribution of feature i is x_i times the average input
-gradient along the straight path from the zero baseline to x, evaluated with
-a midpoint Riemann rule. A client's summary is the componentwise absolute
-mean over a fixed pool of samples, normalized to sum to one.
+gradient along the straight path from the zero baseline to x. Along that
+path a ReLU network is piecewise linear in the path fraction alpha, so the
+average is exact: cut [0, 1] where a hidden unit changes sign and sum, over
+the pieces, piece length times the gradient at the piece's midpoint
+(Sundararajan et al. 2017, "Axiomatic Attribution for Deep Networks").
+Completeness then holds to rounding. A client's summary is the componentwise
+absolute mean over a fixed pool of samples, normalized to sum to one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError, DegenerateAttributionError
-from .nn import ModelParams, input_gradients_batch
-
-DEFAULT_IG_STEPS = 64
-DEFAULT_ATTRIBUTION_SAMPLES = 150
+from .nn import ModelParams, input_gradients_batch, pre_activations
 
 
-@dataclass(frozen=True)
-class IgConfig:
-    """Path-integral settings: step count and pool size (`ig_steps`, `attribution_samples`)."""
+def _path_cuts(params: ModelParams, xs: np.ndarray) -> np.ndarray:
+    """Sorted path fractions (n, C) that split each sample's path into linear pieces.
 
-    steps: int = DEFAULT_IG_STEPS
-    sample_count: int = DEFAULT_ATTRIBUTION_SAMPLES
+    Rows start at 0 and end at 1, padded with trailing 1s to a common width.
+    Hidden layers are cut in order: between two cuts every earlier layer keeps
+    its activation pattern, so the layer's pre-activation is linear there and
+    a sign change inside the piece sits at the interpolated zero.
+    """
+    n, n_features = xs.shape
+    cuts = np.tile([0.0, 1.0], (n, 1))
+    for layer in range(len(params.spec.layer_sizes) - 2):
+        points = (cuts[:, :, None] * xs[:, None, :]).reshape(-1, n_features)
+        z = pre_activations(params, points)[layer].reshape(n, cuts.shape[1], -1)
+        z0, z1 = z[:, :-1], z[:, 1:]
+        a0, a1 = cuts[:, :-1, None], cuts[:, 1:, None]
+        crosses = np.sign(z0) * np.sign(z1) < 0.0
+        zeros = np.where(crosses, a0 + (a1 - a0) * z0 / np.where(crosses, z0 - z1, 1.0), 1.0)
+        cuts = np.sort(np.concatenate([cuts, zeros.reshape(n, -1)], axis=1), axis=1)
+        # Padding 1s sort to the end: keep the widest row's cuts below 1 and one 1.
+        cuts = cuts[:, :int((cuts < 1.0).sum(axis=1).max()) + 1]
+    return cuts
 
-    def __post_init__(self) -> None:
-        if self.steps < 1:
-            raise ConfigError(f"ig_steps must be at least 1, got {self.steps}")
-        if self.sample_count < 1:
-            raise ConfigError(f"attribution_samples must be at least 1, got {self.sample_count}")
 
-
-def _midpoint_alphas(steps: int) -> np.ndarray:
-    return (np.arange(steps) + 0.5) / steps
-
-
-def sample_attributions(params: ModelParams, samples: np.ndarray, cfg: IgConfig) -> np.ndarray:
-    """Signed attributions for many samples at once; returns (n, F)."""
+def sample_attributions(params: ModelParams, samples: np.ndarray) -> np.ndarray:
+    """Signed exact integrated gradients for many samples at once; returns (n, F)."""
     xs = np.asarray(samples, dtype=np.float64)
     if xs.ndim != 2:
         raise ConfigError("samples must be a 2-D array")
-    alphas = _midpoint_alphas(cfg.steps)
-    # One big batch of n*steps path points keeps the gradient pass vectorized.
-    path = alphas[None, :, None] * xs[:, None, :]
-    grads = input_gradients_batch(params, path.reshape(-1, xs.shape[1]))
-    mean_grads = grads.reshape(xs.shape[0], cfg.steps, xs.shape[1]).mean(axis=1)
-    return xs * mean_grads
+    n, n_features = xs.shape
+    cuts = _path_cuts(params, xs)
+    mids = 0.5 * (cuts[:, :-1] + cuts[:, 1:])
+    # One gradient pass over every piece's midpoint of every sample.
+    points = (mids[:, :, None] * xs[:, None, :]).reshape(-1, n_features)
+    grads = input_gradients_batch(params, points).reshape(n, -1, n_features)
+    return xs * (np.diff(cuts, axis=1)[:, :, None] * grads).sum(axis=1)
 
 
-def client_attribution(params: ModelParams, dataset, cfg: IgConfig) -> np.ndarray:
+def client_attribution(params: ModelParams, dataset, sample_count: int) -> np.ndarray:
     """Absolute-mean attribution over the client's fixed sample pool, normalized.
 
     Returns one non-negative float64 importance per feature, summing to 1.
 
     The pool is the client's seeded shuffle of its train split; the first
-    `cfg.sample_count` rows are used every round so rounds stay comparable.
+    `sample_count` rows are used every round so rounds stay comparable.
     """
     pool = dataset.attribution_features
-    if pool.shape[0] < cfg.sample_count:
+    if pool.shape[0] < sample_count:
         raise ValueError(
             f"client {dataset.client_id} has {pool.shape[0]} attribution samples, "
-            f"needs {cfg.sample_count}"
+            f"needs {sample_count}"
         )
-    ig = sample_attributions(params, pool[:cfg.sample_count], cfg)
+    ig = sample_attributions(params, pool[:sample_count])
     abs_mean = np.abs(ig).mean(axis=0)
     total = abs_mean.sum()
     if total <= 0.0:

@@ -97,10 +97,10 @@ def _load_config(config_path: str | None, overrides: list[str],
 
 
 def _ingest_datasets(cfg: ExperimentConfig) -> dict[str, list]:
-    """Load every client's CSV; each slice's files must share one row count.
+    """Load every client's CSV; each train split must hold the attribution pool.
 
-    Clients of a slice train in lockstep, and each train split must hold the
-    attribution pool, so both are checked here, naming the files.
+    Files of a slice may differ in row count: clients train in one lockstep
+    call per train row count.
     """
     data_dir = Path(cfg.data_dir)
     missing = []
@@ -108,7 +108,7 @@ def _ingest_datasets(cfg: ExperimentConfig) -> dict[str, list]:
     for name in cfg.slices:
         spec = slice_by_name(name)
         slice_index = DEFAULT_SLICE_NAMES.index(name)
-        rows, listing = [], []
+        rows = []
         for k in range(cfg.n_clients):
             path = data_dir / f"client{k:02d}_{name}.csv"
             if not path.exists():
@@ -124,11 +124,6 @@ def _ingest_datasets(cfg: ExperimentConfig) -> dict[str, list]:
                     f"attribution_samples ({cfg.attribution_samples})"
                 )
             rows.append(ds)
-            listing.append(f"{path} ({ds.size} rows)")
-        if len({ds.size for ds in rows}) > 1:
-            raise ConfigError(
-                f"slice {name!r}: client files differ in row count: {', '.join(listing)}"
-            )
         datasets[name] = rows
     if missing:
         raise ConfigError(f"missing dataset file(s): {', '.join(missing)}")

@@ -111,25 +111,25 @@ class ClientDataset:
     """One client's local samples for one slice, with split, scaler and pools.
 
     `features`/`targets` hold raw units; `scaled_*` hold the min-max view used
-    for training and attribution. The split is chronological and the
-    attribution pool is a seeded permutation of the train rows, fixed for the
-    dataset's lifetime.
+    for training and attribution. The split is chronological: the first
+    `n_train` rows train, the rest test, and the split properties are views.
+    The attribution pool is a seeded permutation of the train rows, fixed for
+    the dataset's lifetime.
     """
 
     client_id: int
     slice_name: str
     features: np.ndarray
     targets: np.ndarray
-    train_indices: np.ndarray
-    test_indices: np.ndarray
+    n_train: int
     attribution_indices: np.ndarray
     scaler: MinMaxScaler
     scaled_features: np.ndarray
     scaled_targets: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("features", "targets", "train_indices", "test_indices",
-                     "attribution_indices", "scaled_features", "scaled_targets"):
+        for name in ("features", "targets", "attribution_indices",
+                     "scaled_features", "scaled_targets"):
             arr = getattr(self, name)
             arr.setflags(write=False)
 
@@ -139,19 +139,19 @@ class ClientDataset:
 
     @property
     def train_features(self) -> np.ndarray:
-        return self.scaled_features[self.train_indices]
+        return self.scaled_features[:self.n_train]
 
     @property
     def train_targets(self) -> np.ndarray:
-        return self.scaled_targets[self.train_indices]
+        return self.scaled_targets[:self.n_train]
 
     @property
     def test_features(self) -> np.ndarray:
-        return self.scaled_features[self.test_indices]
+        return self.scaled_features[self.n_train:]
 
     @property
     def test_targets(self) -> np.ndarray:
-        return self.scaled_targets[self.test_indices]
+        return self.scaled_targets[self.n_train:]
 
     @property
     def attribution_features(self) -> np.ndarray:
@@ -178,17 +178,14 @@ def make_dataset(
         raise ConfigError(f"train_fraction must be in (0, 1), got {train_fraction}")
 
     n_train = min(max(int(round(n * train_fraction)), 1), n - 1)
-    train_idx = np.arange(n_train)
-    test_idx = np.arange(n_train, n)
-    scaler = MinMaxScaler.fit(features[train_idx], targets[train_idx])
+    scaler = MinMaxScaler.fit(features[:n_train], targets[:n_train])
     return ClientDataset(
         client_id=client_id,
         slice_name=slice_name,
         features=features,
         targets=targets,
-        train_indices=train_idx,
-        test_indices=test_idx,
-        attribution_indices=shuffle_rng.permutation(train_idx),
+        n_train=n_train,
+        attribution_indices=shuffle_rng.permutation(n_train),
         scaler=scaler,
         scaled_features=scaler.transform_features(features),
         scaled_targets=scaler.transform_target(targets),

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attribution import IgConfig, client_attribution, uniform_attribution
+from .attribution import client_attribution, uniform_attribution
 from .data import (
     N_FEATURES,
     ClientDataset,
@@ -84,7 +84,6 @@ class ExperimentConfig:
     samples_per_client: int = 1000
     learning_rate: float = 0.0015
     seed: int = 42
-    ig_steps: int = 64
     batch_size: int | None = 32
     layer_sizes: tuple[int, ...] = (3, 3, 2, 1)
     train_fraction: float = 0.8
@@ -112,7 +111,8 @@ class ExperimentConfig:
         # Exact int/float comparison: NaN, infinities and integers past float range fail.
         if not 0.0 < self.learning_rate <= sys.float_info.max:
             raise ConfigError(f"learning_rate must be finite and positive, got {self.learning_rate}")
-        self.ig_config  # checks ig_steps and attribution_samples under every policy
+        if self.attribution_samples < 1:
+            raise ConfigError(f"attribution_samples must be at least 1, got {self.attribution_samples}")
         if self.local_epochs < 1:
             raise ConfigError("local_epochs must be at least 1")
         if self.batch_size is not None and self.batch_size < 1:
@@ -136,10 +136,6 @@ class ExperimentConfig:
     @property
     def network_spec(self) -> NetworkSpec:
         return NetworkSpec(self.layer_sizes)
-
-    @property
-    def ig_config(self) -> IgConfig:
-        return IgConfig(steps=self.ig_steps, sample_count=self.attribution_samples)
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -268,23 +264,23 @@ def fedavg_aggregate(params_list: list[ModelParams], sizes: list[int]) -> ModelP
     return ModelParams((weights[:, None] * stacked).sum(axis=0), params_list[0].spec)
 
 
-def _compute_chi(
-    params: ModelParams, datasets: tuple[ClientDataset, ...], cfg: ExperimentConfig
-) -> np.ndarray:
-    """Per-client normalized attributions on the current global model.
+def _compute_chi(run: SliceRun, cfg: ExperimentConfig) -> np.ndarray:
+    """Per-client normalized attributions on the federation's current global model.
 
     A client whose attributions degenerate to all-zero contributes the uniform
     vector instead, since proportional normalization is undefined there; each
-    such fallback is logged as a warning.
+    such fallback is logged as a warning naming the federation and the round.
     """
+    params = run.global_params
     rows = []
-    for ds in datasets:
+    for ds in run.datasets:
         try:
-            rows.append(client_attribution(params, ds, cfg.ig_config))
+            rows.append(client_attribution(params, ds, cfg.attribution_samples))
         except DegenerateAttributionError:
             logger.warning(
-                "slice %s, client %d: all-zero attribution, using the uniform vector",
-                ds.slice_name, ds.client_id,
+                "slice %s, policy %s, round %d, client %d: all-zero attribution, "
+                "using the uniform vector",
+                run.slice_name, run.policy, len(run.records), ds.client_id,
             )
             rows.append(uniform_attribution(params.spec.n_features))
     return np.stack(rows, axis=0)
@@ -323,8 +319,7 @@ def run_round(runs: list[SliceRun], cfg: ExperimentConfig) -> None:
     chis, selections, elapsed = [], [], []
     for run in runs:
         started = time.perf_counter()
-        chi = (None if run.policy == POLICY_NO_POLICY
-               else _compute_chi(run.global_params, run.datasets, cfg))
+        chi = None if run.policy == POLICY_NO_POLICY else _compute_chi(run, cfg)
         chis.append(chi)
         selections.append(_select(cfg, run.policy, chi))
         elapsed.append(time.perf_counter() - started)
@@ -333,7 +328,7 @@ def run_round(runs: list[SliceRun], cfg: ExperimentConfig) -> None:
     groups: dict[int, list[tuple[int, int]]] = {}
     for i, (run, selection) in enumerate(zip(runs, selections)):
         for client_id in sorted(selection.selected):
-            rows = len(run.datasets[client_id].train_indices)
+            rows = run.datasets[client_id].n_train
             groups.setdefault(rows, []).append((i, client_id))
     trained: dict[tuple[int, int], ModelParams] = {}
     for group in groups.values():
@@ -364,7 +359,7 @@ def run_round(runs: list[SliceRun], cfg: ExperimentConfig) -> None:
         ordered = sorted(selection.selected)
         new_global = fedavg_aggregate(
             [trained[i, client_id] for client_id in ordered],
-            [len(run.datasets[client_id].train_indices) for client_id in ordered],
+            [run.datasets[client_id].n_train for client_id in ordered],
         )
         elapsed_ms = (elapsed[i] + time.perf_counter() - started) * 1e3
 

@@ -131,7 +131,7 @@ def slice_provisioning(params: ModelParams, datasets) -> ProvisioningReport:
         provisioning_report(
             params,
             ds.test_features,
-            ds.targets[ds.test_indices],
+            ds.targets[ds.n_train:],
             ds.scaler,
             ds.client_id,
         )
@@ -167,26 +167,6 @@ def write_rounds_csv(path: Path, records, params_transmitted: int) -> None:
                 SELECTED_IDS_SEP.join(str(c) for c in r.selection.selected),
                 params_transmitted,
             ])
-
-
-def read_rounds_csv(path: Path) -> list[dict]:
-    """Parse a rounds CSV back into plain dicts (inverse of write_rounds_csv)."""
-    out = []
-    with Path(path).open("r", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != ROUNDS_HEADER:
-            raise ConfigError(f"{path}: unexpected rounds header {header}")
-        for row in reader:
-            selected = tuple(int(c) for c in row[3].split(SELECTED_IDS_SEP)) if row[3] else ()
-            out.append({
-                "round": int(row[0]),
-                "mse": float(row[1]),
-                "cum_time_ms": float(row[2]),
-                "selected": selected,
-                "params_transmitted": int(row[4]),
-            })
-    return out
 
 
 def write_comm_ledger_csv(path: Path, ledgers: list[CommLedger]) -> None:

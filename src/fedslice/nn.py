@@ -156,12 +156,13 @@ def _pass(
     targets: np.ndarray | None = None,
     grads: tuple[list[np.ndarray], list[np.ndarray]] | None = None,
     input_grads: bool = False,
-) -> tuple[np.ndarray, np.ndarray | None]:
+) -> tuple[list[np.ndarray], np.ndarray | None]:
     """Forward and backward pass of K stacked networks over (K, B, F) inputs.
 
-    `ws[i]` is (K, fan_in, fan_out) and `bs[i]` is (K, 1, fan_out). Returns the
-    (K, B) predictions and, with `input_grads`, the gradient of each prediction
-    with respect to its input row, (K, B, F). With `targets` (K, B), the
+    `ws[i]` is (K, fan_in, fan_out) and `bs[i]` is (K, 1, fan_out). Returns
+    every layer's pre-activations, (K, B, fan_out) each, the last of which
+    holds the predictions, and, with `input_grads`, the gradient of each
+    prediction with respect to its input row, (K, B, F). With `targets` (K, B), the
     gradient of the batch-mean squared error with respect to every weight and
     bias is written into `grads`, views shaped like `ws` and `bs`; otherwise
     the backward pass starts from the prediction itself.
@@ -175,14 +176,13 @@ def _pass(
         z = a @ ws[i] + bs[i]
         pre_acts.append(z)
         a = z if i == n_layers - 1 else np.maximum(z, 0.0)
-    pred = pre_acts[-1][:, :, 0]
     if targets is None and not input_grads:
-        return pred, None
+        return pre_acts, None
 
     if targets is None:
         delta = np.ones_like(pre_acts[-1])
     else:
-        delta = ((2.0 / targets.shape[1]) * (pred - targets))[:, :, None]
+        delta = ((2.0 / targets.shape[1]) * (pre_acts[-1][:, :, 0] - targets))[:, :, None]
     for i in range(n_layers - 1, -1, -1):
         if targets is not None:
             np.matmul(layer_inputs[i].transpose(0, 2, 1), delta, out=grads[0][i])
@@ -191,13 +191,18 @@ def _pass(
             delta = (delta @ ws[i].transpose(0, 2, 1)) * (pre_acts[i - 1] > 0.0)
         elif input_grads:
             delta = delta @ ws[0].transpose(0, 2, 1)
-    return pred, delta if input_grads else None
+    return pre_acts, delta if input_grads else None
+
+
+def pre_activations(params: ModelParams, features: np.ndarray) -> list[np.ndarray]:
+    """Every layer's pre-activations for a batch of feature rows; (B, fan_out) each."""
+    pre_acts, _ = _pass(*_stack(params), _as_batch(params, features)[None])
+    return [z[0] for z in pre_acts]
 
 
 def forward_batch(params: ModelParams, features: np.ndarray) -> np.ndarray:
     """Predictions for a batch of feature rows; returns shape (B,)."""
-    pred, _ = _pass(*_stack(params), _as_batch(params, features)[None])
-    return pred[0]
+    return pre_activations(params, features)[-1][:, 0]
 
 
 def param_gradients(params: ModelParams, features: np.ndarray, targets: np.ndarray) -> np.ndarray:

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from fedslice.attribution import (
-    IgConfig,
     client_attribution,
     sample_attributions,
     uniform_attribution,
 )
 from fedslice.errors import ConfigError, DegenerateAttributionError
+from fedslice.federation import ExperimentConfig
 from fedslice.nn import (
     ModelParams,
     NetworkSpec,
@@ -26,64 +26,79 @@ class FixedPool:
         self.client_id = client_id
 
 
-def brute_force_client_attribution(params, pool, cfg):
-    """Loop re-implementation: per sample, per step, per feature."""
-    baseline = np.zeros(params.spec.n_features)
-    per_sample = []
-    for x in pool[:cfg.sample_count]:
-        total = np.zeros_like(baseline)
-        for s in range(cfg.steps):
-            alpha = (s + 0.5) / cfg.steps
-            point = baseline + alpha * (x - baseline)
-            total += input_gradients_batch(params, point[None, :])[0]
-        per_sample.append((x - baseline) * total / cfg.steps)
-    abs_mean = np.abs(np.array(per_sample)).mean(axis=0)
-    return abs_mean / abs_mean.sum()
+def midpoint_attributions(params, xs, steps):
+    """Test-side oracle: IG by the midpoint rule, sample by sample."""
+    alphas = (np.arange(steps) + 0.5) / steps
+    return np.array([x * input_gradients_batch(params, alphas[:, None] * x).mean(axis=0)
+                     for x in xs])
 
 
-def completeness_residuals(params, xs, cfg):
+def completeness_residuals(params, xs):
     """|sum of attributions - (f(x) - f(0))| per sample."""
-    ig = sample_attributions(params, xs, cfg)
+    ig = sample_attributions(params, xs)
     gap = forward_batch(params, xs) - forward_batch(params, np.zeros((1, xs.shape[1])))[0]
     return np.abs(ig.sum(axis=1) - gap)
+
+
+def one_unit_net(w, b, v, c):
+    """3-1-1 net: v * relu(w . x + b) + c."""
+    return pack(NetworkSpec((3, 1, 1)), [(np.asarray(w, float)[:, None], np.array([b])),
+                                         (np.array([[v]]), np.array([c]))])
 
 
 class TestIntegratedGradients:
     def test_zero_length_path_gives_zero(self, rng):
         p = init_params(NetworkSpec(), rng)
-        ig = sample_attributions(p, np.zeros((1, 3)), IgConfig(steps=16))
+        ig = sample_attributions(p, np.zeros((1, 3)))
         assert np.array_equal(ig, np.zeros((1, 3)))
 
     def test_linear_model_is_exact_for_any_step_count(self, rng):
+        # The routine and the midpoint oracle at any step count agree on a linear model.
         w = rng.normal(0, 1, 3)
         p = pack(NetworkSpec((3, 1)), [(w[:, None], np.array([0.7]))])
         xs = rng.uniform(0, 1, (4, 3))
+        assert np.allclose(sample_attributions(p, xs), w * xs, rtol=0, atol=1e-14)
         for steps in (1, 4, 64):
-            ig = sample_attributions(p, xs, IgConfig(steps=steps))
-            assert np.allclose(ig, w * xs, rtol=0, atol=1e-14)
+            assert np.allclose(midpoint_attributions(p, xs, steps), w * xs, rtol=0, atol=1e-14)
 
     def test_completeness(self, rng):
-        cfg = IgConfig(steps=1024)
-        for _ in range(20):
-            p = ModelParams(rng.normal(0, 0.8, 23), NetworkSpec())
-            assert completeness_residuals(p, rng.uniform(0, 1, (1, 3)), cfg)[0] <= 1e-3
+        for spec in (NetworkSpec(), NetworkSpec((3, 8, 8, 4, 1))):
+            for _ in range(20):
+                p = ModelParams(rng.normal(0, 0.8, spec.param_count), spec)
+                assert completeness_residuals(p, rng.uniform(0, 1, (5, 3))).max() <= 1e-12
+
+    @pytest.mark.parametrize("b, kink", [(-0.2, 0.4), (0.2, 0.4), (-0.45, 0.9), (0.5, 1.0)])
+    def test_one_unit_kink_matches_closed_form(self, b, kink):
+        # w . x = 0.5 at the sample. The unit's pre-activation along the path is
+        # 0.5 * alpha + b, or -0.5 * alpha + b with the weights negated when
+        # b > 0, so it changes sign at alpha = |b| / 0.5.
+        w = np.array([1.0, -0.5, 2.0])
+        x = np.array([[0.4, 0.6, 0.2]])
+        sign = -1.0 if b > 0 else 1.0
+        p = one_unit_net(sign * w, b, 1.5, 0.1)
+        # The gradient is sign * 1.5 * w where the unit is on and 0 where it is off.
+        active = 1.0 - kink if b < 0 else kink
+        expected = active * 1.5 * sign * w * x
+        assert np.allclose(sample_attributions(p, x), expected, rtol=0, atol=1e-15)
 
     def test_residual_shrinks_as_steps_double(self, rng):
+        # The midpoint oracle's error against the exact routine.
         cases = [(ModelParams(rng.normal(0, 0.8, 23), NetworkSpec()), rng.uniform(0, 1, (1, 3)))
-                 for _ in range(50)]
-        mean_residuals = []
-        for steps in (8, 16, 32, 64, 128, 256, 512):
-            cfg = IgConfig(steps=steps)
-            res = [completeness_residuals(p, xs, cfg)[0] for p, xs in cases]
-            mean_residuals.append(np.mean(res))
-        for coarse, fine in zip(mean_residuals, mean_residuals[1:]):
-            assert fine <= coarse + 1e-12
+                 for _ in range(30)]
+        errors = []
+        for steps in (4, 16, 64, 256):
+            errors.append(np.mean([np.abs(midpoint_attributions(p, xs, steps)
+                                          - sample_attributions(p, xs)).max()
+                                   for p, xs in cases]))
+        for coarse, fine in zip(errors, errors[1:]):
+            assert fine < coarse
+        assert errors[-1] < 1e-3
 
-    def test_config_validation(self):
+    def test_config_validation(self, rng):
+        with pytest.raises(ConfigError, match="attribution_samples"):
+            ExperimentConfig(attribution_samples=0)
         with pytest.raises(ConfigError):
-            IgConfig(steps=0)
-        with pytest.raises(ConfigError):
-            IgConfig(sample_count=0)
+            sample_attributions(init_params(NetworkSpec(), rng), np.zeros(3))
 
 
 class TestClientAttribution:
@@ -96,7 +111,7 @@ class TestClientAttribution:
                   (rng.uniform(0.1, 1.0, (2, 1)), np.zeros(1))]
         p = pack(NetworkSpec(), layers)
         pool = FixedPool(rng.uniform(0.1, 1.0, (12, 3)))
-        chi = client_attribution(p, pool, IgConfig(steps=16, sample_count=12))
+        chi = client_attribution(p, pool, 12)
         assert np.allclose(chi, [1.0, 0.0, 0.0], atol=1e-12)
 
     def test_symmetric_model_and_data_give_uniform_chi(self, rng):
@@ -110,16 +125,15 @@ class TestClientAttribution:
         p = pack(NetworkSpec(), layers)
         column = rng.uniform(0.1, 1.0, 10)
         pool = FixedPool(np.tile(column[:, None], (1, 3)))
-        chi = client_attribution(p, pool, IgConfig(steps=16, sample_count=10))
+        chi = client_attribution(p, pool, 10)
         assert np.allclose(chi, 1.0 / 3.0, atol=1e-6)
 
     def test_matches_brute_force_loops(self, rng):
         p = ModelParams(rng.normal(0, 0.8, 23), NetworkSpec())
         pool = rng.uniform(0, 1, (9, 3))
-        cfg = IgConfig(steps=12, sample_count=9)
-        chi = client_attribution(p, FixedPool(pool), cfg)
-        expected = brute_force_client_attribution(p, pool, cfg)
-        assert np.allclose(chi, expected, rtol=0, atol=1e-9)
+        chi = client_attribution(p, FixedPool(pool), 9)
+        abs_mean = np.abs(midpoint_attributions(p, pool, 4096)).mean(axis=0)
+        assert np.allclose(chi, abs_mean / abs_mean.sum(), rtol=0, atol=1e-4)
 
     def test_normalization_invariants(self, rng):
         checked = 0
@@ -127,7 +141,7 @@ class TestClientAttribution:
             p = ModelParams(rng.normal(0, 0.8, 23), NetworkSpec())
             pool = FixedPool(rng.uniform(0, 1, (8, 3)))
             try:
-                chi = client_attribution(p, pool, IgConfig(steps=8, sample_count=8))
+                chi = client_attribution(p, pool, 8)
             except DegenerateAttributionError:
                 continue  # dead draw; the degenerate contract has its own test
             assert chi.dtype == np.float64 and chi.shape == (3,)
@@ -139,7 +153,7 @@ class TestClientAttribution:
         p = ModelParams(np.zeros(23), NetworkSpec())
         pool = FixedPool(rng.uniform(0, 1, (8, 3)))
         with pytest.raises(DegenerateAttributionError):
-            client_attribution(p, pool, IgConfig(steps=8, sample_count=8))
+            client_attribution(p, pool, 8)
 
     def test_uniform_fallback(self):
         assert np.array_equal(uniform_attribution(3), np.full(3, 1.0 / 3.0))
@@ -148,25 +162,23 @@ class TestClientAttribution:
         p = init_params(NetworkSpec(), rng)
         pool = FixedPool(rng.uniform(0, 1, (5, 3)))
         with pytest.raises(ValueError):
-            client_attribution(p, pool, IgConfig(steps=8, sample_count=6))
+            client_attribution(p, pool, 6)
 
     def test_output_scale_leaves_chi_argmax_unchanged(self, rng):
         spec = NetworkSpec()
         values = rng.normal(0, 0.8, 23)
         pool = FixedPool(rng.uniform(0, 1, (10, 3)))
-        cfg = IgConfig(steps=16, sample_count=10)
-        chi = client_attribution(ModelParams(values, spec), pool, cfg)
+        chi = client_attribution(ModelParams(values, spec), pool, 10)
 
         scaled = values.copy()
         scaled[-3:] = scaled[-3:] * 7.5  # output layer weights and bias
-        chi_scaled = client_attribution(ModelParams(scaled, spec), pool, cfg)
+        chi_scaled = client_attribution(ModelParams(scaled, spec), pool, 10)
         assert int(np.argmax(chi)) == int(np.argmax(chi_scaled))
         assert np.allclose(chi, chi_scaled, atol=1e-12)
 
     def test_sample_attributions_agree_with_single_calls(self, rng):
         p = ModelParams(rng.normal(0, 0.8, 23), NetworkSpec())
         xs = rng.uniform(0, 1, (6, 3))
-        cfg = IgConfig(steps=10, sample_count=6)
-        batched = sample_attributions(p, xs, cfg)
-        singles = np.array([sample_attributions(p, x[None, :], cfg)[0] for x in xs])
+        batched = sample_attributions(p, xs)
+        singles = np.array([sample_attributions(p, x[None, :])[0] for x in xs])
         assert np.allclose(batched, singles, rtol=0, atol=1e-12)

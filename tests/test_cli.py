@@ -4,8 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedslice import cli
-from fedslice.metrics import comm_cost, read_rounds_csv
+from conftest import read_rounds_csv
+from fedslice import cli, federation
+from fedslice.metrics import comm_cost
 
 
 def tiny_config(**overrides):
@@ -16,7 +17,6 @@ def tiny_config(**overrides):
         "local_epochs": 4,
         "samples_per_client": 40,
         "attribution_samples": 8,
-        "ig_steps": 4,
         "seed": 42,
     }
     base.update(overrides)
@@ -160,7 +160,6 @@ class TestRun:
                        "--override", "local_epochs=2",
                        "--override", "samples_per_client=30",
                        "--override", "attribution_samples=5",
-                       "--override", "ig_steps=4",
                        "--policies", "intelliselect") == 0
         assert (out / "manifest.json").exists()
 
@@ -273,14 +272,36 @@ class TestMalformedData:
         err = capsys.readouterr().err
         assert "client02_eMBB.csv: row 6, column 'CQI'" in err
 
-    def test_ragged_clients_are_exit_2(self, tmp_path, capsys):
-        data_dir = self.generate(tmp_path, 60)
-        path = data_dir / "client01_eMBB.csv"
-        path.write_text("\n".join(path.read_text().splitlines()[:40]) + "\n")
-        assert self.run_on(tmp_path, data_dir) == 2
-        err = capsys.readouterr().err
-        assert "client01_eMBB.csv (39 rows)" in err
-        assert "client00_eMBB.csv (60 rows)" in err
+    def test_ragged_clients_run_end_to_end(self, tmp_path, monkeypatch):
+        # 300/250/200-row files: 240/200/160 train rows. Every round trains
+        # one lockstep call per distinct train row count among its participants.
+        data_dir = self.generate(tmp_path, 300)
+        for k, n_rows in ((1, 250), (2, 200)):
+            path = data_dir / f"client{k:02d}_eMBB.csv"
+            path.write_text("\n".join(path.read_text().splitlines()[:n_rows + 1]) + "\n")
+        call_rows, checked_rounds = [], []
+        original_train, original_round = federation.train_clients, federation.run_round
+
+        def recording_train(start_params, features, *args, **kwargs):
+            call_rows.append(features[0].shape[0])
+            return original_train(start_params, features, *args, **kwargs)
+
+        def checked_round(runs, cfg):
+            call_rows.clear()
+            original_round(runs, cfg)
+            participants = {run.datasets[k].n_train
+                            for run in runs for k in run.records[-1].selection.selected}
+            assert sorted(call_rows) == sorted(participants)
+            checked_rounds.append(len(call_rows))
+
+        monkeypatch.setattr(federation, "train_clients", recording_train)
+        monkeypatch.setattr(federation, "run_round", checked_round)
+        cfg = write_config(tmp_path, n_clients=3, slices=["eMBB"], data_dir=str(data_dir))
+        assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 0
+        # no_policy trains all three clients, so every round has three row counts.
+        assert checked_rounds == [3, 3]
+        rows = read_rounds_csv(tmp_path / "o" / "rounds_eMBB_no_policy.csv")
+        assert [r["selected"] for r in rows] == [(0, 1, 2)] * 2
 
     def test_attribution_pool_larger_than_train_split_is_exit_2(self, tmp_path, capsys):
         data_dir = self.generate(tmp_path, 60)

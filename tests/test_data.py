@@ -159,9 +159,12 @@ class TestSplit:
     def test_chronological_disjoint_cover(self, rng):
         ds = make_dataset(0, "eMBB", rng.uniform(0, 1, (100, 3)),
                           rng.uniform(0, 100, 100), np.random.default_rng(0))
-        assert np.array_equal(ds.train_indices, np.arange(80))
-        assert np.array_equal(ds.test_indices, np.arange(80, 100))
-        assert set(ds.train_indices) & set(ds.test_indices) == set()
+        assert ds.n_train == 80
+        assert np.array_equal(ds.train_features, ds.scaled_features[:80])
+        assert np.array_equal(ds.test_features, ds.scaled_features[80:])
+        # The splits are views of the scaled rows, not copies.
+        assert np.shares_memory(ds.train_targets, ds.scaled_targets)
+        assert np.shares_memory(ds.test_targets, ds.scaled_targets)
 
     def test_train_split_scales_into_unit_interval(self):
         ds = generate_client(profile(), EMBB, 400, seed=11)
@@ -172,7 +175,7 @@ class TestSplit:
 
     def test_attribution_pool_is_a_train_permutation(self):
         ds = generate_client(profile(), EMBB, 100, seed=12)
-        assert sorted(ds.attribution_indices) == sorted(ds.train_indices)
+        assert sorted(ds.attribution_indices) == list(range(ds.n_train))
 
 
 class TestCsv:

@@ -106,11 +106,10 @@ class TestFedAvg:
             other,
             features=other.features[:keep],
             targets=other.targets[:keep],
-            test_indices=other.test_indices[:-5],
             scaled_features=other.scaled_features[:keep],
             scaled_targets=other.scaled_targets[:keep],
         )
-        assert len(trimmed.train_indices) == len(full.train_indices)
+        assert len(trimmed.train_targets) == len(full.train_targets)
         assert trimmed.size < full.size
 
         run = run_embb(cfg, "no_policy", [full, trimmed])
@@ -132,11 +131,13 @@ class TestComputeChi:
         # All-zero parameters have zero input gradients, so every client degenerates.
         cfg = small_config()
         zero = ModelParams(np.zeros(23), NetworkSpec())
+        run = SliceRun("eMBB", "score", tuple(small_datasets["eMBB"]), zero)
         with caplog.at_level(logging.WARNING, logger="fedslice.federation"):
-            chi = _compute_chi(zero, tuple(small_datasets["eMBB"]), cfg)
+            chi = _compute_chi(run, cfg)
         assert np.array_equal(chi, np.full((4, 3), 1.0 / 3.0))
         assert [r.getMessage() for r in caplog.records] == [
-            f"slice eMBB, client {k}: all-zero attribution, using the uniform vector"
+            f"slice eMBB, policy score, round 0, client {k}: all-zero attribution, "
+            "using the uniform vector"
             for k in range(4)
         ]
 
@@ -237,8 +238,9 @@ class TestConfig:
         ({"learning_rate": 10 ** 400}, "learning_rate"),
     ])
     def test_bad_value_is_rejected_up_front(self, overrides, message):
+        # Through from_dict, so a deleted key (ig_steps) is named as unknown.
         with pytest.raises(ConfigError, match=message):
-            small_config(**overrides)
+            ExperimentConfig.from_dict({**small_config().to_dict(), **overrides})
 
     def test_zero_rounds_and_huge_learning_rate_are_accepted(self):
         assert small_config(n_rounds=0, learning_rate=1e300).n_rounds == 0
@@ -286,10 +288,10 @@ class TestRounds:
         cfg = small_config()
         run = run_embb(cfg, "intelliselect", small_datasets["eMBB"])
         assert len(run.records) == cfg.n_rounds
-        starts = [run.initial_params] + [r.global_params for r in run.records[:-1]]
-        for start, record in zip(starts, run.records):
-            # Round t+1 attributes every client on round t's global model.
-            assert np.array_equal(record.chi, _compute_chi(start, run.datasets, cfg))
+        for t, record in enumerate(run.records):
+            # Round t attributes every client on round t-1's global model.
+            before = dataclasses.replace(run, records=run.records[:t])
+            assert np.array_equal(record.chi, _compute_chi(before, cfg))
 
     @pytest.mark.parametrize("policy", ["intelliselect", "score", "no_policy"])
     @pytest.mark.parametrize("n_rounds", [0, 2])
@@ -299,9 +301,9 @@ class TestRounds:
         original = federation.client_attribution
         calls = []
 
-        def counting(params, dataset, cfg):
+        def counting(params, dataset, sample_count):
             calls.append(dataset.client_id)
-            return original(params, dataset, cfg)
+            return original(params, dataset, sample_count)
 
         monkeypatch.setattr(federation, "client_attribution", counting)
         cfg = small_config(n_rounds=n_rounds)
@@ -337,7 +339,8 @@ class TestRounds:
         at_fault = []
         for policy in policies:
             for name in cfg.slices:
-                chi = _compute_chi(initial, tuple(small_datasets[name]), cfg)
+                chi = _compute_chi(SliceRun(name, policy, tuple(small_datasets[name]), initial),
+                                   cfg)
                 chosen = sorted(_select(cfg, policy, chi).selected)
                 at_fault.append(f"slice {name}, policy {policy}, clients {chosen}")
         assert str(info.value) == (f"round 0: {'; '.join(at_fault)}: "
@@ -410,8 +413,7 @@ class TestBatching:
         cfg = small_config(slices=["eMBB", "SocialMedia"])
         longer = build_datasets(small_config(slices=["SocialMedia"], samples_per_client=80))
         datasets = {"eMBB": small_datasets["eMBB"], "SocialMedia": longer["SocialMedia"]}
-        assert (len(datasets["eMBB"][0].train_indices),
-                len(datasets["SocialMedia"][0].train_indices)) == (48, 64)
+        assert (datasets["eMBB"][0].n_train, datasets["SocialMedia"][0].n_train) == (48, 64)
         widths = self.assert_same_records(cfg, datasets, monkeypatch)
         assert widths == [2 + 2 + 4, 2 + 2 + 4] * cfg.n_rounds
 
@@ -488,10 +490,10 @@ class TestExperiment:
     def test_pooled_test_set_is_client_ordered_concatenation(self, small_datasets):
         datasets = small_datasets["eMBB"]
         feats, targets = pooled_test_set(datasets)
-        assert feats.shape[0] == sum(d.test_indices.shape[0] for d in datasets)
+        assert feats.shape[0] == sum(d.size - d.n_train for d in datasets)
         offset = 0
         for d in datasets:
-            n = d.test_indices.shape[0]
+            n = d.size - d.n_train
             assert np.array_equal(feats[offset:offset + n], d.test_features)
             assert np.array_equal(targets[offset:offset + n], d.test_targets)
             offset += n

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import small_config
+from conftest import read_rounds_csv, small_config
 from fedslice.data import MinMaxScaler
 from fedslice.errors import ConfigError
 from fedslice.federation import build_datasets, run_experiment
@@ -16,7 +16,6 @@ from fedslice.metrics import (
     per_round_comm,
     persist,
     provisioning_report,
-    read_rounds_csv,
     slice_provisioning,
     validate_summary,
     write_rounds_csv,
@@ -122,7 +121,7 @@ class TestProvisioning:
         datasets = build_datasets(cfg)["eMBB"]
         p = ModelParams(np.zeros(23), NetworkSpec())
         report = slice_provisioning(p, datasets)
-        assert report.errors.shape[0] == sum(d.test_indices.shape[0] for d in datasets)
+        assert report.errors.shape[0] == sum(d.size - d.n_train for d in datasets)
         assert set(report.client_ids) == set(range(cfg.n_clients))
 
 
