@@ -7,14 +7,15 @@ average is exact: cut [0, 1] where a hidden unit changes sign and sum, over
 the pieces, piece length times the gradient at the piece's midpoint
 (Sundararajan et al. 2017, "Axiomatic Attribution for Deep Networks").
 Completeness then holds to rounding. A client's summary is the componentwise
-absolute mean over a fixed pool of samples, normalized to sum to one.
+absolute mean over a fixed pool of samples, normalized to sum to one; several
+clients' pools are attributed in one call.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateAttributionError
+from .errors import ConfigError
 from .nn import ModelParams, input_gradients_batch, pre_activations
 
 
@@ -55,28 +56,34 @@ def sample_attributions(params: ModelParams, samples: np.ndarray) -> np.ndarray:
     return xs * (np.diff(cuts, axis=1)[:, :, None] * grads).sum(axis=1)
 
 
-def client_attribution(params: ModelParams, dataset, sample_count: int) -> np.ndarray:
-    """Absolute-mean attribution over the client's fixed sample pool, normalized.
+def client_attribution(
+    params: ModelParams, datasets, sample_count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Absolute-mean attribution of each client over its fixed sample pool, normalized.
 
-    Returns one non-negative float64 importance per feature, summing to 1.
+    Every client's pool goes into one `sample_attributions` call. Returns
+    (chi, degenerate): chi has one row per client of non-negative float64
+    importances summing to 1, except where `degenerate` marks a client whose
+    attributions are all zero; proportional normalization is undefined there
+    and its row is left at zero.
 
-    The pool is the client's seeded shuffle of its train split; the first
+    A pool is the client's seeded shuffle of its train split; the first
     `sample_count` rows are used every round so rounds stay comparable.
     """
-    pool = dataset.attribution_features
-    if pool.shape[0] < sample_count:
-        raise ValueError(
-            f"client {dataset.client_id} has {pool.shape[0]} attribution samples, "
-            f"needs {sample_count}"
-        )
-    ig = sample_attributions(params, pool[:sample_count])
-    abs_mean = np.abs(ig).mean(axis=0)
-    total = abs_mean.sum()
-    if total <= 0.0:
-        raise DegenerateAttributionError(
-            f"client {dataset.client_id} produced an all-zero attribution vector"
-        )
-    return abs_mean / total
+    pools = []
+    for ds in datasets:
+        pool = ds.attribution_features
+        if pool.shape[0] < sample_count:
+            raise ValueError(
+                f"client {ds.client_id} has {pool.shape[0]} attribution samples, "
+                f"needs {sample_count}"
+            )
+        pools.append(pool[:sample_count])
+    ig = sample_attributions(params, np.concatenate(pools, axis=0))
+    abs_mean = np.abs(ig).reshape(len(pools), sample_count, -1).mean(axis=1)
+    total = abs_mean.sum(axis=1, keepdims=True)
+    degenerate = total[:, 0] <= 0.0
+    return abs_mean / np.where(degenerate[:, None], 1.0, total), degenerate
 
 
 def uniform_attribution(n_features: int) -> np.ndarray:

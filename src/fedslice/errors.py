@@ -28,6 +28,3 @@ class NumericError(ArithmeticError):
         super().__init__(message)
         self.clients = clients
 
-
-class DegenerateAttributionError(ArithmeticError):
-    """All attribution mass is zero, so proportional normalization is undefined."""

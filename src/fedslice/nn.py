@@ -186,7 +186,14 @@ def _pass(
     for i in range(n_layers - 1, -1, -1):
         if targets is not None:
             np.matmul(layer_inputs[i].transpose(0, 2, 1), delta, out=grads[0][i])
-            delta.sum(axis=1, keepdims=True, out=grads[1][i])
+            if delta.shape[2] > 1:
+                # Over the strided row axis einsum adds the rows in order, as
+                # sum does, without one fan_out-element inner loop per row. A
+                # single output's rows are contiguous: sum is fast there, and
+                # einsum would round differently.
+                np.einsum("kbo->ko", delta, out=grads[1][i][:, 0])
+            else:
+                delta.sum(axis=1, keepdims=True, out=grads[1][i])
         if i > 0:
             delta = (delta @ ws[i].transpose(0, 2, 1)) * (pre_acts[i - 1] > 0.0)
         elif input_grads:
@@ -304,8 +311,10 @@ def train_clients(
         if shuffle_rngs is not None:
             for k, rng in enumerate(shuffle_rngs):
                 order = rng.permutation(n_rows)
-                x_epoch[k] = features[k][order]
-                y_epoch[k] = targets[k][order]
+                # A permutation never needs clipping; unlike the default
+                # "raise" mode, "clip" writes straight into `out`.
+                np.take(features[k], order, axis=0, out=x_epoch[k], mode="clip")
+                np.take(targets[k], order, out=y_epoch[k], mode="clip")
         for batch in batches:
             _pass(ws, bs, x_epoch[:, batch], y_epoch[:, batch], grads)
             if not np.isfinite(grad).all():

@@ -142,24 +142,21 @@ def _cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(a @ b) / (na * nb)
 
 
-def select_by_score(
-    chis: np.ndarray,
-    tau: np.ndarray,
-    m: int,
-    client_ids: list[int] | None = None,
-) -> SelectionResult:
-    """Baseline: rank clients by cosine similarity of their attribution to tau."""
+def select_by_score(chis: np.ndarray, tau: np.ndarray, m: int) -> SelectionResult:
+    """Baseline: rank clients by cosine similarity of their attribution to tau.
+
+    Ties break toward the lower client id.
+    """
     chis = _validate_matrix(chis)
     n_clients = chis.shape[0]
     if m > n_clients:
         raise ConfigError(f"cannot select {m} of {n_clients} clients")
-    ids = list(range(n_clients)) if client_ids is None else list(client_ids)
     tau = np.asarray(tau, dtype=np.float64).reshape(-1)
 
     scores = [_cosine(chis[k], tau) for k in range(n_clients)]
-    ranked = sorted(range(n_clients), key=lambda k: (-scores[k], ids[k]))[:m]
+    ranked = sorted(range(n_clients), key=lambda k: (-scores[k], k))[:m]
     return SelectionResult(
-        selected=tuple(ids[k] for k in ranked),
+        selected=tuple(ranked),
         per_feature_quota=None,
-        audit=tuple(SelectionAudit(ids[k], -1, scores[k]) for k in ranked),
+        audit=tuple(SelectionAudit(k, -1, scores[k]) for k in ranked),
     )

@@ -6,7 +6,7 @@ from fedslice.attribution import (
     sample_attributions,
     uniform_attribution,
 )
-from fedslice.errors import ConfigError, DegenerateAttributionError
+from fedslice.errors import ConfigError
 from fedslice.federation import ExperimentConfig
 from fedslice.nn import (
     ModelParams,
@@ -111,7 +111,7 @@ class TestClientAttribution:
                   (rng.uniform(0.1, 1.0, (2, 1)), np.zeros(1))]
         p = pack(NetworkSpec(), layers)
         pool = FixedPool(rng.uniform(0.1, 1.0, (12, 3)))
-        chi = client_attribution(p, pool, 12)
+        [chi], _ = client_attribution(p, [pool], 12)
         assert np.allclose(chi, [1.0, 0.0, 0.0], atol=1e-12)
 
     def test_symmetric_model_and_data_give_uniform_chi(self, rng):
@@ -125,13 +125,13 @@ class TestClientAttribution:
         p = pack(NetworkSpec(), layers)
         column = rng.uniform(0.1, 1.0, 10)
         pool = FixedPool(np.tile(column[:, None], (1, 3)))
-        chi = client_attribution(p, pool, 10)
+        [chi], _ = client_attribution(p, [pool], 10)
         assert np.allclose(chi, 1.0 / 3.0, atol=1e-6)
 
     def test_matches_brute_force_loops(self, rng):
         p = ModelParams(rng.normal(0, 0.8, 23), NetworkSpec())
         pool = rng.uniform(0, 1, (9, 3))
-        chi = client_attribution(p, FixedPool(pool), 9)
+        [chi], _ = client_attribution(p, [FixedPool(pool)], 9)
         abs_mean = np.abs(midpoint_attributions(p, pool, 4096)).mean(axis=0)
         assert np.allclose(chi, abs_mean / abs_mean.sum(), rtol=0, atol=1e-4)
 
@@ -140,39 +140,39 @@ class TestClientAttribution:
         while checked < 10:
             p = ModelParams(rng.normal(0, 0.8, 23), NetworkSpec())
             pool = FixedPool(rng.uniform(0, 1, (8, 3)))
-            try:
-                chi = client_attribution(p, pool, 8)
-            except DegenerateAttributionError:
+            [chi], [degenerate] = client_attribution(p, [pool], 8)
+            if degenerate:
                 continue  # dead draw; the degenerate contract has its own test
             assert chi.dtype == np.float64 and chi.shape == (3,)
             assert chi.sum() == pytest.approx(1.0, abs=1e-9)
             assert np.all(chi >= 0.0)
             checked += 1
 
-    def test_dead_model_raises_degenerate(self, rng):
+    def test_dead_model_is_flagged_degenerate(self, rng):
         p = ModelParams(np.zeros(23), NetworkSpec())
-        pool = FixedPool(rng.uniform(0, 1, (8, 3)))
-        with pytest.raises(DegenerateAttributionError):
-            client_attribution(p, pool, 8)
+        pools = [FixedPool(rng.uniform(0, 1, (8, 3)), k) for k in range(2)]
+        chi, degenerate = client_attribution(p, pools, 8)
+        assert degenerate.tolist() == [True, True]
+        assert np.array_equal(chi, np.zeros((2, 3)))
 
     def test_uniform_fallback(self):
         assert np.array_equal(uniform_attribution(3), np.full(3, 1.0 / 3.0))
 
     def test_pool_too_small_rejected(self, rng):
         p = init_params(NetworkSpec(), rng)
-        pool = FixedPool(rng.uniform(0, 1, (5, 3)))
-        with pytest.raises(ValueError):
-            client_attribution(p, pool, 6)
+        pools = [FixedPool(rng.uniform(0, 1, (n, 3)), k) for k, n in enumerate((6, 5))]
+        with pytest.raises(ValueError, match="client 1 has 5 attribution samples, needs 6"):
+            client_attribution(p, pools, 6)
 
     def test_output_scale_leaves_chi_argmax_unchanged(self, rng):
         spec = NetworkSpec()
         values = rng.normal(0, 0.8, 23)
         pool = FixedPool(rng.uniform(0, 1, (10, 3)))
-        chi = client_attribution(ModelParams(values, spec), pool, 10)
+        [chi], _ = client_attribution(ModelParams(values, spec), [pool], 10)
 
         scaled = values.copy()
         scaled[-3:] = scaled[-3:] * 7.5  # output layer weights and bias
-        chi_scaled = client_attribution(ModelParams(scaled, spec), pool, 10)
+        [chi_scaled], _ = client_attribution(ModelParams(scaled, spec), [pool], 10)
         assert int(np.argmax(chi)) == int(np.argmax(chi_scaled))
         assert np.allclose(chi, chi_scaled, atol=1e-12)
 
@@ -182,3 +182,21 @@ class TestClientAttribution:
         batched = sample_attributions(p, xs)
         singles = np.array([sample_attributions(p, x[None, :])[0] for x in xs])
         assert np.allclose(batched, singles, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("layer_sizes", [(3, 3, 2, 1), (3, 8, 8, 4, 1), (12, 5, 1)])
+    def test_block_rows_equal_per_client_attributions_bitwise(self, rng, layer_sizes):
+        # Clients attributed together get, to the last bit, the row they get
+        # alone from `sample_attributions`. The all-zero pool of client 2 has
+        # all-zero attributions, so it alone is flagged and its row stays zero.
+        spec = NetworkSpec(layer_sizes)
+        p = ModelParams(rng.normal(0, 0.8, spec.param_count), spec)
+        pools = [FixedPool(rng.uniform(0, 1, (n, spec.n_features)), k)
+                 for k, n in enumerate((45, 40, 40, 60))]
+        pools[2] = FixedPool(np.zeros((40, spec.n_features)), 2)
+        chi, degenerate = client_attribution(p, pools, 40)
+        assert degenerate.tolist() == [False, False, True, False]
+        for k, pool in enumerate(pools):
+            abs_mean = np.abs(sample_attributions(p, pool.attribution_features[:40])).mean(axis=0)
+            if k != 2:
+                assert chi[k].tobytes() == (abs_mean / abs_mean.sum()).tobytes()
+        assert chi[2].tobytes() == np.zeros(spec.n_features).tobytes()

@@ -141,6 +141,29 @@ class TestComputeChi:
             for k in range(4)
         ]
 
+    @pytest.mark.parametrize("rows_per_call, calls", [(10, [1] * 4), (25, [2, 2]), (2048, [4])])
+    def test_clients_are_attributed_in_bounded_blocks(
+        self, small_datasets, monkeypatch, rows_per_call, calls
+    ):
+        # Whole clients of 10 samples share a call up to the row bound, and
+        # chi does not depend, to the last bit, on how they are blocked.
+        cfg = small_config()
+        run = SliceRun("eMBB", "score", tuple(small_datasets["eMBB"]),
+                       init_params(cfg.network_spec, cfg.seed))
+        expected = np.stack([federation.client_attribution(run.global_params, [ds], 10)[0][0]
+                             for ds in run.datasets])
+        original = federation.client_attribution
+        widths = []
+
+        def counting(params, datasets, sample_count):
+            widths.append(len(datasets))
+            return original(params, datasets, sample_count)
+
+        monkeypatch.setattr(federation, "client_attribution", counting)
+        monkeypatch.setattr(federation, "_ATTRIBUTION_ROWS_PER_CALL", rows_per_call)
+        assert _compute_chi(run, cfg).tobytes() == expected.tobytes()
+        assert widths == calls
+
 
 class TestEvaluateGlobal:
     def test_perfect_predictor_scores_zero(self):
@@ -301,9 +324,9 @@ class TestRounds:
         original = federation.client_attribution
         calls = []
 
-        def counting(params, dataset, sample_count):
-            calls.append(dataset.client_id)
-            return original(params, dataset, sample_count)
+        def counting(params, datasets, sample_count):
+            calls.extend(ds.client_id for ds in datasets)
+            return original(params, datasets, sample_count)
 
         monkeypatch.setattr(federation, "client_attribution", counting)
         cfg = small_config(n_rounds=n_rounds)

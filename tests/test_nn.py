@@ -31,6 +31,29 @@ def reference_forward(layer_sizes, values, x):
     return a[0]
 
 
+def reference_param_gradients(layer_sizes, values, x, y):
+    """2-D backprop of the batch-mean squared error; bias gradients are delta.sum(axis=0)."""
+    layers, offset = [], 0
+    for n_in, n_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+        w = values[offset:offset + n_in * n_out].reshape(n_in, n_out)
+        offset += n_in * n_out
+        layers.append((w, values[offset:offset + n_out]))
+        offset += n_out
+    inputs, zs = [], []
+    a = x
+    for i, (w, b) in enumerate(layers):
+        inputs.append(a)
+        zs.append(a @ w + b)
+        a = zs[-1] if i == len(layers) - 1 else np.maximum(zs[-1], 0.0)
+    delta = ((2.0 / y.shape[0]) * (zs[-1][:, 0] - y))[:, None]
+    chunks = []
+    for i in range(len(layers) - 1, -1, -1):
+        chunks[:0] = [(inputs[i].T @ delta).reshape(-1), delta.sum(axis=0)]
+        if i > 0:
+            delta = (delta @ layers[i][0].T) * (zs[i - 1] > 0.0)
+    return np.concatenate(chunks)
+
+
 def reference_adam(values, grads, state, learning_rate=0.0015,
                    beta1=0.9, beta2=0.999, epsilon=1e-8):
     """One bias-corrected Adam update on a flat vector; state is (m, v, t)."""
@@ -178,6 +201,22 @@ class TestParamGradients:
             checked += 1
 
 
+    def test_bitwise_equal_to_two_dimensional_backprop(self, rng):
+        # The stacked kernel sums bias gradients over rows in row order, as
+        # delta.sum(axis=0) does on one network; numpy's reduction order is
+        # what this pins down, for width-1 and wider layers alike.
+        for _ in range(40):
+            hidden = rng.integers(1, 9, size=int(rng.integers(1, 4)))
+            layer_sizes = (3, *(int(h) for h in hidden), 1)
+            spec = NetworkSpec(layer_sizes)
+            p = ModelParams(rng.normal(0, 0.8, spec.param_count), spec)
+            for batch in (1, 2, 32, 50):
+                xs = rng.uniform(0, 1, (batch, 3))
+                ys = rng.uniform(0, 1, batch)
+                expected = reference_param_gradients(layer_sizes, p.values, xs, ys)
+                assert param_gradients(p, xs, ys).tobytes() == expected.tobytes(), layer_sizes
+
+
 class TestInputGradients:
     def test_zero_params_constant_function(self, rng):
         p = ModelParams(np.zeros(23), NetworkSpec())
@@ -310,14 +349,22 @@ class TestTrainClients:
         # A width-1 layer shows, in the last bit, any dependence of the BLAS
         # row sums on how many clients share the stack. Each client starts
         # from its own model, as clients of different federations do.
+        # Batch size 1 and the 1-row tail of 48 rows in batches of 47 take
+        # other BLAS paths than full batches.
         feats = [rng.uniform(0, 1, (48, 3)) for _ in range(3)]
         targs = [rng.uniform(0, 1, 48) for _ in range(3)]
-        for layer_sizes in ((3, 3, 2, 1), (3, 1, 1)):
+
+        def shuffles():
+            return [np.random.default_rng(seed) for seed in (21, 22, 23)]
+
+        for layer_sizes in ((3, 3, 2, 1), (3, 1, 1), (3, 8, 8, 4, 1)):
             starts = [init_params(NetworkSpec(layer_sizes), seed) for seed in (11, 12, 13)]
-            for batch_size in (16, None):
-                together = train_clients(starts, feats, targs, epochs=4, batch_size=batch_size)
-                alone = [train_clients([p], [f], [t], epochs=4, batch_size=batch_size)[0]
-                         for p, f, t in zip(starts, feats, targs)]
+            for batch_size in (16, 1, 47, None):
+                together = train_clients(starts, feats, targs, epochs=4, batch_size=batch_size,
+                                         shuffle_rngs=shuffles())
+                alone = [train_clients([p], [f], [t], epochs=4, batch_size=batch_size,
+                                       shuffle_rngs=[rng_k])[0]
+                         for p, f, t, rng_k in zip(starts, feats, targs, shuffles())]
                 for a, b in zip(together, alone):
                     assert np.array_equal(a.values, b.values)
 
