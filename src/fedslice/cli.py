@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import sys
@@ -24,6 +25,7 @@ from .federation import (
     DEFAULT_SLICE_NAMES,
     ExperimentConfig,
     SliceRun,
+    check_type,
     client_seed,
     run_experiment,
 )
@@ -99,21 +101,22 @@ def _load_config(config_path: str | None, overrides: list[str],
 def _ingest_datasets(cfg: ExperimentConfig) -> dict[str, list]:
     """Load every client's CSV; each train split must hold the attribution pool.
 
-    Files of a slice may differ in row count: clients train in one lockstep
-    call per train row count.
+    Every file is checked to exist before any is parsed. Files of a slice may
+    differ in row count: clients train in one lockstep call per train row count.
     """
     data_dir = Path(cfg.data_dir)
-    missing = []
+    paths = {name: [data_dir / f"client{k:02d}_{name}.csv" for k in range(cfg.n_clients)]
+             for name in cfg.slices}
+    missing = [str(path) for slice_paths in paths.values() for path in slice_paths
+               if not path.exists()]
+    if missing:
+        raise ConfigError(f"missing dataset file(s): {', '.join(missing)}")
     datasets: dict[str, list] = {}
-    for name in cfg.slices:
+    for name, slice_paths in paths.items():
         spec = slice_by_name(name)
         slice_index = DEFAULT_SLICE_NAMES.index(name)
         rows = []
-        for k in range(cfg.n_clients):
-            path = data_dir / f"client{k:02d}_{name}.csv"
-            if not path.exists():
-                missing.append(str(path))
-                continue
+        for k, path in enumerate(slice_paths):
             ds = ingest_csv(path, spec, client_id=k,
                             seed=client_seed(cfg.seed, slice_index, k),
                             train_fraction=cfg.train_fraction)
@@ -125,8 +128,6 @@ def _ingest_datasets(cfg: ExperimentConfig) -> dict[str, list]:
                 )
             rows.append(ds)
         datasets[name] = rows
-    if missing:
-        raise ConfigError(f"missing dataset file(s): {', '.join(missing)}")
     return datasets
 
 
@@ -194,7 +195,36 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _checked_profile(path: str, index: int, entry) -> NonIidProfile:
+    """One explicit profile entry, checked field by field against NonIidProfile."""
+    where = f"{path}: profiles[{index}]"
+    if not isinstance(entry, dict):
+        raise ConfigError(f"{where} must be an object, got {entry!r}")
+    fields = {f.name: f for f in dataclasses.fields(NonIidProfile)}
+    unknown = sorted(set(entry) - set(fields))
+    if unknown:
+        raise ConfigError(f"{where}: unknown field(s): {', '.join(unknown)}")
+    values = {}
+    for name, f in fields.items():
+        if name not in entry:
+            if f.default is dataclasses.MISSING:
+                raise ConfigError(f"{where}: missing field '{name}'")
+            continue
+        value = entry[name]
+        check_type(f"{where}.{name}", value, f.type)
+        if f.type == "int":
+            if value < 0:
+                raise ConfigError(f"{where}.{name} must be non-negative, got {value}")
+        # Exact int/float comparison: NaN, infinities and integers past float range fail.
+        elif not all(-sys.float_info.max <= v <= sys.float_info.max
+                     for v in (value if isinstance(value, list) else [value])):
+            raise ConfigError(f"{where}.{name} must be finite, got {value!r}")
+        values[name] = float(value) if f.type == "float" else value
+    return NonIidProfile(**values)
+
+
 def _load_profiles(path: str) -> tuple[list[NonIidProfile], dict]:
+    """Read a gen-data profile file; a bad value exits 2 naming the file and key."""
     spec = json.loads(Path(path).read_text())
     if not isinstance(spec, dict):
         raise ConfigError(f"{path}: profile file must be a JSON object")
@@ -202,37 +232,40 @@ def _load_profiles(path: str) -> tuple[list[NonIidProfile], dict]:
     unknown = sorted(set(spec) - known)
     if unknown:
         raise ConfigError(f"{path}: unknown profile key(s): {', '.join(unknown)}")
-    n_clients = int(spec.get("n_clients", 10))
-    if n_clients < 1:
-        raise ConfigError("n_clients must be at least 1")
-    seed = int(spec.get("seed", 42))
-    if "profiles" in spec:
-        profiles = []
-        for entry in spec["profiles"]:
-            try:
-                profiles.append(NonIidProfile(
-                    client_id=int(entry["client_id"]),
-                    traffic_scale=float(entry["traffic_scale"]),
-                    diurnal_phase=float(entry["diurnal_phase"]),
-                    cqi_mean=float(entry["cqi_mean"]),
-                    noise_level=float(entry["noise_level"]),
-                    mix_weights=tuple(entry["mix_weights"]),
-                    diurnal_amplitude=float(entry.get("diurnal_amplitude", 0.5)),
-                ))
-            except KeyError as exc:
-                raise ConfigError(f"{path}: profile entry missing field {exc}") from None
-        if len(profiles) != n_clients:
-            raise ConfigError(f"{path}: {len(profiles)} profiles for n_clients={n_clients}")
-    else:
-        profiles = default_profiles(n_clients, seed)
     meta = {
-        "n_clients": n_clients,
-        "samples_per_client": int(spec.get("samples_per_client", 1000)),
-        "seed": seed,
-        "slices": list(spec.get("slices", list(DEFAULT_SLICE_NAMES))),
+        "n_clients": spec.get("n_clients", 10),
+        "samples_per_client": spec.get("samples_per_client", 1000),
+        "seed": spec.get("seed", 42),
+        "slices": spec.get("slices", list(DEFAULT_SLICE_NAMES)),
     }
+    for key, annotation in (("n_clients", "int"), ("samples_per_client", "int"),
+                            ("seed", "int"), ("slices", "tuple[str, ...]")):
+        check_type(f"{path}: {key}", meta[key], annotation)
+    n_clients = meta["n_clients"]
+    if n_clients < 1:
+        raise ConfigError(f"{path}: n_clients must be at least 1")
     if meta["samples_per_client"] < 2:
-        raise ConfigError("samples_per_client must be at least 2")
+        raise ConfigError(f"{path}: samples_per_client must be at least 2")
+    if meta["seed"] < 0:
+        raise ConfigError(f"{path}: seed must be non-negative, got {meta['seed']}")
+    for name in meta["slices"]:
+        try:
+            slice_by_name(name)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: slices: {exc}") from None
+    if "profiles" not in spec:
+        return default_profiles(n_clients, meta["seed"]), meta
+    if not isinstance(spec["profiles"], list):
+        raise ConfigError(f"{path}: profiles must be a list of objects, got {spec['profiles']!r}")
+    profiles = [_checked_profile(path, i, entry) for i, entry in enumerate(spec["profiles"])]
+    if len(profiles) != n_clients:
+        raise ConfigError(f"{path}: {len(profiles)} profiles for n_clients={n_clients}")
+    first_index: dict[int, int] = {}
+    for i, profile in enumerate(profiles):
+        first = first_index.setdefault(profile.client_id, i)
+        if first != i:
+            raise ConfigError(f"{path}: profiles[{i}].client_id {profile.client_id} "
+                              f"repeats profiles[{first}]; each client writes its own file")
     return profiles, meta
 
 

@@ -325,20 +325,24 @@ def generate_client(
 
 
 def write_client_csv(table: dict[str, np.ndarray], path: str | Path) -> None:
-    """Write a full column table in the canonical CSV schema (17 digit floats)."""
-    path = Path(path)
-    n = len(table[TARGET_COLUMN])
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for i in range(n):
-            writer.writerow([f"{float(table[col][i]):.17g}" for col in CSV_COLUMNS])
+    """Write a full column table in the canonical CSV schema.
+
+    The header lists `CSV_COLUMNS` in order, every cell is a `%.17g` float
+    and lines end with CRLF, as `csv.writer` would write them.
+    """
+    rows = np.column_stack([np.asarray(table[c], dtype=np.float64) for c in CSV_COLUMNS])
+    row_format = ",".join(["%.17g"] * len(CSV_COLUMNS)) + "\r\n"
+    with Path(path).open("w", newline="") as fh:
+        fh.write(",".join(CSV_COLUMNS) + "\r\n")
+        fh.writelines(row_format % tuple(row) for row in rows.tolist())
 
 
 def read_table_csv(path: str | Path) -> dict[str, np.ndarray]:
     """Parse a canonical CSV into a column table, validating schema and cells.
 
-    Every cell must parse as a finite float; blank lines are skipped.
+    Columns are found by header name, so extra or reordered columns are fine.
+    Every cell must parse as a finite float (Python `float()` spelling);
+    blank lines are skipped but still count toward reported row numbers.
     """
     path = Path(path)
     with path.open("r", newline="") as fh:
@@ -351,21 +355,16 @@ def read_table_csv(path: str | Path) -> dict[str, np.ndarray]:
         if missing:
             raise DataSchemaError(f"{path}: missing column(s) {', '.join(missing)}")
         col_pos = {c: header.index(c) for c in CSV_COLUMNS}
-        columns: dict[str, list[float]] = {c: [] for c in CSV_COLUMNS}
-        blank_rows = []
-        for row_number, row in enumerate(reader, start=2):
-            if not row:
-                blank_rows.append(row_number)
-                continue
-            for col, pos in col_pos.items():
-                cell = row[pos] if pos < len(row) else ""
-                try:
-                    columns[col].append(float(cell))
-                except ValueError:
-                    raise DataParseError(
-                        f"{path}: row {row_number}, column {col!r}: cannot parse {cell!r}"
-                    ) from None
-    table = {c: np.asarray(v, dtype=np.float64) for c, v in columns.items()}
+        records = list(reader)
+    rows = [row for row in records if row]
+    try:
+        table = {
+            col: np.fromiter(map(float, [row[pos] for row in rows]), np.float64, count=len(rows))
+            for col, pos in col_pos.items()
+        }
+    except (IndexError, ValueError):
+        raise _first_bad_cell(path, records, col_pos) from None
+    blank_rows = [number for number, row in enumerate(records, start=2) if not row]
     for col, values in table.items():
         finite = np.isfinite(values)
         if not finite.all():
@@ -378,6 +377,23 @@ def read_table_csv(path: str | Path) -> dict[str, np.ndarray]:
                 f"{path}: row {row_number}, column {col!r}: non-finite value {values[index]}"
             )
     return table
+
+
+def _first_bad_cell(path: Path, records: list[list[str]],
+                    col_pos: dict[str, int]) -> DataParseError:
+    """The error naming the first short or unparseable cell in row-major order."""
+    for row_number, row in enumerate(records, start=2):
+        if not row:
+            continue
+        for col, pos in col_pos.items():
+            cell = row[pos] if pos < len(row) else ""
+            try:
+                float(cell)
+            except ValueError:
+                return DataParseError(
+                    f"{path}: row {row_number}, column {col!r}: cannot parse {cell!r}"
+                )
+    raise AssertionError(f"{path}: no bad cell found after a failed parse")
 
 
 def ingest_csv(

@@ -59,17 +59,33 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-# Each config field's annotation -> (value check, what the error says it must be).
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+# Each field annotation -> (value check, what the error says it must be).
 _FIELD_TYPES = {
     "int": (_is_int, "an integer"),
-    "float": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    "float": (_is_number, "a number"),
     "int | None": (lambda v: v is None or _is_int(v), "an integer or null"),
     "str | None": (lambda v: v is None or isinstance(v, str), "a string or null"),
     "tuple[int, ...]": (lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)),
                         "a list of integers"),
     "tuple[str, ...]": (lambda v: isinstance(v, (list, tuple))
                         and all(isinstance(x, str) for x in v), "a list of strings"),
+    "tuple[float, float, float]": (lambda v: isinstance(v, (list, tuple)) and len(v) == 3
+                                   and all(map(_is_number, v)), "a list of 3 numbers"),
 }
+
+
+def check_type(name: str, value, annotation: str) -> None:
+    """Raise ConfigError unless `value` fits a config/profile field annotation.
+
+    Integers exclude bools and floats; numbers are ints or floats.
+    """
+    is_valid, kind = _FIELD_TYPES[annotation]
+    if not is_valid(value):
+        raise ConfigError(f"{name} must be {kind}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -92,10 +108,7 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         for f in dataclasses.fields(self):
-            is_valid, kind = _FIELD_TYPES[f.type]
-            value = getattr(self, f.name)
-            if not is_valid(value):
-                raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
+            check_type(f.name, getattr(self, f.name), f.type)
         object.__setattr__(self, "layer_sizes", tuple(self.layer_sizes))
         object.__setattr__(self, "slices", tuple(self.slices))
         if self.n_clients < 1:

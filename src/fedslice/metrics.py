@@ -200,12 +200,15 @@ def write_selection_csv(path: Path, selections) -> None:
 
 def write_provisioning_csv(path: Path, policy: str,
                            round_reports: list[tuple[int, ProvisioningReport]]) -> None:
+    # One format per row; the bytes are csv.writer's (policy names need no quoting).
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["policy", "round", "client_id", "sample_index", "p_err"])
+        fh.write("policy,round,client_id,sample_index,p_err\r\n")
         for round_index, report in round_reports:
-            for i, (cid, err) in enumerate(zip(report.client_ids, report.errors)):
-                writer.writerow([policy, round_index, int(cid), i, _fmt(err)])
+            fh.writelines(
+                "%s,%d,%d,%d,%.17g\r\n" % (policy, round_index, cid, i, err)
+                for i, (cid, err) in enumerate(zip(report.client_ids.tolist(),
+                                                   report.errors.tolist()))
+            )
 
 
 def build_summary(config_echo: dict, runs, ledgers: list[CommLedger],

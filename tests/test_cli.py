@@ -33,6 +33,13 @@ def run_cli(*args):
     return cli.main([str(a) for a in args])
 
 
+def profile_entry(client_id, **overrides):
+    base = {"client_id": client_id, "traffic_scale": 2.0, "diurnal_phase": 0.0,
+            "cqi_mean": 8.0, "noise_level": 1.0, "mix_weights": [1.0, 0.5, 0.1]}
+    base.update(overrides)
+    return base
+
+
 class TestRun:
     def test_default_policies_write_nine_round_csvs(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -216,6 +223,48 @@ class TestGenData:
         text = (out / "client00_eMBB.csv").read_text().splitlines()
         assert text[1].split(",")[-1] == "5"  # CPU equals constant traffic
 
+    @pytest.mark.parametrize("overrides, key", [
+        ({"n_clients": "abc"}, "n_clients"),
+        ({"n_clients": 2.7}, "n_clients"),
+        ({"n_clients": True}, "n_clients"),
+        ({"samples_per_client": "1e400"}, "samples_per_client"),
+        ({"seed": -1}, "seed"),
+        ({"slices": "eMBB"}, "slices"),
+        ({"slices": ["eMBB", "URLLC"]}, "slices"),
+        ({"profiles": {"client_id": 0}}, "profiles"),
+        ({"profiles": [profile_entry(0, traffic_scale="x"), profile_entry(1)]},
+         "traffic_scale"),
+        ({"profiles": [profile_entry(0), profile_entry(1, traffic_scale="NaN")]},
+         "traffic_scale"),
+        ({"profiles": [profile_entry(0, mix_weights=[1.0, 0.5]), profile_entry(1)]},
+         "mix_weights"),
+        ({"profiles": [profile_entry(0), profile_entry(1, mix_weights=[1.0, "a", 0.1])]},
+         "mix_weights"),
+        ({"profiles": [profile_entry(0.0), profile_entry(1)]}, "client_id"),
+        ({"profiles": [profile_entry(0), profile_entry(-1)]}, "client_id"),
+        ({"profiles": [profile_entry(0), profile_entry(1, colour="red")]}, "colour"),
+        ({"profiles": [{"client_id": 0}, profile_entry(1)]}, "traffic_scale"),
+        ({"profiles": [profile_entry(0), profile_entry(0)]}, "client_id"),
+    ], ids=["n_clients-str", "n_clients-float", "n_clients-bool", "samples-1e400",
+            "seed-negative", "slices-str", "slices-unknown", "profiles-object",
+            "traffic_scale-str", "traffic_scale-nan", "mix_weights-two", "mix_weights-str",
+            "client_id-float", "client_id-negative", "entry-unknown-key", "entry-missing-field",
+            "client_id-duplicate"])
+    def test_bad_profile_value_is_exit_2_naming_path_and_key(self, tmp_path, capsys,
+                                                             overrides, key):
+        spec = {"n_clients": 2, "samples_per_client": 20, "seed": 42, "slices": ["eMBB"]}
+        spec.update(overrides)
+        # json.dumps cannot write 1e400 or NaN from a Python value, so placeholders
+        # are swapped for the literals; Python's parser reads 1e400 as inf.
+        text = json.dumps(spec).replace('"1e400"', "1e400").replace('"NaN"', "NaN")
+        path = tmp_path / "profiles.json"
+        path.write_text(text)
+        out = tmp_path / "d"
+        assert run_cli("gen-data", "--profiles", path, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and key in err
+        assert not out.exists()
+
     def test_run_ingests_generated_data(self, tmp_path):
         profiles = self.profiles_file(tmp_path, n_clients=3, samples_per_client=40)
         data_dir = tmp_path / "data"
@@ -236,11 +285,27 @@ class TestGenData:
         b = read_rounds_csv(out_syn / "rounds_eMBB_intelliselect.csv")
         assert [r["mse"] for r in a] == [r["mse"] for r in b]
 
-    def test_missing_data_file_is_exit_2(self, tmp_path, capsys):
+    def test_missing_data_file_is_exit_2(self, tmp_path, capsys, monkeypatch):
         cfg = write_config(tmp_path, data_dir=str(tmp_path / "empty"))
         (tmp_path / "empty").mkdir()
         assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 2
         assert "missing dataset" in capsys.readouterr().err
+
+        # One file missing among present ones: no file is parsed before the report.
+        data_dir = tmp_path / "data"
+        run_cli("gen-data", "--profiles", self.profiles_file(tmp_path, n_clients=3),
+                "--out", data_dir)
+        missing = data_dir / "client01_SocialMedia.csv"
+        missing.unlink()
+        ingested = []
+        original = cli.ingest_csv
+        monkeypatch.setattr(cli, "ingest_csv",
+                            lambda *a, **kw: ingested.append(a[0]) or original(*a, **kw))
+        cfg = write_config(tmp_path, name="data.json", n_clients=3, samples_per_client=20,
+                           data_dir=str(data_dir))
+        assert run_cli("run", "--config", cfg, "--out", tmp_path / "o2") == 2
+        assert f"missing dataset file(s): {missing}" in capsys.readouterr().err
+        assert ingested == []
 
 
 class TestMalformedData:

@@ -8,6 +8,7 @@ from fedslice.data import (
     OTT_COLUMNS,
     SLICES,
     SliceSpec,
+    TARGET_COLUMN,
     aggregate_table,
     default_profiles,
     generate_client,
@@ -233,6 +234,87 @@ class TestCsv:
         path.write_text(header + "\n" + good + "\n\n" + bad + "\n")
         with pytest.raises(DataParseError, match=r"client\.csv: row 4, column 'CQI'"):
             read_table_csv(path)
+
+    def test_short_row_names_the_first_missing_column(self, tmp_path):
+        header = ",".join(CSV_COLUMNS)
+        path = tmp_path / "client.csv"
+        path.write_text(header + "\n" + ",".join(["1"] * 13) + "\n"
+                        + ",".join(["1"] * 11) + "\n")
+        with pytest.raises(DataParseError) as info:
+            read_table_csv(path)
+        assert str(info.value) == f"{path}: row 3, column 'MIMO_FI': cannot parse ''"
+
+    def test_quoted_cells_parse(self, tmp_path):
+        header = ",".join(CSV_COLUMNS)
+        path = tmp_path / "client.csv"
+        path.write_text(header + "\n" + ",".join(['"1.5"'] * 12 + ['" 2 "']) + "\n")
+        table = read_table_csv(path)
+        assert table["Apple"].tolist() == [1.5]
+        assert table[TARGET_COLUMN].tolist() == [2.0]
+
+    def test_cells_follow_python_float_spelling(self, tmp_path):
+        header = ",".join(CSV_COLUMNS)
+        path = tmp_path / "client.csv"
+        path.write_text(header + "\n" + ",".join([" 1.5 "] * 12 + ["1_000"]) + "\n")
+        table = read_table_csv(path)
+        assert table["Apple"].tolist() == [1.5]
+        assert table[TARGET_COLUMN].tolist() == [1000.0]
+
+    def test_reordered_header_with_extra_columns_reads_by_name(self, tmp_path):
+        header = ["extra_a"] + list(reversed(CSV_COLUMNS)) + ["extra_b"]
+        rows = [["x"] + [str(10 * r + i) for i in range(len(CSV_COLUMNS))] + ["y"]
+                for r in range(3)]
+        path = tmp_path / "client.csv"
+        path.write_text("\n".join(",".join(row) for row in [header] + rows) + "\n")
+        table = read_table_csv(path)
+        for col in CSV_COLUMNS:
+            pos = header.index(col)
+            assert table[col].tolist() == [float(row[pos]) for row in rows]
+
+    def test_bad_cell_after_blank_line_reports_physical_row(self, tmp_path):
+        header = ",".join(CSV_COLUMNS)
+        good = ",".join(["1"] * 13)
+        bad = ",".join(["1"] * 12 + ["oops"])
+        path = tmp_path / "client.csv"
+        path.write_text(header + "\n" + good + "\n\n\n" + bad + "\n")
+        with pytest.raises(DataParseError) as info:
+            read_table_csv(path)
+        assert str(info.value) == f"{path}: row 5, column 'CPU_Load': cannot parse 'oops'"
+
+    def test_first_bad_cell_in_row_major_order_is_named(self, tmp_path):
+        header = ",".join(CSV_COLUMNS)
+        # Row 2 is bad in a late column, row 3 in an early one: row 2 wins.
+        first = ",".join(["1"] * 12 + ["late"])
+        second = ",".join(["early"] + ["1"] * 12)
+        path = tmp_path / "client.csv"
+        path.write_text(header + "\n" + first + "\n" + second + "\n")
+        with pytest.raises(DataParseError) as info:
+            read_table_csv(path)
+        assert str(info.value) == f"{path}: row 2, column 'CPU_Load': cannot parse 'late'"
+
+    def test_lf_and_crlf_read_the_same(self, tmp_path):
+        lines = [",".join(CSV_COLUMNS)] + [",".join([str(r + 0.25)] * 13) for r in range(4)]
+        lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+        lf.write_bytes(("\n".join(lines) + "\n").encode())
+        crlf.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+        a, b = read_table_csv(lf), read_table_csv(crlf)
+        for col in CSV_COLUMNS:
+            assert a[col].tolist() == b[col].tolist() == [0.25, 1.25, 2.25, 3.25]
+
+    def test_writer_golden_bytes(self, tmp_path):
+        table = {c: np.zeros(2) for c in CSV_COLUMNS}
+        table["Apple"] = np.array([-0.0, 1e-300])
+        table["CQI"] = np.array([0.1, 7.0])
+        table["MIMO_FI"] = np.array([55.5, 2.5e16])
+        table[TARGET_COLUMN] = np.array([1.0 / 3.0, 100.0])
+        path = tmp_path / "client.csv"
+        write_client_csv(table, path)
+        assert path.read_bytes() == (
+            b"Apple,Facebook,Facebook Messages,Facebook Video,HTTPS,Instagram,Netflix,"
+            b"QUIC,Whatsapp,Youtube,CQI,MIMO_FI,CPU_Load\r\n"
+            b"-0,0,0,0,0,0,0,0,0,0,0.10000000000000001,55.5,0.33333333333333331\r\n"
+            b"1e-300,0,0,0,0,0,0,0,0,0,7,25000000000000000,100\r\n"
+        )
 
     def test_empty_file_is_schema_error(self, tmp_path):
         path = tmp_path / "client.csv"
