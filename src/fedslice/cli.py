@@ -220,7 +220,10 @@ def _checked_profile(path: str, index: int, entry) -> NonIidProfile:
                      for v in (value if isinstance(value, list) else [value])):
             raise ConfigError(f"{where}.{name} must be finite, got {value!r}")
         values[name] = float(value) if f.type == "float" else value
-    return NonIidProfile(**values)
+    try:
+        return NonIidProfile(**values)
+    except GenerationError as exc:
+        raise ConfigError(f"{where}.{exc}") from None
 
 
 def _load_profiles(path: str) -> tuple[list[NonIidProfile], dict]:
@@ -253,6 +256,9 @@ def _load_profiles(path: str) -> tuple[list[NonIidProfile], dict]:
             slice_by_name(name)
         except ConfigError as exc:
             raise ConfigError(f"{path}: slices: {exc}") from None
+    if len(set(meta["slices"])) != len(meta["slices"]):
+        raise ConfigError(f"{path}: slices must not repeat a name, got {meta['slices']}; "
+                          "each slice writes its own files")
     if "profiles" not in spec:
         return default_profiles(n_clients, meta["seed"]), meta
     if not isinstance(spec["profiles"], list):

@@ -153,9 +153,9 @@ class ClientDataset:
     def test_targets(self) -> np.ndarray:
         return self.scaled_targets[self.n_train:]
 
-    @property
-    def attribution_features(self) -> np.ndarray:
-        return self.scaled_features[self.attribution_indices]
+    def attribution_pool(self, count: int) -> np.ndarray:
+        """Scaled features of the first `count` rows of the attribution pool."""
+        return self.scaled_features[self.attribution_indices[:count]]
 
 
 def make_dataset(
@@ -194,7 +194,11 @@ def make_dataset(
 
 @dataclass(frozen=True)
 class NonIidProfile:
-    """Generative knobs that make one synthetic client's data distinct."""
+    """Generative knobs that make one synthetic client's data distinct.
+
+    Construction raises GenerationError unless `traffic_scale` is positive and
+    `noise_level` is non-negative, so every profile can generate data.
+    """
 
     client_id: int
     traffic_scale: float
@@ -206,6 +210,11 @@ class NonIidProfile:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mix_weights", tuple(float(w) for w in self.mix_weights))
+        # Messages start with the field name, so callers can prefix where it came from.
+        if not self.traffic_scale > 0.0:
+            raise GenerationError(f"traffic_scale must be positive, got {self.traffic_scale!r}")
+        if not self.noise_level >= 0.0:
+            raise GenerationError(f"noise_level cannot be negative, got {self.noise_level!r}")
 
 
 def default_profiles(n_clients: int, seed: int) -> list[NonIidProfile]:
@@ -259,10 +268,6 @@ def generate_client_table(
     """
     if n_samples < 2:
         raise GenerationError("need at least 2 samples per client")
-    if profile.traffic_scale <= 0.0:
-        raise GenerationError(f"client {profile.client_id}: traffic_scale must be positive")
-    if profile.noise_level < 0.0:
-        raise GenerationError(f"client {profile.client_id}: noise_level cannot be negative")
 
     rng, _ = _split_seed(seed)
     hours = np.arange(n_samples)

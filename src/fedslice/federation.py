@@ -138,6 +138,8 @@ class ExperimentConfig:
             raise ConfigError("slices must name at least one slice")
         for name in self.slices:
             slice_by_name(name)
+        if len(set(self.slices)) != len(self.slices):
+            raise ConfigError(f"slices must not repeat a name, got {list(self.slices)}")
         # Under data_dir the train splits come from the files, which ingestion checks.
         max_pool = max(int(round(self.samples_per_client * self.train_fraction)), 1)
         if self.data_dir is None and self.attribution_samples > max_pool:

@@ -11,6 +11,12 @@ Training stacks K client networks in flat layer-major buffers (see
 `_layer_views`): parameters, gradient and both Adam moments are each one
 K x param_count array whose per-layer views the kernel reads and writes in
 place, so a step is one pass, one finiteness check and one Adam update.
+
+The kernel is feature-major: inputs are (K, F, B) and activations and deltas
+(K, fan, B), B being the batch rows, so bias adds, ReLU masks and delta
+products run along B rather than over 1-3 units. A bias gradient is delta
+summed over that contiguous axis (numpy's pairwise order). Callers pass
+transposed views of row-major data; no input is copied.
 """
 
 from __future__ import annotations
@@ -157,15 +163,18 @@ def _pass(
     grads: tuple[list[np.ndarray], list[np.ndarray]] | None = None,
     input_grads: bool = False,
 ) -> tuple[list[np.ndarray], np.ndarray | None]:
-    """Forward and backward pass of K stacked networks over (K, B, F) inputs.
+    """Forward and backward pass of K stacked networks over feature-major (K, F, B) inputs.
 
-    `ws[i]` is (K, fan_in, fan_out) and `bs[i]` is (K, 1, fan_out). Returns
-    every layer's pre-activations, (K, B, fan_out) each, the last of which
-    holds the predictions, and, with `input_grads`, the gradient of each
-    prediction with respect to its input row, (K, B, F). With `targets` (K, B), the
+    `ws[i]` is (K, fan_in, fan_out) and `bs[i]` is (K, 1, fan_out); each layer
+    computes z = W^T a + b^T, so activations are (K, fan, B) and every
+    elementwise operation runs along the B batch rows. Returns every layer's
+    pre-activations, (K, fan_out, B) each, the last of which holds the
+    predictions, and, with `input_grads`, the gradient of each prediction with
+    respect to its input column, (K, F, B). With `targets` (K, B), the
     gradient of the batch-mean squared error with respect to every weight and
-    bias is written into `grads`, views shaped like `ws` and `bs`; otherwise
-    the backward pass starts from the prediction itself.
+    bias is written into `grads`, views shaped like `ws` and `bs`: a @ delta^T
+    for the weights and delta summed over its contiguous batch axis for the
+    biases; otherwise the backward pass starts from the prediction itself.
     """
     n_layers = len(ws)
     layer_inputs, pre_acts = [], []  # inputs are kept only for parameter gradients
@@ -173,7 +182,7 @@ def _pass(
     for i in range(n_layers):
         if targets is not None:
             layer_inputs.append(a)
-        z = a @ ws[i] + bs[i]
+        z = ws[i].transpose(0, 2, 1) @ a + bs[i].transpose(0, 2, 1)
         pre_acts.append(z)
         a = z if i == n_layers - 1 else np.maximum(z, 0.0)
     if targets is None and not input_grads:
@@ -182,29 +191,22 @@ def _pass(
     if targets is None:
         delta = np.ones_like(pre_acts[-1])
     else:
-        delta = ((2.0 / targets.shape[1]) * (pre_acts[-1][:, :, 0] - targets))[:, :, None]
+        delta = ((2.0 / targets.shape[1]) * (pre_acts[-1][:, 0] - targets))[:, None]
     for i in range(n_layers - 1, -1, -1):
         if targets is not None:
-            np.matmul(layer_inputs[i].transpose(0, 2, 1), delta, out=grads[0][i])
-            if delta.shape[2] > 1:
-                # Over the strided row axis einsum adds the rows in order, as
-                # sum does, without one fan_out-element inner loop per row. A
-                # single output's rows are contiguous: sum is fast there, and
-                # einsum would round differently.
-                np.einsum("kbo->ko", delta, out=grads[1][i][:, 0])
-            else:
-                delta.sum(axis=1, keepdims=True, out=grads[1][i])
+            np.matmul(layer_inputs[i], delta.transpose(0, 2, 1), out=grads[0][i])
+            delta.sum(axis=2, out=grads[1][i][:, 0])
         if i > 0:
-            delta = (delta @ ws[i].transpose(0, 2, 1)) * (pre_acts[i - 1] > 0.0)
+            delta = (ws[i] @ delta) * (pre_acts[i - 1] > 0.0)
         elif input_grads:
-            delta = delta @ ws[0].transpose(0, 2, 1)
+            delta = ws[0] @ delta
     return pre_acts, delta if input_grads else None
 
 
 def pre_activations(params: ModelParams, features: np.ndarray) -> list[np.ndarray]:
     """Every layer's pre-activations for a batch of feature rows; (B, fan_out) each."""
-    pre_acts, _ = _pass(*_stack(params), _as_batch(params, features)[None])
-    return [z[0] for z in pre_acts]
+    pre_acts, _ = _pass(*_stack(params), _as_batch(params, features).T[None])
+    return [z[0].T for z in pre_acts]
 
 
 def forward_batch(params: ModelParams, features: np.ndarray) -> np.ndarray:
@@ -221,14 +223,14 @@ def param_gradients(params: ModelParams, features: np.ndarray, targets: np.ndarr
     if y.shape[0] != x.shape[0]:
         raise ConfigError(f"batch has {x.shape[0]} rows but {y.shape[0]} targets")
     grad = np.empty(params.spec.param_count)
-    _pass(*_stack(params), x[None], y[None], _layer_views(grad, params.spec, 1))
+    _pass(*_stack(params), x.T[None], y[None], _layer_views(grad, params.spec, 1))
     return grad
 
 
 def input_gradients_batch(params: ModelParams, features: np.ndarray) -> np.ndarray:
     """d(prediction)/d(input) for each row independently; returns (B, F)."""
-    _, grads = _pass(*_stack(params), _as_batch(params, features)[None], input_grads=True)
-    return grads[0]
+    _, grads = _pass(*_stack(params), _as_batch(params, features).T[None], input_grads=True)
+    return grads[0].T
 
 
 def train_clients(
@@ -256,9 +258,11 @@ def train_clients(
     gradient in place, and each step is one finiteness check and one Adam
     update over the whole buffer. Each epoch gathers every client's permuted
     rows into one K x rows x features buffer, client by client so the stack is
-    never held twice; its minibatches are slices of that buffer. A non-finite
-    gradient raises `NumericError` whose `clients` lists the stack positions
-    at fault.
+    never held twice; its minibatches are slices of that buffer, handed to
+    `_pass` as (K, features, batch) transposed views, so each layer's
+    activations are (K, fan, batch) and its bias gradient sums delta over the
+    batch axis. A non-finite gradient raises `NumericError` whose `clients`
+    lists the stack positions at fault.
     """
     if epochs < 1:
         raise ValueError("epochs must be at least 1")
@@ -316,7 +320,7 @@ def train_clients(
                 np.take(features[k], order, axis=0, out=x_epoch[k], mode="clip")
                 np.take(targets[k], order, out=y_epoch[k], mode="clip")
         for batch in batches:
-            _pass(ws, bs, x_epoch[:, batch], y_epoch[:, batch], grads)
+            _pass(ws, bs, x_epoch[:, batch].transpose(0, 2, 1), y_epoch[:, batch], grads)
             if not np.isfinite(grad).all():
                 finite = np.logical_and.reduce([np.isfinite(g).reshape(n_clients, -1).all(axis=1)
                                                 for g in grads[0] + grads[1]])

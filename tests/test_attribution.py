@@ -22,8 +22,11 @@ class FixedPool:
     """Minimal stand-in for a ClientDataset's attribution surface."""
 
     def __init__(self, features, client_id=0):
-        self.attribution_features = np.asarray(features, dtype=np.float64)
+        self.features = np.asarray(features, dtype=np.float64)
         self.client_id = client_id
+
+    def attribution_pool(self, count):
+        return self.features[:count]
 
 
 def midpoint_attributions(params, xs, steps):
@@ -196,7 +199,7 @@ class TestClientAttribution:
         chi, degenerate = client_attribution(p, pools, 40)
         assert degenerate.tolist() == [False, False, True, False]
         for k, pool in enumerate(pools):
-            abs_mean = np.abs(sample_attributions(p, pool.attribution_features[:40])).mean(axis=0)
+            abs_mean = np.abs(sample_attributions(p, pool.attribution_pool(40))).mean(axis=0)
             if k != 2:
                 assert chi[k].tobytes() == (abs_mean / abs_mean.sum()).tobytes()
         assert chi[2].tobytes() == np.zeros(spec.n_features).tobytes()

@@ -144,6 +144,7 @@ class TestRun:
         "layer_sizes=3",
         "policies=3",
         'slices="eMBB"',
+        'slices=["eMBB","eMBB"]',
         "n_rounds=true",
     ])
     def test_bad_config_value_is_exit_2_before_any_output(self, tmp_path, capsys,
@@ -231,6 +232,7 @@ class TestGenData:
         ({"seed": -1}, "seed"),
         ({"slices": "eMBB"}, "slices"),
         ({"slices": ["eMBB", "URLLC"]}, "slices"),
+        ({"slices": ["eMBB", "eMBB"]}, "slices"),
         ({"profiles": {"client_id": 0}}, "profiles"),
         ({"profiles": [profile_entry(0, traffic_scale="x"), profile_entry(1)]},
          "traffic_scale"),
@@ -246,7 +248,7 @@ class TestGenData:
         ({"profiles": [{"client_id": 0}, profile_entry(1)]}, "traffic_scale"),
         ({"profiles": [profile_entry(0), profile_entry(0)]}, "client_id"),
     ], ids=["n_clients-str", "n_clients-float", "n_clients-bool", "samples-1e400",
-            "seed-negative", "slices-str", "slices-unknown", "profiles-object",
+            "seed-negative", "slices-str", "slices-unknown", "slices-repeated", "profiles-object",
             "traffic_scale-str", "traffic_scale-nan", "mix_weights-two", "mix_weights-str",
             "client_id-float", "client_id-negative", "entry-unknown-key", "entry-missing-field",
             "client_id-duplicate"])
@@ -264,6 +266,18 @@ class TestGenData:
         err = capsys.readouterr().err
         assert str(path) in err and key in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("field, value", [("traffic_scale", 0.0), ("noise_level", -1.0)])
+    def test_bad_second_profile_writes_no_csv(self, tmp_path, capsys, field, value):
+        spec = {"n_clients": 2, "samples_per_client": 20, "seed": 42, "slices": ["eMBB"],
+                "profiles": [profile_entry(0), profile_entry(1, **{field: value})]}
+        path = tmp_path / "profiles.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "d"
+        out.mkdir()
+        assert run_cli("gen-data", "--profiles", path, "--out", out) == 2
+        assert f"{path}: profiles[1].{field}" in capsys.readouterr().err
+        assert list(out.glob("*.csv")) == []
 
     def test_run_ingests_generated_data(self, tmp_path):
         profiles = self.profiles_file(tmp_path, n_clients=3, samples_per_client=40)

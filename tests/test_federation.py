@@ -259,6 +259,7 @@ class TestConfig:
         ({"n_clients": 2.5}, "n_clients"),
         ({"data_dir": 5}, "data_dir"),
         ({"learning_rate": 10 ** 400}, "learning_rate"),
+        ({"slices": ("eMBB", "eMBB")}, "slices"),
     ])
     def test_bad_value_is_rejected_up_front(self, overrides, message):
         # Through from_dict, so a deleted key (ig_steps) is named as unknown.

@@ -32,7 +32,10 @@ def reference_forward(layer_sizes, values, x):
 
 
 def reference_param_gradients(layer_sizes, values, x, y):
-    """2-D backprop of the batch-mean squared error; bias gradients are delta.sum(axis=0)."""
+    """2-D backprop of the batch-mean squared error in the (fan, B) orientation.
+
+    Activations are (fan, B); bias gradients are delta.sum(axis=1).
+    """
     layers, offset = [], 0
     for n_in, n_out in zip(layer_sizes[:-1], layer_sizes[1:]):
         w = values[offset:offset + n_in * n_out].reshape(n_in, n_out)
@@ -40,17 +43,17 @@ def reference_param_gradients(layer_sizes, values, x, y):
         layers.append((w, values[offset:offset + n_out]))
         offset += n_out
     inputs, zs = [], []
-    a = x
+    a = x.T
     for i, (w, b) in enumerate(layers):
         inputs.append(a)
-        zs.append(a @ w + b)
+        zs.append(w.T @ a + b[:, None])
         a = zs[-1] if i == len(layers) - 1 else np.maximum(zs[-1], 0.0)
-    delta = ((2.0 / y.shape[0]) * (zs[-1][:, 0] - y))[:, None]
+    delta = ((2.0 / y.shape[0]) * (zs[-1][0] - y))[None, :]
     chunks = []
     for i in range(len(layers) - 1, -1, -1):
-        chunks[:0] = [(inputs[i].T @ delta).reshape(-1), delta.sum(axis=0)]
+        chunks[:0] = [(inputs[i] @ delta.T).reshape(-1), delta.sum(axis=1)]
         if i > 0:
-            delta = (delta @ layers[i][0].T) * (zs[i - 1] > 0.0)
+            delta = (layers[i][0] @ delta) * (zs[i - 1] > 0.0)
     return np.concatenate(chunks)
 
 
@@ -202,15 +205,15 @@ class TestParamGradients:
 
 
     def test_bitwise_equal_to_two_dimensional_backprop(self, rng):
-        # The stacked kernel sums bias gradients over rows in row order, as
-        # delta.sum(axis=0) does on one network; numpy's reduction order is
-        # what this pins down, for width-1 and wider layers alike.
+        # The stacked kernel sums bias gradients over the contiguous batch axis,
+        # as delta.sum(axis=1) does on one (fan, B) network; numpy's reduction
+        # order is what this pins down, for width-1 and wider layers alike.
         for _ in range(40):
             hidden = rng.integers(1, 9, size=int(rng.integers(1, 4)))
             layer_sizes = (3, *(int(h) for h in hidden), 1)
             spec = NetworkSpec(layer_sizes)
             p = ModelParams(rng.normal(0, 0.8, spec.param_count), spec)
-            for batch in (1, 2, 32, 50):
+            for batch in (1, 2, 32, 50, 800):
                 xs = rng.uniform(0, 1, (batch, 3))
                 ys = rng.uniform(0, 1, batch)
                 expected = reference_param_gradients(layer_sizes, p.values, xs, ys)
