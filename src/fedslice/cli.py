@@ -45,7 +45,6 @@ _CONFIG_ERRORS = (
     DataParseError,
     GenerationError,
     FileNotFoundError,
-    json.JSONDecodeError,
 )
 
 
@@ -63,6 +62,14 @@ def _parse_override(text: str) -> tuple[str, object]:
     return key, value
 
 
+def _read_json(path: str | Path):
+    """The parsed contents of a JSON file; malformed JSON is a ConfigError naming the file."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
 def _load_config(config_path: str | None, overrides: list[str],
                  policies_flag: str | None) -> tuple[dict, list[str]]:
     """Merge file config and overrides; returns (raw config dict, policies).
@@ -71,8 +78,7 @@ def _load_config(config_path: str | None, overrides: list[str],
     """
     raw: dict = {}
     if config_path is not None:
-        text = Path(config_path).read_text()
-        loaded = json.loads(text)
+        loaded = _read_json(config_path)
         if not isinstance(loaded, dict):
             raise ConfigError(f"{config_path}: top-level config must be an object")
         raw.update(loaded)
@@ -86,7 +92,7 @@ def _load_config(config_path: str | None, overrides: list[str],
     if not (isinstance(policies, str) or isinstance(policies, list)
             and all(isinstance(p, str) for p in policies)):
         raise ConfigError(f"policies must be a string or a list of strings, got {policies!r}")
-    if policies_flag:
+    if policies_flag is not None:
         policies = policies_flag
     if isinstance(policies, str):
         policies = [p.strip() for p in policies.split(",") if p.strip()]
@@ -228,7 +234,7 @@ def _checked_profile(path: str, index: int, entry) -> NonIidProfile:
 
 def _load_profiles(path: str) -> tuple[list[NonIidProfile], dict]:
     """Read a gen-data profile file; a bad value exits 2 naming the file and key."""
-    spec = json.loads(Path(path).read_text())
+    spec = _read_json(path)
     if not isinstance(spec, dict):
         raise ConfigError(f"{path}: profile file must be a JSON object")
     known = {"n_clients", "samples_per_client", "seed", "slices", "profiles"}
@@ -296,9 +302,15 @@ def _load_run_dir(path: Path) -> tuple[dict, dict]:
     manifest_path = path / MANIFEST_NAME
     if not manifest_path.exists():
         raise ConfigError(f"{path}: no {MANIFEST_NAME} found")
-    manifest = json.loads(manifest_path.read_text())
-    summary = json.loads((path / "summary.json").read_text())
-    metrics_mod.validate_summary(summary)
+    manifest = _read_json(manifest_path)
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("seed"), int):
+        raise ConfigError(f"{manifest_path}: must be an object with an integer 'seed'")
+    summary_path = path / "summary.json"
+    summary = _read_json(summary_path)
+    try:
+        metrics_mod.validate_summary(summary)
+    except ValueError as exc:
+        raise ConfigError(f"{summary_path}: {exc}") from None
     return manifest, summary
 
 

@@ -158,6 +158,19 @@ class ClientDataset:
         return self.scaled_features[self.attribution_indices[:count]]
 
 
+def train_rows(n: int, train_fraction: float) -> int:
+    """Rows of the chronological train split of an `n`-row dataset.
+
+    `round(n * train_fraction)`, kept to at least one row and leaving at
+    least one test row.
+    """
+    if n < 2:
+        raise ConfigError("a dataset needs at least 2 rows to split")
+    if not 0.0 < train_fraction < 1.0:
+        raise ConfigError(f"train_fraction must be in (0, 1), got {train_fraction}")
+    return min(max(int(round(n * train_fraction)), 1), n - 1)
+
+
 def make_dataset(
     client_id: int,
     slice_name: str,
@@ -171,13 +184,7 @@ def make_dataset(
     targets = np.ascontiguousarray(targets, dtype=np.float64).reshape(-1)
     if features.ndim != 2 or features.shape[0] != targets.shape[0]:
         raise ConfigError("features and targets must have matching row counts")
-    n = features.shape[0]
-    if n < 2:
-        raise ConfigError("a dataset needs at least 2 rows to split")
-    if not 0.0 < train_fraction < 1.0:
-        raise ConfigError(f"train_fraction must be in (0, 1), got {train_fraction}")
-
-    n_train = min(max(int(round(n * train_fraction)), 1), n - 1)
+    n_train = train_rows(features.shape[0], train_fraction)
     scaler = MinMaxScaler.fit(features[:n_train], targets[:n_train])
     return ClientDataset(
         client_id=client_id,

@@ -29,6 +29,7 @@ from .data import (
     default_profiles,
     generate_client,
     slice_by_name,
+    train_rows,
 )
 from .errors import ConfigError, NumericError
 from .nn import (
@@ -141,12 +142,13 @@ class ExperimentConfig:
         if len(set(self.slices)) != len(self.slices):
             raise ConfigError(f"slices must not repeat a name, got {list(self.slices)}")
         # Under data_dir the train splits come from the files, which ingestion checks.
-        max_pool = max(int(round(self.samples_per_client * self.train_fraction)), 1)
-        if self.data_dir is None and self.attribution_samples > max_pool:
-            raise ConfigError(
-                f"attribution_samples ({self.attribution_samples}) exceeds the "
-                f"train split size ({max_pool})"
-            )
+        if self.data_dir is None:
+            pool = train_rows(self.samples_per_client, self.train_fraction)
+            if self.attribution_samples > pool:
+                raise ConfigError(
+                    f"attribution_samples ({self.attribution_samples}) exceeds the "
+                    f"train split size ({pool})"
+                )
 
     @property
     def network_spec(self) -> NetworkSpec:

@@ -24,31 +24,12 @@ from .selection import POLICIES, POLICY_NO_POLICY, POLICY_SCORE
 SUMMARY_SCHEMA_VERSION = 1
 ROUNDS_HEADER = ("round", "mse", "cum_time_ms", "selected_ids", "params_transmitted")
 SELECTED_IDS_SEP = ";"
+# Relative MSE margin above the final round's within which a round counts as converged.
+CONVERGENCE_TOLERANCE = 0.05
 
 
 def _fmt(value: float) -> str:
     return f"{float(value):.17g}"
-
-
-def per_round_comm(policy: str, n_clients: int, n_selected: int, n_features: int,
-                   param_count: int) -> tuple[int, int]:
-    """(downlink, uplink) single-float parameters exchanged in one round.
-
-    All policies broadcast the global model to every client. Only selected
-    clients upload weights under the attribution policies; the all-clients
-    baseline uploads everyone's. Attribution policies upload one importance
-    value per client per feature; the score baseline additionally uploads one
-    score per client and broadcasts the global importance vector.
-    """
-    if policy not in POLICIES:
-        raise ConfigError(f"unknown policy {policy!r}")
-    downlink = n_clients * param_count
-    if policy == POLICY_NO_POLICY:
-        return downlink, n_clients * param_count
-    uplink = n_selected * param_count + n_clients * n_features
-    if policy == POLICY_SCORE:
-        return downlink + n_features, uplink + n_clients
-    return downlink, uplink
 
 
 @dataclass(frozen=True)
@@ -79,7 +60,22 @@ class CommLedger:
 
 def comm_cost(policy: str, n_clients: int, n_selected: int, n_features: int,
               param_count: int, n_rounds: int) -> CommLedger:
-    downlink, uplink = per_round_comm(policy, n_clients, n_selected, n_features, param_count)
+    """Single-float parameters exchanged per round, and over `n_rounds`, under `policy`.
+
+    All policies broadcast the global model to every client. Only selected
+    clients upload weights under the attribution policies; the all-clients
+    baseline uploads everyone's. Attribution policies upload one importance
+    value per client per feature; the score baseline additionally uploads one
+    score per client and broadcasts the global importance vector.
+    """
+    if policy not in POLICIES:
+        raise ConfigError(f"unknown policy {policy!r}")
+    downlink = n_clients * param_count
+    if policy == POLICY_NO_POLICY:
+        return CommLedger(policy, n_rounds, downlink, n_clients * param_count)
+    uplink = n_selected * param_count + n_clients * n_features
+    if policy == POLICY_SCORE:
+        return CommLedger(policy, n_rounds, downlink + n_features, uplink + n_clients)
     return CommLedger(policy, n_rounds, downlink, uplink)
 
 
@@ -143,11 +139,11 @@ def slice_provisioning(params: ModelParams, datasets) -> ProvisioningReport:
     )
 
 
-def convergence_round(mses: list[float], tolerance: float = 0.05) -> int:
-    """First round whose MSE is within `tolerance` of the final round's MSE."""
+def convergence_round(mses: list[float]) -> int:
+    """First round whose MSE is within `CONVERGENCE_TOLERANCE` of the final round's MSE."""
     if not mses:
         raise ValueError("cannot locate convergence in an empty MSE series")
-    threshold = mses[-1] * (1.0 + tolerance)
+    threshold = mses[-1] * (1.0 + CONVERGENCE_TOLERANCE)
     for t, mse in enumerate(mses):
         if mse <= threshold:
             return t
@@ -248,6 +244,8 @@ def build_summary(config_echo: dict, runs, ledgers: list[CommLedger],
 
 def validate_summary(summary: dict) -> None:
     """Raise ValueError when a summary does not match the documented schema."""
+    if not isinstance(summary, dict):
+        raise ValueError("summary must be a JSON object")
     if summary.get("schema_version") != SUMMARY_SCHEMA_VERSION:
         raise ValueError(f"summary schema_version must be {SUMMARY_SCHEMA_VERSION}")
     for key, kind in (("config", dict), ("comm_model", dict), ("slices", dict),

@@ -90,9 +90,6 @@ class ModelParams:
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
 
 def _layer_views(
     buf: np.ndarray, spec: NetworkSpec, n_networks: int

@@ -80,18 +80,14 @@ def apportion(tau: np.ndarray, m: int) -> np.ndarray:
     return quotas
 
 
-def select_clients(
-    chis: np.ndarray,
-    quotas: np.ndarray,
-    m: int,
-    client_ids: list[int] | None = None,
-) -> SelectionResult:
+def select_clients(chis: np.ndarray, quotas: np.ndarray, m: int) -> SelectionResult:
     """Fill each feature's quota with its top-attributing unclaimed clients.
 
-    Features are processed in descending global-importance order, so the most
-    important feature picks first. A client can be claimed only once; when a
-    top-ranked client is already taken, the slot falls to the next rank. All
-    ties break toward the lower index (feature or client id).
+    Client ids are the row indices of `chis`. Features are processed in
+    descending global-importance order, so the most important feature picks
+    first. A client can be claimed only once; when a top-ranked client is
+    already taken, the slot falls to the next rank. All ties break toward the
+    lower index (feature or client id).
     """
     chis = _validate_matrix(chis)
     n_clients, n_features = chis.shape
@@ -100,9 +96,6 @@ def select_clients(
     quotas = np.asarray(quotas, dtype=int).reshape(-1)
     if quotas.shape[0] != n_features or int(quotas.sum()) != m:
         raise ConfigError("quotas must cover every feature and sum to m")
-    ids = list(range(n_clients)) if client_ids is None else list(client_ids)
-    if len(ids) != n_clients:
-        raise ConfigError("client_ids must match the attribution matrix rows")
 
     tau = aggregate_importance(chis)
     feature_order = sorted(range(n_features), key=lambda f: (-tau[f], f))
@@ -110,15 +103,15 @@ def select_clients(
     taken: set[int] = set()
     picks: list[SelectionAudit] = []
     for f in feature_order:
-        ranked = sorted(range(n_clients), key=lambda k: (-chis[k, f], ids[k]))
+        ranked = sorted(range(n_clients), key=lambda k: (-chis[k, f], k))
         needed = int(quotas[f])
         for k in ranked:
             if needed == 0:
                 break
-            if ids[k] in taken:
+            if k in taken:
                 continue
-            taken.add(ids[k])
-            picks.append(SelectionAudit(ids[k], f, float(chis[k, f])))
+            taken.add(k)
+            picks.append(SelectionAudit(k, f, float(chis[k, f])))
             needed -= 1
     return SelectionResult(
         selected=tuple(p.client_id for p in picks),

@@ -134,8 +134,8 @@ def test_criterion_4_selection_determinism_and_equivariance(rng):
         q = apportion(aggregate_importance(matrix), 4)
         plain = select_clients(matrix, q, 4)
         perm = rng.permutation(8)
-        permuted = select_clients(matrix[perm], q, 4, client_ids=[int(p) for p in perm])
-        equivariant &= sorted(plain.selected) == sorted(permuted.selected)
+        permuted = select_clients(matrix[perm], q, 4)
+        equivariant &= sorted(plain.selected) == sorted(int(perm[k]) for k in permuted.selected)
     report(4, deterministic and equivariant,
            "selection identical across 100 reruns and equivariant under id permutation")
 

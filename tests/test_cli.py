@@ -83,10 +83,14 @@ class TestRun:
         assert run_cli("run", "--config", tmp_path / "nope.json",
                        "--out", tmp_path / "o") == 2
 
-    def test_malformed_json_is_exit_2(self, tmp_path):
+    def test_malformed_json_is_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert run_cli("run", "--config", bad, "--out", tmp_path / "o") == 2
+        assert f"{bad}: Expecting property name" in capsys.readouterr().err
+        assert run_cli("gen-data", "--profiles", bad, "--out", tmp_path / "d") == 2
+        assert f"{bad}: Expecting property name" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists() and not (tmp_path / "d").exists()
 
     def test_policy_subset_flag(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -103,9 +107,11 @@ class TestRun:
 
     def test_empty_policy_list_is_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
-        assert run_cli("run", "--config", cfg, "--out", tmp_path / "o",
-                       "--policies", ",") == 2
-        assert "at least one policy" in capsys.readouterr().err
+        for policies in (",", ""):
+            assert run_cli("run", "--config", cfg, "--out", tmp_path / "o",
+                           "--policies", policies) == 2
+            assert "at least one policy" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("where", ["override", "config file"])
     def test_policy_key_is_exit_2_pointing_to_policies(self, tmp_path, capsys, where):
@@ -152,6 +158,16 @@ class TestRun:
         assert run_cli("run", "--config", write_config(tmp_path), "--out", tmp_path / "o",
                        "--policies", "no_policy", "--override", override) == 2
         assert override.split("=")[0] in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_attribution_pool_beyond_train_rows_is_exit_2(self, tmp_path, capsys):
+        # round(10 * 0.99) is 10 rows, but one row is always kept for testing.
+        assert run_cli("run", "--out", tmp_path / "o",
+                       "--override", "samples_per_client=10", "--override", "train_fraction=0.99",
+                       "--override", "attribution_samples=10", "--override", "n_clients=2",
+                       "--override", "n_selected=1", "--override", "n_rounds=1",
+                       "--override", 'slices=["eMBB"]') == 2
+        assert "attribution_samples (10) exceeds the train split size (9)" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_runtime_failure_maps_to_exit_3(self, tmp_path, monkeypatch):
@@ -439,11 +455,29 @@ class TestCompare:
         assert run_cli("compare", out_a, out_b) == 2
         assert "seed" in capsys.readouterr().err
 
-    def test_directory_without_manifest_exit_2(self, tmp_path):
+    def test_directory_without_manifest_exit_2(self, tmp_path, capsys):
         out = self.make_run(tmp_path, "ok", ["intelliselect"])
         empty = tmp_path / "empty"
         empty.mkdir()
         assert run_cli("compare", out, empty) == 2
+        assert f"{empty}: no manifest.json found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, text, message", [
+        ("manifest.json", "{not json", "Expecting property name"),
+        ("manifest.json", "[]", "integer 'seed'"),
+        ("summary.json", "{not json", "Expecting property name"),
+        ("summary.json", "[]", "must be a JSON object"),
+        ("summary.json", '{"schema_version": 2}', "schema_version must be 1"),
+    ], ids=["manifest-malformed", "manifest-list", "summary-malformed", "summary-list",
+            "summary-schema"])
+    def test_bad_run_dir_json_is_exit_2_naming_file(self, tmp_path, capsys, name, text,
+                                                    message):
+        run_dir = self.make_run(tmp_path, "run", ["intelliselect"])
+        (run_dir / name).write_text(text)
+        assert run_cli("compare", run_dir, run_dir, "--out", tmp_path / "cmp.csv") == 2
+        err = capsys.readouterr().err
+        assert f"{run_dir / name}: " in err and message in err
+        assert not (tmp_path / "cmp.csv").exists()
 
 
 class TestParsing:

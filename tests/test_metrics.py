@@ -13,7 +13,6 @@ from fedslice.metrics import (
     build_summary,
     comm_cost,
     convergence_round,
-    per_round_comm,
     persist,
     provisioning_report,
     slice_provisioning,
@@ -26,9 +25,10 @@ from fedslice.nn import ModelParams, NetworkSpec
 class TestCommCost:
     def test_default_scenario_counts(self):
         # K=10, m=5, F=3, 23 parameters.
-        assert per_round_comm("no_policy", 10, 5, 3, 23) == (230, 230)
-        assert per_round_comm("intelliselect", 10, 5, 3, 23) == (230, 145)
-        assert per_round_comm("score", 10, 5, 3, 23) == (233, 155)
+        for policy, expected in (("no_policy", (230, 230)), ("intelliselect", (230, 145)),
+                                 ("score", (233, 155))):
+            ledger = comm_cost(policy, 10, 5, 3, 23, 1)
+            assert (ledger.downlink_per_round, ledger.uplink_per_round) == expected
 
     def test_single_round_totals(self):
         no_policy = comm_cost("no_policy", 10, 5, 3, 23, 1)
@@ -65,7 +65,7 @@ class TestCommCost:
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ConfigError):
-            per_round_comm("random", 10, 5, 3, 23)
+            comm_cost("random", 10, 5, 3, 23, 1)
 
 
 def identity_scaler():
@@ -198,8 +198,9 @@ class TestPersistence:
         runs = run_experiment(cfg, policies, build_datasets(cfg))
         paths = persist(tmp_path, runs, ledgers, {}, cfg.to_dict())
         for policy in policies:
-            expected = sum(per_round_comm(policy, cfg.n_clients, cfg.n_selected,
-                                          spec.n_features, spec.param_count))
+            ledger = comm_cost(policy, cfg.n_clients, cfg.n_selected,
+                               spec.n_features, spec.param_count, cfg.n_rounds)
+            expected = ledger.downlink_per_round + ledger.uplink_per_round
             rows = read_rounds_csv(paths[f"rounds_eMBB_{policy}"])
             assert [r["params_transmitted"] for r in rows] == [expected] * cfg.n_rounds
 

@@ -102,8 +102,8 @@ class TestSelectClients:
             base = select_clients(chi, quotas, 4)
 
             perm = rng.permutation(7)
-            permuted = select_clients(chi[perm], quotas, 4, client_ids=[int(p) for p in perm])
-            assert sorted(base.selected) == sorted(permuted.selected)
+            permuted = select_clients(chi[perm], quotas, 4)
+            assert sorted(base.selected) == sorted(int(perm[k]) for k in permuted.selected)
 
     def test_always_m_distinct_ids(self, rng):
         for _ in range(50):
