@@ -20,7 +20,7 @@ from pathlib import Path
 from . import __version__
 from . import metrics as metrics_mod
 from .data import SLICES, NonIidProfile, default_profiles, generate_client_table, ingest_csv, slice_by_name, write_client_csv
-from .errors import ConfigError, DataParseError, DataSchemaError, GenerationError
+from .errors import ConfigError
 from .federation import (
     DEFAULT_SLICE_NAMES,
     ExperimentConfig,
@@ -39,13 +39,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
-_CONFIG_ERRORS = (
-    ConfigError,
-    DataSchemaError,
-    DataParseError,
-    GenerationError,
-    FileNotFoundError,
-)
+_CONFIG_ERRORS = (ConfigError, FileNotFoundError)
 
 
 def _parse_override(text: str) -> tuple[str, object]:
@@ -120,11 +114,10 @@ def _ingest_datasets(cfg: ExperimentConfig) -> dict[str, list]:
     datasets: dict[str, list] = {}
     for name, slice_paths in paths.items():
         spec = slice_by_name(name)
-        slice_index = DEFAULT_SLICE_NAMES.index(name)
         rows = []
         for k, path in enumerate(slice_paths):
             ds = ingest_csv(path, spec, client_id=k,
-                            seed=client_seed(cfg.seed, slice_index, k),
+                            seed=client_seed(cfg.seed, name, k),
                             train_fraction=cfg.train_fraction)
             pool = ds.attribution_indices.shape[0]
             if pool < cfg.attribution_samples:
@@ -228,7 +221,7 @@ def _checked_profile(path: str, index: int, entry) -> NonIidProfile:
         values[name] = float(value) if f.type == "float" else value
     try:
         return NonIidProfile(**values)
-    except GenerationError as exc:
+    except ConfigError as exc:
         raise ConfigError(f"{where}.{exc}") from None
 
 
@@ -288,9 +281,8 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     count = 0
     for name in meta["slices"]:
         spec = slice_by_name(name)
-        slice_index = DEFAULT_SLICE_NAMES.index(name)
         for profile in profiles:
-            seed = client_seed(meta["seed"], slice_index, profile.client_id)
+            seed = client_seed(meta["seed"], name, profile.client_id)
             table = generate_client_table(profile, spec, meta["samples_per_client"], seed)
             write_client_csv(table, out_dir / f"client{profile.client_id:02d}_{name}.csv")
             count += 1
@@ -330,11 +322,15 @@ def _summary_rows(dir_name: str, summary: dict) -> list[dict]:
     return rows
 
 
+_DELTA_FIELDS = ("final_mse", "convergence_round", "cum_time_ms", "total_comm_params")
+
+
 def _pair_deltas(base_rows: list[dict], other_rows: list[dict]) -> list[dict]:
     """Per-slice metric deltas between two runs.
 
     Rows pair by (slice, policy) when both runs share policies; single-policy
-    runs pair across policy names so baselines can be compared directly.
+    runs pair across policy names so baselines can be compared directly. A
+    delta is null when either side is null (a run of zero rounds).
     """
     deltas = []
     slices = sorted({r["slice"] for r in base_rows} & {r["slice"] for r in other_rows})
@@ -353,15 +349,11 @@ def _pair_deltas(base_rows: list[dict], other_rows: list[dict]) -> list[dict]:
         else:
             continue
         for b, o in pairs:
-            deltas.append({
-                "slice": slice_name,
-                "base_policy": b["policy"],
-                "other_policy": o["policy"],
-                "final_mse_delta": o["final_mse"] - b["final_mse"],
-                "convergence_round_delta": o["convergence_round"] - b["convergence_round"],
-                "cum_time_ms_delta": o["cum_time_ms"] - b["cum_time_ms"],
-                "total_comm_params_delta": o["total_comm_params"] - b["total_comm_params"],
-            })
+            delta = {"slice": slice_name, "base_policy": b["policy"], "other_policy": o["policy"]}
+            for field in _DELTA_FIELDS:
+                delta[f"{field}_delta"] = (None if b[field] is None or o[field] is None
+                                           else o[field] - b[field])
+            deltas.append(delta)
     return deltas
 
 
@@ -394,8 +386,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if deltas:
         print("\ndeltas vs first run:")
         for d in deltas:
+            final = d["final_mse_delta"]
             print(f"  slice={d['slice']} {d['base_policy']} -> {d['other_policy']}: "
-                  f"final_mse {d['final_mse_delta']:+.6g}, "
+                  f"final_mse {'n/a' if final is None else format(final, '+.6g')}, "
                   f"comm_params {d['total_comm_params_delta']:+d}")
 
     out_path = Path(args.out)
@@ -406,9 +399,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
             for r in rows:
                 writer.writerow([r[h] for h in header])
         writer.writerow([])
-        delta_header = ["slice", "base_policy", "other_policy", "final_mse_delta",
-                        "convergence_round_delta", "cum_time_ms_delta",
-                        "total_comm_params_delta"]
+        delta_header = ["slice", "base_policy", "other_policy",
+                        *(f"{field}_delta" for field in _DELTA_FIELDS)]
         writer.writerow(delta_header)
         for d in deltas:
             writer.writerow([d[h] for h in delta_header])

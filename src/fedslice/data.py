@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataParseError, DataSchemaError, GenerationError
+from .errors import ConfigError
 
 OTT_COLUMNS = (
     "Apple",
@@ -203,7 +203,7 @@ def make_dataset(
 class NonIidProfile:
     """Generative knobs that make one synthetic client's data distinct.
 
-    Construction raises GenerationError unless `traffic_scale` is positive and
+    Construction raises ConfigError unless `traffic_scale` is positive and
     `noise_level` is non-negative, so every profile can generate data.
     """
 
@@ -219,9 +219,9 @@ class NonIidProfile:
         object.__setattr__(self, "mix_weights", tuple(float(w) for w in self.mix_weights))
         # Messages start with the field name, so callers can prefix where it came from.
         if not self.traffic_scale > 0.0:
-            raise GenerationError(f"traffic_scale must be positive, got {self.traffic_scale!r}")
+            raise ConfigError(f"traffic_scale must be positive, got {self.traffic_scale!r}")
         if not self.noise_level >= 0.0:
-            raise GenerationError(f"noise_level cannot be negative, got {self.noise_level!r}")
+            raise ConfigError(f"noise_level cannot be negative, got {self.noise_level!r}")
 
 
 def default_profiles(n_clients: int, seed: int) -> list[NonIidProfile]:
@@ -274,7 +274,7 @@ def generate_client_table(
     noise, clipped to [0, 100].
     """
     if n_samples < 2:
-        raise GenerationError("need at least 2 samples per client")
+        raise ConfigError("need at least 2 samples per client")
 
     rng, _ = _split_seed(seed)
     hours = np.arange(n_samples)
@@ -336,17 +336,23 @@ def generate_client(
     )
 
 
-def write_client_csv(table: dict[str, np.ndarray], path: str | Path) -> None:
-    """Write a full column table in the canonical CSV schema.
+def write_csv(path: str | Path, header, row_format: str, rows) -> None:
+    """Write `header`, then one `row_format % row` line per row tuple, CRLF-ended.
 
-    The header lists `CSV_COLUMNS` in order, every cell is a `%.17g` float
-    and lines end with CRLF, as `csv.writer` would write them.
+    Nothing is quoted, so no cell may hold a comma, a quote or a line break;
+    the bytes are then those `csv.writer` writes.
     """
-    rows = np.column_stack([np.asarray(table[c], dtype=np.float64) for c in CSV_COLUMNS])
-    row_format = ",".join(["%.17g"] * len(CSV_COLUMNS)) + "\r\n"
+    row_format += "\r\n"
     with Path(path).open("w", newline="") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\r\n")
-        fh.writelines(row_format % tuple(row) for row in rows.tolist())
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(row_format % row for row in rows)
+
+
+def write_client_csv(table: dict[str, np.ndarray], path: str | Path) -> None:
+    """Write a full column table in the canonical CSV schema, `%.17g` floats."""
+    rows = np.column_stack([np.asarray(table[c], dtype=np.float64) for c in CSV_COLUMNS])
+    write_csv(path, CSV_COLUMNS, ",".join(["%.17g"] * len(CSV_COLUMNS)),
+              map(tuple, rows.tolist()))
 
 
 def read_table_csv(path: str | Path) -> dict[str, np.ndarray]:
@@ -362,10 +368,10 @@ def read_table_csv(path: str | Path) -> dict[str, np.ndarray]:
         try:
             header = next(reader)
         except StopIteration:
-            raise DataSchemaError(f"{path}: file is empty") from None
+            raise ConfigError(f"{path}: file is empty") from None
         missing = [c for c in CSV_COLUMNS if c not in header]
         if missing:
-            raise DataSchemaError(f"{path}: missing column(s) {', '.join(missing)}")
+            raise ConfigError(f"{path}: missing column(s) {', '.join(missing)}")
         col_pos = {c: header.index(c) for c in CSV_COLUMNS}
         records = list(reader)
     rows = [row for row in records if row]
@@ -376,23 +382,19 @@ def read_table_csv(path: str | Path) -> dict[str, np.ndarray]:
         }
     except (IndexError, ValueError):
         raise _first_bad_cell(path, records, col_pos) from None
-    blank_rows = [number for number, row in enumerate(records, start=2) if not row]
     for col, values in table.items():
         finite = np.isfinite(values)
         if not finite.all():
             index = int(np.argmin(finite))
-            row_number = index + 2
-            for blank in blank_rows:
-                if blank <= row_number:
-                    row_number += 1
-            raise DataParseError(
+            row_number = [number for number, row in enumerate(records, start=2) if row][index]
+            raise ConfigError(
                 f"{path}: row {row_number}, column {col!r}: non-finite value {values[index]}"
             )
     return table
 
 
 def _first_bad_cell(path: Path, records: list[list[str]],
-                    col_pos: dict[str, int]) -> DataParseError:
+                    col_pos: dict[str, int]) -> ConfigError:
     """The error naming the first short or unparseable cell in row-major order."""
     for row_number, row in enumerate(records, start=2):
         if not row:
@@ -402,7 +404,7 @@ def _first_bad_cell(path: Path, records: list[list[str]],
             try:
                 float(cell)
             except ValueError:
-                return DataParseError(
+                return ConfigError(
                     f"{path}: row {row_number}, column {col!r}: cannot parse {cell!r}"
                 )
     raise AssertionError(f"{path}: no bad cell found after a failed parse")
@@ -419,4 +421,8 @@ def ingest_csv(
     table = read_table_csv(path)
     features, targets = aggregate_table(table, slice_spec)
     _, shuffle_rng = _split_seed(seed)
-    return make_dataset(client_id, slice_spec.name, features, targets, shuffle_rng, train_fraction)
+    try:
+        return make_dataset(client_id, slice_spec.name, features, targets, shuffle_rng,
+                            train_fraction)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None

@@ -2,19 +2,7 @@
 
 
 class ConfigError(ValueError):
-    """Invalid configuration: bad dimensions, out-of-range knobs, unknown keys."""
-
-
-class DataSchemaError(ValueError):
-    """A dataset file does not match the expected column schema."""
-
-
-class DataParseError(ValueError):
-    """A dataset file contains a cell that cannot be parsed."""
-
-
-class GenerationError(ValueError):
-    """A synthetic-data profile is degenerate and cannot produce data."""
+    """Bad input (a config value, a profile, a dataset file); the CLI exits 2."""
 
 
 class NumericError(ArithmeticError):

@@ -209,8 +209,9 @@ class SliceRun:
         return self.records[-1].global_params if self.records else self.initial_params
 
 
-def client_seed(seed: int, slice_index: int, client_id: int) -> int:
+def client_seed(seed: int, slice_name: str, client_id: int) -> int:
     """Stable per-(slice, client) generator seed derived from the run seed."""
+    slice_index = DEFAULT_SLICE_NAMES.index(slice_name)
     return int(np.random.SeedSequence([seed, slice_index, client_id]).generate_state(1)[0])
 
 
@@ -232,13 +233,12 @@ def build_datasets(cfg: ExperimentConfig) -> dict[str, list[ClientDataset]]:
     out: dict[str, list[ClientDataset]] = {}
     for name in cfg.slices:
         spec = slice_by_name(name)
-        slice_index = DEFAULT_SLICE_NAMES.index(name)
         out[name] = [
             generate_client(
                 profiles[k],
                 spec,
                 cfg.samples_per_client,
-                client_seed(cfg.seed, slice_index, k),
+                client_seed(cfg.seed, name, k),
                 cfg.train_fraction,
             )
             for k in range(cfg.n_clients)

@@ -10,13 +10,13 @@ original CPU-percent units.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .data import write_csv
 from .errors import ConfigError
 from .nn import ModelParams, forward_batch
 from .selection import POLICIES, POLICY_NO_POLICY, POLICY_SCORE
@@ -26,10 +26,6 @@ ROUNDS_HEADER = ("round", "mse", "cum_time_ms", "selected_ids", "params_transmit
 SELECTED_IDS_SEP = ";"
 # Relative MSE margin above the final round's within which a round counts as converged.
 CONVERGENCE_TOLERANCE = 0.05
-
-
-def _fmt(value: float) -> str:
-    return f"{float(value):.17g}"
 
 
 @dataclass(frozen=True)
@@ -152,59 +148,40 @@ def convergence_round(mses: list[float]) -> int:
 
 def write_rounds_csv(path: Path, records, params_transmitted: int) -> None:
     """One row per round; `params_transmitted` is the policy's per-round link load."""
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ROUNDS_HEADER)
-        for r in records:
-            writer.writerow([
-                r.round_index,
-                _fmt(r.mse),
-                _fmt(r.cum_time_ms),
-                SELECTED_IDS_SEP.join(str(c) for c in r.selection.selected),
-                params_transmitted,
-            ])
+    write_csv(path, ROUNDS_HEADER, "%d,%.17g,%.17g,%s,%d", (
+        (r.round_index, r.mse, r.cum_time_ms,
+         SELECTED_IDS_SEP.join(str(c) for c in r.selection.selected), params_transmitted)
+        for r in records))
 
 
 def write_comm_ledger_csv(path: Path, ledgers: list[CommLedger]) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["policy", "round", "downlink_params", "uplink_params",
-                         "round_total", "cumulative_total"])
-        for ledger in ledgers:
-            for row in ledger.rows():
-                writer.writerow([ledger.policy, *row])
+    write_csv(path, ("policy", "round", "downlink_params", "uplink_params", "round_total",
+                     "cumulative_total"), "%s,%d,%d,%d,%d,%d",
+              ((ledger.policy, *row) for ledger in ledgers for row in ledger.rows()))
 
 
 def write_attributions_csv(path: Path, chi_rounds: list[np.ndarray]) -> None:
     n_features = chi_rounds[0].shape[1] if chi_rounds else 0
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["round", "client_id"] + [f"chi_{f}" for f in range(n_features)])
-        for t, chi in enumerate(chi_rounds):
-            for k in range(chi.shape[0]):
-                writer.writerow([t, k] + [_fmt(v) for v in chi[k]])
+    write_csv(path, ["round", "client_id"] + [f"chi_{f}" for f in range(n_features)],
+              "%d,%d" + ",%.17g" * n_features,
+              ((t, k, *row) for t, chi in enumerate(chi_rounds)
+               for k, row in enumerate(chi.tolist())))
 
 
 def write_selection_csv(path: Path, selections) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["round", "client_id", "selected_by_feature", "chi_value"])
-        for t, sel in enumerate(selections):
-            for audit in sel.audit:
-                writer.writerow([t, audit.client_id, audit.feature, _fmt(audit.chi_value)])
+    write_csv(path, ("round", "client_id", "selected_by_feature", "chi_value"),
+              "%d,%d,%d,%.17g",
+              ((t, audit.client_id, audit.feature, audit.chi_value)
+               for t, sel in enumerate(selections) for audit in sel.audit))
 
 
 def write_provisioning_csv(path: Path, policy: str,
                            round_reports: list[tuple[int, ProvisioningReport]]) -> None:
-    # One format per row; the bytes are csv.writer's (policy names need no quoting).
-    with path.open("w", newline="") as fh:
-        fh.write("policy,round,client_id,sample_index,p_err\r\n")
-        for round_index, report in round_reports:
-            fh.writelines(
-                "%s,%d,%d,%d,%.17g\r\n" % (policy, round_index, cid, i, err)
-                for i, (cid, err) in enumerate(zip(report.client_ids.tolist(),
-                                                   report.errors.tolist()))
-            )
+    write_csv(path, ("policy", "round", "client_id", "sample_index", "p_err"),
+              "%s,%d,%d,%d,%.17g",
+              ((policy, round_index, cid, i, err) for round_index, report in round_reports
+               for i, (cid, err) in enumerate(zip(report.client_ids.tolist(),
+                                                  report.errors.tolist()))))
 
 
 def build_summary(config_echo: dict, runs, ledgers: list[CommLedger],
@@ -268,6 +245,9 @@ def validate_summary(summary: dict) -> None:
                 value = entry.get(field)
                 if value is not None and not isinstance(value, (int, float)):
                     raise ValueError(f"slice entry {field!r} must be numeric or null")
+            value = entry.get("convergence_round")
+            if value is not None and not isinstance(value, int):
+                raise ValueError("slice entry 'convergence_round' must be an int or null")
             if not isinstance(entry.get("total_comm_params"), int):
                 raise ValueError("slice entry 'total_comm_params' must be an int")
 

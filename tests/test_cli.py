@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 from pathlib import Path
 
@@ -404,10 +406,44 @@ class TestMalformedData:
         err = capsys.readouterr().err
         assert "client00_eMBB.csv: train split has 48 rows" in err
 
+    def test_one_row_file_is_exit_2_naming_it(self, tmp_path, capsys):
+        data_dir = self.generate(tmp_path, 20)
+        path = data_dir / "client01_eMBB.csv"
+        path.write_text("\n".join(path.read_text().splitlines()[:2]) + "\n")
+        assert self.run_on(tmp_path, data_dir) == 2
+        assert f"{path}: a dataset needs at least 2 rows" in capsys.readouterr().err
+
     def test_long_files_are_not_held_to_samples_per_client(self, tmp_path):
         data_dir = self.generate(tmp_path, 200)
         assert self.run_on(tmp_path, data_dir, samples_per_client=40,
                            attribution_samples=100) == 0
+
+
+class TestCsvBytes:
+    """The CSVs a run and gen-data write are the bytes Python's `csv` module writes."""
+
+    def test_every_csv_survives_a_csv_module_round_trip(self, tmp_path):
+        profiles = tmp_path / "profiles.json"
+        profiles.write_text(json.dumps({"n_clients": 1, "samples_per_client": 20,
+                                        "slices": ["SocialMedia"]}))
+        assert run_cli("gen-data", "--profiles", profiles, "--out", tmp_path / "data") == 0
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", write_config(tmp_path), "--out", out) == 0
+        paths = [tmp_path / "data" / "client00_SocialMedia.csv", *sorted(out.glob("*.csv"))]
+        assert {p.name.split("_")[0] for p in paths} == {
+            "client00", "rounds", "attributions", "selection", "comm", "provisioning"}
+        for path in paths:
+            text = path.read_bytes().decode()
+            rewritten = io.StringIO()
+            csv.writer(rewritten).writerows(csv.reader(io.StringIO(text, newline="")))
+            assert rewritten.getvalue() == text, path.name
+
+
+def string_convergence_round(text):
+    """A summary.json whose eMBB/intelliselect convergence round is a string."""
+    summary = json.loads(text)
+    summary["slices"]["eMBB"]["intelliselect"]["convergence_round"] = "x"
+    return json.dumps(summary)
 
 
 class TestCompare:
@@ -449,6 +485,15 @@ class TestCompare:
         assert len(delta_rows) == 1
         assert int(delta_rows[0].split(",")[6]) == expected
 
+    def test_zero_round_runs_give_empty_delta_cells(self, tmp_path, capsys):
+        out_a = self.make_run(tmp_path, "a", ["intelliselect"], n_rounds=0, slices=["eMBB"])
+        out_b = self.make_run(tmp_path, "b", ["intelliselect"], n_rounds=0, slices=["eMBB"])
+        csv_out = tmp_path / "cmp.csv"
+        assert run_cli("compare", out_a, out_b, "--out", csv_out) == 0
+        assert "final_mse n/a" in capsys.readouterr().out
+        rows = list(csv.reader(io.StringIO(csv_out.read_bytes().decode(), newline="")))
+        assert rows[-1] == ["eMBB", "intelliselect", "intelliselect", "", "", "0.0", "0"]
+
     def test_mismatched_seeds_exit_2(self, tmp_path, capsys):
         out_a = self.make_run(tmp_path, "s42", ["intelliselect"])
         out_b = self.make_run(tmp_path, "s43", ["intelliselect"], seed=43)
@@ -468,12 +513,15 @@ class TestCompare:
         ("summary.json", "{not json", "Expecting property name"),
         ("summary.json", "[]", "must be a JSON object"),
         ("summary.json", '{"schema_version": 2}', "schema_version must be 1"),
+        ("summary.json", string_convergence_round,
+         "'convergence_round' must be an int or null"),
     ], ids=["manifest-malformed", "manifest-list", "summary-malformed", "summary-list",
-            "summary-schema"])
+            "summary-schema", "summary-convergence-round"])
     def test_bad_run_dir_json_is_exit_2_naming_file(self, tmp_path, capsys, name, text,
                                                     message):
         run_dir = self.make_run(tmp_path, "run", ["intelliselect"])
-        (run_dir / name).write_text(text)
+        path = run_dir / name
+        path.write_text(text(path.read_text()) if callable(text) else text)
         assert run_cli("compare", run_dir, run_dir, "--out", tmp_path / "cmp.csv") == 2
         err = capsys.readouterr().err
         assert f"{run_dir / name}: " in err and message in err

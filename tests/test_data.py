@@ -19,7 +19,7 @@ from fedslice.data import (
     slice_by_name,
     write_client_csv,
 )
-from fedslice.errors import ConfigError, DataParseError, DataSchemaError, GenerationError
+from fedslice.errors import ConfigError
 
 EMBB = slice_by_name("eMBB")
 
@@ -87,15 +87,15 @@ class TestGenerator:
         assert ks_statistic(a.features[:, 0], b.features[:, 0]) > 0.5
 
     def test_zero_scale_profile_rejected(self):
-        with pytest.raises(GenerationError):
+        with pytest.raises(ConfigError, match="traffic_scale must be positive"):
             generate_client(profile(traffic_scale=0.0), EMBB, 50, seed=1)
 
     def test_negative_noise_rejected(self):
-        with pytest.raises(GenerationError):
+        with pytest.raises(ConfigError, match="noise_level cannot be negative"):
             generate_client(profile(noise_level=-1.0), EMBB, 50, seed=1)
 
     def test_too_few_samples_rejected(self):
-        with pytest.raises(GenerationError):
+        with pytest.raises(ConfigError, match="need at least 2 samples"):
             generate_client(profile(), EMBB, 1, seed=1)
 
     def test_physical_ranges(self):
@@ -213,7 +213,7 @@ class TestCsv:
         cols = [c for c in CSV_COLUMNS if c != "CQI"]
         path = tmp_path / "client.csv"
         path.write_text(",".join(cols) + "\n" + ",".join("1" * len(cols)) + "\n")
-        with pytest.raises(DataSchemaError, match="CQI"):
+        with pytest.raises(ConfigError, match=r"client\.csv: missing column\(s\) CQI$"):
             ingest_csv(path, EMBB, client_id=0)
 
     def test_bad_cell_reports_row_number(self, tmp_path):
@@ -222,7 +222,7 @@ class TestCsv:
         bad = ",".join(["1"] * 10 + ["oops", "1", "1"])
         path = tmp_path / "client.csv"
         path.write_text(header + "\n" + good + "\n" + bad + "\n")
-        with pytest.raises(DataParseError, match="row 3"):
+        with pytest.raises(ConfigError, match=r"client\.csv: row 3, column 'CQI': cannot parse 'oops'"):
             ingest_csv(path, EMBB, client_id=0)
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
@@ -232,7 +232,7 @@ class TestCsv:
         bad = ",".join(["1"] * 10 + [cell, "1", "1"])
         path = tmp_path / "client.csv"
         path.write_text(header + "\n" + good + "\n\n" + bad + "\n")
-        with pytest.raises(DataParseError, match=r"client\.csv: row 4, column 'CQI'"):
+        with pytest.raises(ConfigError, match=r"client\.csv: row 4, column 'CQI'"):
             read_table_csv(path)
 
     def test_short_row_names_the_first_missing_column(self, tmp_path):
@@ -240,7 +240,7 @@ class TestCsv:
         path = tmp_path / "client.csv"
         path.write_text(header + "\n" + ",".join(["1"] * 13) + "\n"
                         + ",".join(["1"] * 11) + "\n")
-        with pytest.raises(DataParseError) as info:
+        with pytest.raises(ConfigError) as info:
             read_table_csv(path)
         assert str(info.value) == f"{path}: row 3, column 'MIMO_FI': cannot parse ''"
 
@@ -277,7 +277,7 @@ class TestCsv:
         bad = ",".join(["1"] * 12 + ["oops"])
         path = tmp_path / "client.csv"
         path.write_text(header + "\n" + good + "\n\n\n" + bad + "\n")
-        with pytest.raises(DataParseError) as info:
+        with pytest.raises(ConfigError) as info:
             read_table_csv(path)
         assert str(info.value) == f"{path}: row 5, column 'CPU_Load': cannot parse 'oops'"
 
@@ -288,7 +288,7 @@ class TestCsv:
         second = ",".join(["early"] + ["1"] * 12)
         path = tmp_path / "client.csv"
         path.write_text(header + "\n" + first + "\n" + second + "\n")
-        with pytest.raises(DataParseError) as info:
+        with pytest.raises(ConfigError) as info:
             read_table_csv(path)
         assert str(info.value) == f"{path}: row 2, column 'CPU_Load': cannot parse 'late'"
 
@@ -319,7 +319,7 @@ class TestCsv:
     def test_empty_file_is_schema_error(self, tmp_path):
         path = tmp_path / "client.csv"
         path.write_text("")
-        with pytest.raises(DataSchemaError):
+        with pytest.raises(ConfigError, match=r"client\.csv: file is empty"):
             ingest_csv(path, EMBB, client_id=0)
 
     def test_export_then_ingest_roundtrip(self, tmp_path):
