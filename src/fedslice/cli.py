@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import logging
 import sys
@@ -19,16 +18,10 @@ from pathlib import Path
 
 from . import __version__
 from . import metrics as metrics_mod
-from .data import SLICES, NonIidProfile, default_profiles, generate_client_table, ingest_csv, slice_by_name, write_client_csv
+from .data import (DataSpec, NonIidProfile, default_profiles, from_json, generate_client_table,
+                   ingest_csv, slice_by_name, write_client_csv)
 from .errors import ConfigError
-from .federation import (
-    DEFAULT_SLICE_NAMES,
-    ExperimentConfig,
-    SliceRun,
-    check_type,
-    client_seed,
-    run_experiment,
-)
+from .federation import ExperimentConfig, SliceRun, client_seed, run_experiment
 from .metrics import comm_cost, convergence_round, slice_provisioning
 from .selection import POLICIES, POLICY_INTELLISELECT
 
@@ -152,7 +145,7 @@ def _provisioning_rows(runs: list[SliceRun],
 
 def cmd_run(args: argparse.Namespace) -> int:
     raw, policies = _load_config(args.config, args.override, args.policies)
-    base = ExperimentConfig.from_dict(raw)
+    base = from_json(ExperimentConfig, raw, "config")
 
     out_dir = Path(args.out)
     started = datetime.now(timezone.utc).isoformat()
@@ -194,96 +187,43 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _checked_profile(path: str, index: int, entry) -> NonIidProfile:
-    """One explicit profile entry, checked field by field against NonIidProfile."""
-    where = f"{path}: profiles[{index}]"
-    if not isinstance(entry, dict):
-        raise ConfigError(f"{where} must be an object, got {entry!r}")
-    fields = {f.name: f for f in dataclasses.fields(NonIidProfile)}
-    unknown = sorted(set(entry) - set(fields))
-    if unknown:
-        raise ConfigError(f"{where}: unknown field(s): {', '.join(unknown)}")
-    values = {}
-    for name, f in fields.items():
-        if name not in entry:
-            if f.default is dataclasses.MISSING:
-                raise ConfigError(f"{where}: missing field '{name}'")
-            continue
-        value = entry[name]
-        check_type(f"{where}.{name}", value, f.type)
-        if f.type == "int":
-            if value < 0:
-                raise ConfigError(f"{where}.{name} must be non-negative, got {value}")
-        # Exact int/float comparison: NaN, infinities and integers past float range fail.
-        elif not all(-sys.float_info.max <= v <= sys.float_info.max
-                     for v in (value if isinstance(value, list) else [value])):
-            raise ConfigError(f"{where}.{name} must be finite, got {value!r}")
-        values[name] = float(value) if f.type == "float" else value
-    try:
-        return NonIidProfile(**values)
-    except ConfigError as exc:
-        raise ConfigError(f"{where}.{exc}") from None
+def _load_profiles(path: str) -> tuple[list[NonIidProfile], DataSpec]:
+    """Read a gen-data profile file; a bad value exits 2 naming the file and key.
 
-
-def _load_profiles(path: str) -> tuple[list[NonIidProfile], dict]:
-    """Read a gen-data profile file; a bad value exits 2 naming the file and key."""
-    spec = _read_json(path)
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{path}: profile file must be a JSON object")
-    known = {"n_clients", "samples_per_client", "seed", "slices", "profiles"}
-    unknown = sorted(set(spec) - known)
-    if unknown:
-        raise ConfigError(f"{path}: unknown profile key(s): {', '.join(unknown)}")
-    meta = {
-        "n_clients": spec.get("n_clients", 10),
-        "samples_per_client": spec.get("samples_per_client", 1000),
-        "seed": spec.get("seed", 42),
-        "slices": spec.get("slices", list(DEFAULT_SLICE_NAMES)),
-    }
-    for key, annotation in (("n_clients", "int"), ("samples_per_client", "int"),
-                            ("seed", "int"), ("slices", "tuple[str, ...]")):
-        check_type(f"{path}: {key}", meta[key], annotation)
-    n_clients = meta["n_clients"]
-    if n_clients < 1:
-        raise ConfigError(f"{path}: n_clients must be at least 1")
-    if meta["samples_per_client"] < 2:
-        raise ConfigError(f"{path}: samples_per_client must be at least 2")
-    if meta["seed"] < 0:
-        raise ConfigError(f"{path}: seed must be non-negative, got {meta['seed']}")
-    for name in meta["slices"]:
-        try:
-            slice_by_name(name)
-        except ConfigError as exc:
-            raise ConfigError(f"{path}: slices: {exc}") from None
-    if len(set(meta["slices"])) != len(meta["slices"]):
-        raise ConfigError(f"{path}: slices must not repeat a name, got {meta['slices']}; "
-                          "each slice writes its own files")
-    if "profiles" not in spec:
-        return default_profiles(n_clients, meta["seed"]), meta
-    if not isinstance(spec["profiles"], list):
-        raise ConfigError(f"{path}: profiles must be a list of objects, got {spec['profiles']!r}")
-    profiles = [_checked_profile(path, i, entry) for i, entry in enumerate(spec["profiles"])]
-    if len(profiles) != n_clients:
-        raise ConfigError(f"{path}: {len(profiles)} profiles for n_clients={n_clients}")
+    The file is a `DataSpec` object plus an optional `profiles` list with one
+    `NonIidProfile` object per client; without it the default profiles are used.
+    """
+    raw = _read_json(path)
+    explicit = isinstance(raw, dict) and "profiles" in raw
+    entries = raw.pop("profiles") if explicit else None
+    spec = from_json(DataSpec, raw, path)
+    if not explicit:
+        return default_profiles(spec.n_clients, spec.seed), spec
+    if not isinstance(entries, list):
+        raise ConfigError(f"{path}: profiles must be a list of objects, got {entries!r}")
+    profiles = [from_json(NonIidProfile, entry, f"{path}: profiles[{i}]")
+                for i, entry in enumerate(entries)]
+    if len(profiles) != spec.n_clients:
+        raise ConfigError(f"{path}: {len(profiles)} profiles for n_clients={spec.n_clients}")
     first_index: dict[int, int] = {}
     for i, profile in enumerate(profiles):
         first = first_index.setdefault(profile.client_id, i)
         if first != i:
-            raise ConfigError(f"{path}: profiles[{i}].client_id {profile.client_id} "
+            raise ConfigError(f"{path}: profiles[{i}]: client_id {profile.client_id} "
                               f"repeats profiles[{first}]; each client writes its own file")
-    return profiles, meta
+    return profiles, spec
 
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
-    profiles, meta = _load_profiles(args.profiles)
+    profiles, spec = _load_profiles(args.profiles)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     count = 0
-    for name in meta["slices"]:
-        spec = slice_by_name(name)
+    for name in spec.slices:
+        slice_spec = slice_by_name(name)
         for profile in profiles:
-            seed = client_seed(meta["seed"], name, profile.client_id)
-            table = generate_client_table(profile, spec, meta["samples_per_client"], seed)
+            seed = client_seed(spec.seed, name, profile.client_id)
+            table = generate_client_table(profile, slice_spec, spec.samples_per_client, seed)
             write_client_csv(table, out_dir / f"client{profile.client_id:02d}_{name}.csv")
             count += 1
     print(f"wrote {count} dataset file(s) to {out_dir}")

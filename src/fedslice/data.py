@@ -11,6 +11,8 @@ application; the slice traffic feature is the sum of the slice's columns.
 from __future__ import annotations
 
 import csv
+import dataclasses
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -62,6 +64,7 @@ SLICES = (
     SliceSpec("Browsing", ("Apple", "HTTPS", "QUIC")),
 )
 SLICE_BY_NAME = {s.name: s for s in SLICES}
+DEFAULT_SLICE_NAMES = tuple(SLICE_BY_NAME)
 
 
 def slice_by_name(name: str) -> SliceSpec:
@@ -69,6 +72,95 @@ def slice_by_name(name: str) -> SliceSpec:
         return SLICE_BY_NAME[name]
     except KeyError:
         raise ConfigError(f"unknown slice {name!r}, expected one of {sorted(SLICE_BY_NAME)}") from None
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    # Exact int/float comparison: NaN, infinities and integers past float range fail.
+    return ((_is_int(value) or isinstance(value, float))
+            and -sys.float_info.max <= value <= sys.float_info.max)
+
+
+# Each field annotation -> (value check, what the error says it must be).
+_FIELD_TYPES = {
+    "int": (_is_int, "an integer"),
+    "float": (_is_finite, "a finite number"),
+    "int | None": (lambda v: v is None or _is_int(v), "an integer or null"),
+    "str | None": (lambda v: v is None or isinstance(v, str), "a string or null"),
+    "tuple[int, ...]": (lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)),
+                        "a list of integers"),
+    "tuple[str, ...]": (lambda v: isinstance(v, (list, tuple))
+                        and all(isinstance(x, str) for x in v), "a list of strings"),
+    "tuple[float, float, float]": (lambda v: isinstance(v, (list, tuple)) and len(v) == 3
+                                   and all(map(_is_finite, v)), "a list of 3 finite numbers"),
+}
+
+
+def check_fields(record) -> None:
+    """Raise ConfigError naming the first field of a dataclass that does not fit its annotation.
+
+    Integers exclude bools and floats; a "float" is a finite int or float.
+    """
+    for f in dataclasses.fields(record):
+        value = getattr(record, f.name)
+        is_valid, kind = _FIELD_TYPES[f.type]
+        if not is_valid(value):
+            raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
+
+
+def from_json(cls, raw, where: str):
+    """`cls(**raw)` for a JSON object with no unknown or missing key; errors start with `where`.
+
+    Keys with defaults may be left out; `cls` checks the values itself.
+    """
+    try:
+        if not isinstance(raw, dict):
+            raise ConfigError(f"must be a JSON object, got {type(raw).__name__}")
+        fields = dataclasses.fields(cls)
+        unknown = sorted(set(raw) - {f.name for f in fields})
+        if unknown:
+            raise ConfigError(f"unknown key(s): {', '.join(unknown)}")
+        missing = [f.name for f in fields if f.name not in raw
+                   and f.default is dataclasses.MISSING]
+        if missing:
+            raise ConfigError(f"missing key(s): {', '.join(missing)}")
+        return cls(**raw)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+@dataclass(frozen=True)
+class DataSpec:
+    """The client population `run` and `gen-data` share: clients, rows, seed and slices."""
+
+    n_clients: int = 10
+    samples_per_client: int = 1000
+    seed: int = 42
+    slices: tuple[str, ...] = DEFAULT_SLICE_NAMES
+
+    def __post_init__(self) -> None:
+        check_fields(self)
+        object.__setattr__(self, "slices", tuple(self.slices))
+        if self.n_clients < 1:
+            raise ConfigError("n_clients must be at least 1")
+        # Past float range a row count cannot be split by a fraction.
+        if not (self.samples_per_client >= 2 and _is_finite(self.samples_per_client)):
+            raise ConfigError(
+                f"samples_per_client must be finite and at least 2, got {self.samples_per_client}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        if not self.slices:
+            raise ConfigError("slices must name at least one slice")
+        for name in self.slices:
+            try:
+                slice_by_name(name)
+            except ConfigError as exc:
+                raise ConfigError(f"slices: {exc}") from None
+        if len(set(self.slices)) != len(self.slices):
+            raise ConfigError(f"slices must not repeat a name, got {list(self.slices)}")
 
 
 @dataclass(frozen=True)
@@ -203,8 +295,10 @@ def make_dataset(
 class NonIidProfile:
     """Generative knobs that make one synthetic client's data distinct.
 
-    Construction raises ConfigError unless `traffic_scale` is positive and
-    `noise_level` is non-negative, so every profile can generate data.
+    Construction raises ConfigError, naming the field, unless every field
+    has its type, `client_id` is non-negative, `traffic_scale` is positive
+    and `noise_level` is non-negative, so every profile can generate data.
+    Numbers are stored as Python floats.
     """
 
     client_id: int
@@ -216,11 +310,16 @@ class NonIidProfile:
     diurnal_amplitude: float = 0.5
 
     def __post_init__(self) -> None:
+        check_fields(self)
+        for f in dataclasses.fields(self):
+            if f.type == "float":
+                object.__setattr__(self, f.name, float(getattr(self, f.name)))
         object.__setattr__(self, "mix_weights", tuple(float(w) for w in self.mix_weights))
-        # Messages start with the field name, so callers can prefix where it came from.
-        if not self.traffic_scale > 0.0:
+        if self.client_id < 0:
+            raise ConfigError(f"client_id must be non-negative, got {self.client_id}")
+        if self.traffic_scale <= 0.0:
             raise ConfigError(f"traffic_scale must be positive, got {self.traffic_scale!r}")
-        if not self.noise_level >= 0.0:
+        if self.noise_level < 0.0:
             raise ConfigError(f"noise_level cannot be negative, got {self.noise_level!r}")
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import dataclasses
 import logging
-import sys
 import time
 from dataclasses import dataclass, field
 
@@ -23,9 +22,10 @@ import numpy as np
 
 from .attribution import client_attribution, uniform_attribution
 from .data import (
+    DEFAULT_SLICE_NAMES,
     N_FEATURES,
     ClientDataset,
-    SLICES,
+    DataSpec,
     default_profiles,
     generate_client,
     slice_by_name,
@@ -53,120 +53,60 @@ from .selection import (
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_SLICE_NAMES = tuple(s.name for s in SLICES)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return _is_int(value) or isinstance(value, float)
-
-
-# Each field annotation -> (value check, what the error says it must be).
-_FIELD_TYPES = {
-    "int": (_is_int, "an integer"),
-    "float": (_is_number, "a number"),
-    "int | None": (lambda v: v is None or _is_int(v), "an integer or null"),
-    "str | None": (lambda v: v is None or isinstance(v, str), "a string or null"),
-    "tuple[int, ...]": (lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)),
-                        "a list of integers"),
-    "tuple[str, ...]": (lambda v: isinstance(v, (list, tuple))
-                        and all(isinstance(x, str) for x in v), "a list of strings"),
-    "tuple[float, float, float]": (lambda v: isinstance(v, (list, tuple)) and len(v) == 3
-                                   and all(map(_is_number, v)), "a list of 3 numbers"),
-}
-
-
-def check_type(name: str, value, annotation: str) -> None:
-    """Raise ConfigError unless `value` fits a config/profile field annotation.
-
-    Integers exclude bools and floats; numbers are ints or floats.
-    """
-    is_valid, kind = _FIELD_TYPES[annotation]
-    if not is_valid(value):
-        raise ConfigError(f"{name} must be {kind}, got {value!r}")
-
-
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(DataSpec):
     """Every experiment knob, seed included, so runs are config-addressable."""
 
-    n_clients: int = 10
     n_selected: int = 5
     n_rounds: int = 30
     local_epochs: int = 150
     attribution_samples: int = 150
-    samples_per_client: int = 1000
     learning_rate: float = 0.0015
-    seed: int = 42
     batch_size: int | None = 32
     layer_sizes: tuple[int, ...] = (3, 3, 2, 1)
     train_fraction: float = 0.8
-    slices: tuple[str, ...] = DEFAULT_SLICE_NAMES
     data_dir: str | None = None
 
     def __post_init__(self) -> None:
-        for f in dataclasses.fields(self):
-            check_type(f.name, getattr(self, f.name), f.type)
+        super().__post_init__()
         object.__setattr__(self, "layer_sizes", tuple(self.layer_sizes))
-        object.__setattr__(self, "slices", tuple(self.slices))
-        if self.n_clients < 1:
-            raise ConfigError("n_clients must be at least 1")
         if not 1 <= self.n_selected <= self.n_clients:
             raise ConfigError(
                 f"n_selected must be in [1, n_clients], got {self.n_selected} of {self.n_clients}"
             )
         if self.n_rounds < 0:
             raise ConfigError("n_rounds cannot be negative")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        # Exact int/float comparison: NaN, infinities and integers past float range fail.
-        if not 0.0 < self.learning_rate <= sys.float_info.max:
-            raise ConfigError(f"learning_rate must be finite and positive, got {self.learning_rate}")
+        if self.learning_rate <= 0.0:
+            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.attribution_samples < 1:
             raise ConfigError(f"attribution_samples must be at least 1, got {self.attribution_samples}")
         if self.local_epochs < 1:
             raise ConfigError("local_epochs must be at least 1")
         if self.batch_size is not None and self.batch_size < 1:
             raise ConfigError("batch_size must be positive or null for full batch")
-        if self.network_spec.n_features != N_FEATURES:
+        try:
+            n_features = self.network_spec.n_features
+        except ConfigError as exc:
+            raise ConfigError(f"layer_sizes: {exc}") from None
+        if n_features != N_FEATURES:
             raise ConfigError(
                 f"layer_sizes[0] ({self.layer_sizes[0]}) must equal the {N_FEATURES} data features"
             )
-        if not self.slices:
-            raise ConfigError("slices must name at least one slice")
-        for name in self.slices:
-            slice_by_name(name)
-        if len(set(self.slices)) != len(self.slices):
-            raise ConfigError(f"slices must not repeat a name, got {list(self.slices)}")
+        # Checks train_fraction for every config; samples_per_client is at least 2.
+        pool = train_rows(self.samples_per_client, self.train_fraction)
         # Under data_dir the train splits come from the files, which ingestion checks.
-        if self.data_dir is None:
-            pool = train_rows(self.samples_per_client, self.train_fraction)
-            if self.attribution_samples > pool:
-                raise ConfigError(
-                    f"attribution_samples ({self.attribution_samples}) exceeds the "
-                    f"train split size ({pool})"
-                )
+        if self.data_dir is None and self.attribution_samples > pool:
+            raise ConfigError(
+                f"attribution_samples ({self.attribution_samples}) exceeds the "
+                f"train split size ({pool})"
+            )
 
     @property
     def network_spec(self) -> NetworkSpec:
         return NetworkSpec(self.layer_sizes)
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["layer_sizes"] = list(self.layer_sizes)
-        d["slices"] = list(self.slices)
-        return d
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(raw) - known)
-        if unknown:
-            raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
-        return cls(**raw)
+        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True)

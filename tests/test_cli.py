@@ -153,6 +153,12 @@ class TestRun:
         "policies=3",
         'slices="eMBB"',
         'slices=["eMBB","eMBB"]',
+        'slices=["URLLC"]',
+        "samples_per_client=1",
+        pytest.param("samples_per_client=1" + "0" * 400, id="samples_per_client=10**400"),
+        "layer_sizes=[3]",
+        "layer_sizes=[3,0,1]",
+        "layer_sizes=[3,3,2]",
         "n_rounds=true",
     ])
     def test_bad_config_value_is_exit_2_before_any_output(self, tmp_path, capsys,
@@ -247,8 +253,10 @@ class TestGenData:
         ({"n_clients": 2.7}, "n_clients"),
         ({"n_clients": True}, "n_clients"),
         ({"samples_per_client": "1e400"}, "samples_per_client"),
+        ({"samples_per_client": 10 ** 400}, "samples_per_client"),
         ({"seed": -1}, "seed"),
         ({"slices": "eMBB"}, "slices"),
+        ({"slices": []}, "slices"),
         ({"slices": ["eMBB", "URLLC"]}, "slices"),
         ({"slices": ["eMBB", "eMBB"]}, "slices"),
         ({"profiles": {"client_id": 0}}, "profiles"),
@@ -266,10 +274,10 @@ class TestGenData:
         ({"profiles": [{"client_id": 0}, profile_entry(1)]}, "traffic_scale"),
         ({"profiles": [profile_entry(0), profile_entry(0)]}, "client_id"),
     ], ids=["n_clients-str", "n_clients-float", "n_clients-bool", "samples-1e400",
-            "seed-negative", "slices-str", "slices-unknown", "slices-repeated", "profiles-object",
-            "traffic_scale-str", "traffic_scale-nan", "mix_weights-two", "mix_weights-str",
-            "client_id-float", "client_id-negative", "entry-unknown-key", "entry-missing-field",
-            "client_id-duplicate"])
+            "samples-10**400", "seed-negative", "slices-str", "slices-empty", "slices-unknown",
+            "slices-repeated", "profiles-object", "traffic_scale-str", "traffic_scale-nan",
+            "mix_weights-two", "mix_weights-str", "client_id-float", "client_id-negative",
+            "entry-unknown-key", "entry-missing-field", "client_id-duplicate"])
     def test_bad_profile_value_is_exit_2_naming_path_and_key(self, tmp_path, capsys,
                                                              overrides, key):
         spec = {"n_clients": 2, "samples_per_client": 20, "seed": 42, "slices": ["eMBB"]}
@@ -294,7 +302,7 @@ class TestGenData:
         out = tmp_path / "d"
         out.mkdir()
         assert run_cli("gen-data", "--profiles", path, "--out", out) == 2
-        assert f"{path}: profiles[1].{field}" in capsys.readouterr().err
+        assert f"{path}: profiles[1]: {field}" in capsys.readouterr().err
         assert list(out.glob("*.csv")) == []
 
     def test_run_ingests_generated_data(self, tmp_path):
@@ -316,6 +324,19 @@ class TestGenData:
         a = read_rounds_csv(out_csv / "rounds_eMBB_intelliselect.csv")
         b = read_rounds_csv(out_syn / "rounds_eMBB_intelliselect.csv")
         assert [r["mse"] for r in a] == [r["mse"] for r in b]
+
+    def test_bad_train_fraction_under_data_dir_names_the_key_not_a_file(self, tmp_path,
+                                                                       capsys):
+        data_dir = tmp_path / "data"
+        assert run_cli("gen-data", "--profiles", self.profiles_file(tmp_path),
+                       "--out", data_dir) == 0
+        cfg = write_config(tmp_path, n_clients=2, n_selected=1, samples_per_client=20,
+                           train_fraction=1.5, data_dir=str(data_dir))
+        assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert "train_fraction must be in (0, 1), got 1.5" in err
+        assert ".csv" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_data_file_is_exit_2(self, tmp_path, capsys, monkeypatch):
         cfg = write_config(tmp_path, data_dir=str(tmp_path / "empty"))

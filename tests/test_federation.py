@@ -6,6 +6,7 @@ import pytest
 
 from conftest import small_config
 from fedslice import federation
+from fedslice.data import from_json
 from fedslice.errors import ConfigError, NumericError
 from fedslice.federation import (
     ExperimentConfig,
@@ -201,7 +202,7 @@ class TestConfig:
 
     def test_unknown_key_is_named(self):
         with pytest.raises(ConfigError, match="bogus_knob"):
-            ExperimentConfig.from_dict({"bogus_knob": 3})
+            from_json(ExperimentConfig, {"bogus_knob": 3}, "config")
 
     def test_unknown_policy_rejected(self, small_datasets, monkeypatch):
         # The policy is checked before any round attributes or trains a client.
@@ -260,11 +261,17 @@ class TestConfig:
         ({"data_dir": 5}, "data_dir"),
         ({"learning_rate": 10 ** 400}, "learning_rate"),
         ({"slices": ("eMBB", "eMBB")}, "slices"),
+        ({"slices": ("URLLC",)}, "slices"),
+        ({"samples_per_client": 1}, "samples_per_client"),
+        ({"layer_sizes": (3,)}, "layer_sizes"),
+        ({"layer_sizes": (3, 0, 1)}, "layer_sizes"),
+        ({"layer_sizes": (3, 3, 2)}, "layer_sizes"),
+        ({"train_fraction": 1.5, "data_dir": "data"}, "train_fraction"),
     ])
     def test_bad_value_is_rejected_up_front(self, overrides, message):
-        # Through from_dict, so a deleted key (ig_steps) is named as unknown.
+        # Through from_json, so a deleted key (ig_steps) is named as unknown.
         with pytest.raises(ConfigError, match=message):
-            ExperimentConfig.from_dict({**small_config().to_dict(), **overrides})
+            from_json(ExperimentConfig, {**small_config().to_dict(), **overrides}, "config")
 
     def test_zero_rounds_and_huge_learning_rate_are_accepted(self):
         assert small_config(n_rounds=0, learning_rate=1e300).n_rounds == 0
@@ -275,7 +282,7 @@ class TestConfig:
 
     def test_roundtrip_through_dict(self):
         cfg = small_config()
-        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+        assert from_json(ExperimentConfig, cfg.to_dict(), "config") == cfg
 
     def test_documented_defaults(self):
         cfg = ExperimentConfig()
