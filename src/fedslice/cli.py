@@ -23,7 +23,7 @@ from .data import (DataSpec, NonIidProfile, default_profiles, from_json, generat
 from .errors import ConfigError
 from .federation import ExperimentConfig, SliceRun, client_seed, run_experiment
 from .metrics import comm_cost, convergence_round, slice_provisioning
-from .selection import POLICIES, POLICY_INTELLISELECT
+from .selection import POLICIES, POLICY_INTELLISELECT, check_policies
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_SCHEMA_VERSION = 1
@@ -83,11 +83,7 @@ def _load_config(config_path: str | None, overrides: list[str],
         policies = policies_flag
     if isinstance(policies, str):
         policies = [p.strip() for p in policies.split(",") if p.strip()]
-    for policy in policies:
-        if policy not in POLICIES:
-            raise ConfigError(f"unknown policy {policy!r}, expected one of {POLICIES}")
-    if not policies:
-        raise ConfigError("at least one policy is required")
+    check_policies(policies)
     return raw, list(policies)
 
 

@@ -8,7 +8,8 @@ run's policy, trains the selected clients locally, averages their weights by
 train rows into the new global model, evaluates it on the pooled test set and
 appends its record. Federations share only the configuration, the seed and
 the initial model; `run_round` advances them together so that the clients of
-all of them train in shared lockstep calls.
+all of them train in shared lockstep calls, and work that several of them
+need from identical inputs is done once.
 """
 
 from __future__ import annotations
@@ -40,12 +41,12 @@ from .nn import (
     train_clients,
 )
 from .selection import (
-    POLICIES,
     POLICY_INTELLISELECT,
     POLICY_NO_POLICY,
     SelectionResult,
     aggregate_importance,
     apportion,
+    check_policies,
     select_by_score,
     select_clients,
     select_no_policy,
@@ -114,11 +115,11 @@ class RoundRecord:
     """What one round produced: error, time, selection, attributions, model.
 
     `cum_time_ms` sums, over this and every earlier round, the wall time of
-    attribute, select, train and aggregate; evaluation is excluded, and
-    training counts the federation's share of each shared call (see
+    attribute, select, train and aggregate; evaluation is excluded, and work
+    shared with other federations is charged in full to each (see
     `run_round`). `chi` is the attribution matrix the selection used, one row
-    per client, or None under the all-clients baseline. `global_params` is the aggregated model
-    the round ended with, which the next round starts from.
+    per client, or None under the all-clients baseline. `global_params` is the
+    aggregated model the round ended with, which the next round starts from.
     """
 
     round_index: int
@@ -229,28 +230,43 @@ def fedavg_aggregate(params_list: list[ModelParams], sizes: list[int]) -> ModelP
 _ATTRIBUTION_ROWS_PER_CALL = 2048
 
 
-def _compute_chi(run: SliceRun, cfg: ExperimentConfig) -> np.ndarray:
-    """Per-client normalized attributions on the federation's current global model.
+def _attribute(
+    params: ModelParams, datasets: tuple[ClientDataset, ...], cfg: ExperimentConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-client normalized attributions on `params`, and which clients fell back.
 
     Clients are attributed in id order, as many whole clients per
     `client_attribution` call as fit in `_ATTRIBUTION_ROWS_PER_CALL` sample
     rows (at least one). A client whose attributions degenerate to all-zero
-    contributes the uniform vector instead; each such fallback is logged as a
-    warning naming the federation and the round.
+    gets the uniform vector instead and is flagged in the returned mask.
     """
-    params = run.global_params
     per_call = max(_ATTRIBUTION_ROWS_PER_CALL // cfg.attribution_samples, 1)
-    blocks = [client_attribution(params, run.datasets[i:i + per_call], cfg.attribution_samples)
-              for i in range(0, len(run.datasets), per_call)]
+    blocks = [client_attribution(params, datasets[i:i + per_call], cfg.attribution_samples)
+              for i in range(0, len(datasets), per_call)]
     chi = np.concatenate([rows for rows, _ in blocks], axis=0)
     degenerate = np.concatenate([flags for _, flags in blocks])
+    chi[degenerate] = uniform_attribution(params.spec.n_features)
+    chi.setflags(write=False)  # federations sharing the pass share the array
+    return chi, degenerate
+
+
+def _warn_fallbacks(run: SliceRun, degenerate: np.ndarray) -> None:
+    """One warning per fallback client, naming the federation and the round."""
     for k in np.flatnonzero(degenerate):
         logger.warning(
             "slice %s, policy %s, round %d, client %d: all-zero attribution, "
             "using the uniform vector",
             run.slice_name, run.policy, len(run.records), run.datasets[k].client_id,
         )
-        chi[k] = uniform_attribution(params.spec.n_features)
+
+
+def _compute_chi(run: SliceRun, cfg: ExperimentConfig) -> np.ndarray:
+    """One federation's attributions on its current global model, fallbacks logged.
+
+    This is what `run_round` gives the federation, computed for it alone.
+    """
+    chi, degenerate = _attribute(run.global_params, run.datasets, cfg)
+    _warn_fallbacks(run, degenerate)
     return chi
 
 
@@ -271,10 +287,20 @@ def run_round(runs: list[SliceRun], cfg: ExperimentConfig) -> None:
     selects. Then the selected clients of all federations train together:
     one `train_clients` call per distinct train row count, stacked in `runs`
     order and, within a federation, by ascending client id. Last, each
-    federation aggregates, evaluates and appends its record. A federation's
-    round time is its own attribute, select and aggregate wall time plus,
-    from each shared training call, its clients' share of that call's
-    client-steps.
+    federation aggregates, evaluates and appends its record.
+
+    Work that federations share is done once. Attribution depends only on
+    the slice's datasets and the model, so federations of a slice on the
+    same model share one pass (at round 0 all start from one model). A local
+    update depends only on its dataset, slice, client id and start model
+    (the shuffle stream is policy-free), so each distinct one trains once
+    and its model goes to every federation that selected it.
+
+    A federation's round time is its own select and aggregate wall time, the
+    wall time of the attribution pass its chi came from, and, from each
+    training call, the call's wall time divided by its distinct trainings,
+    once per client the federation trained: a shared pass or training costs
+    each federation what it would have cost it alone.
     """
     if not runs:
         return
@@ -284,43 +310,60 @@ def run_round(runs: list[SliceRun], cfg: ExperimentConfig) -> None:
     if round_index >= cfg.n_rounds:
         raise ConfigError(f"round {round_index} is past the configured {cfg.n_rounds}")
 
+    # Each federation's start model, as bytes: part of every key of shared work.
+    starts = [run.global_params.values.tobytes() for run in runs]
+    # (dataset ids, model bytes) -> (chi, fallback mask, wall time of the pass).
+    attributed: dict[tuple, tuple[np.ndarray, np.ndarray, float]] = {}
     chis, selections, elapsed = [], [], []
-    for run in runs:
+    for run, start in zip(runs, starts):
         started = time.perf_counter()
-        chi = None if run.policy == POLICY_NO_POLICY else _compute_chi(run, cfg)
+        chi, reused_s = None, 0.0
+        if run.policy != POLICY_NO_POLICY:
+            key = (tuple(map(id, run.datasets)), start)
+            if key in attributed:
+                chi, degenerate, reused_s = attributed[key]
+            else:
+                chi, degenerate = _attribute(run.global_params, run.datasets, cfg)
+                attributed[key] = (chi, degenerate, time.perf_counter() - started)
+            _warn_fallbacks(run, degenerate)
         chis.append(chi)
         selections.append(_select(cfg, run.policy, chi))
-        elapsed.append(time.perf_counter() - started)
+        elapsed.append(reused_s + time.perf_counter() - started)
 
-    # (federation index, client id) of each participant, grouped by train rows.
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for i, (run, selection) in enumerate(zip(runs, selections)):
+    # Per train row count, each distinct local training in stack order, with
+    # the (federation index, client id) slots it serves.
+    groups: dict[int, dict[tuple, list[tuple[int, int]]]] = {}
+    for i, (run, selection, start) in enumerate(zip(runs, selections, starts)):
         for client_id in sorted(selection.selected):
-            rows = run.datasets[client_id].n_train
-            groups.setdefault(rows, []).append((i, client_id))
+            ds = run.datasets[client_id]
+            key = (id(ds), run.slice_name, client_id, start)
+            groups.setdefault(ds.n_train, {}).setdefault(key, []).append((i, client_id))
     trained: dict[tuple[int, int], ModelParams] = {}
     for group in groups.values():
+        slots = list(group.values())
+        firsts = [shared[0] for shared in slots]
         started = time.perf_counter()
-        participants = [runs[i].datasets[client_id] for i, client_id in group]
+        participants = [runs[i].datasets[client_id] for i, client_id in firsts]
         try:
             models = train_clients(
-                [runs[i].global_params for i, _ in group],
+                [runs[i].global_params for i, _ in firsts],
                 [ds.train_features for ds in participants],
                 [ds.train_targets for ds in participants],
                 cfg.local_epochs,
                 learning_rate=cfg.learning_rate,
                 batch_size=cfg.batch_size,
                 shuffle_rngs=[_shuffle_rng(cfg, runs[i].slice_name, round_index, client_id)
-                              for i, client_id in group],
+                              for i, client_id in firsts],
             )
         except NumericError as exc:
             raise NumericError(
-                f"round {round_index}: {_at_fault(runs, group, exc.clients)}: {exc}"
+                f"round {round_index}: {_at_fault(runs, slots, exc.clients)}: {exc}"
             ) from exc
-        share = (time.perf_counter() - started) / len(group)
-        for slot, model in zip(group, models):
-            trained[slot] = model
-            elapsed[slot[0]] += share
+        share = (time.perf_counter() - started) / len(slots)
+        for shared, model in zip(slots, models):
+            for slot in shared:
+                trained[slot] = model
+                elapsed[slot[0]] += share
 
     for i, (run, chi, selection) in enumerate(zip(runs, chis, selections)):
         started = time.perf_counter()
@@ -348,12 +391,15 @@ def run_round(runs: list[SliceRun], cfg: ExperimentConfig) -> None:
 
 
 def _at_fault(
-    runs: list[SliceRun], group: list[tuple[int, int]], positions: tuple[int, ...]
+    runs: list[SliceRun], slots: list[list[tuple[int, int]]], positions: tuple[int, ...]
 ) -> str:
-    """'slice S, policy P, clients [...]' per federation with clients at `positions` of `group`."""
+    """'slice S, policy P, clients [...]' per federation served by the trainings at `positions`.
+
+    `slots[p]` lists the (federation index, client id) pairs that stack
+    position p trained for; federations are named in `runs` order.
+    """
     faulty: dict[int, list[int]] = {}
-    for position in positions:
-        i, client_id = group[position]
+    for i, client_id in sorted(slot for position in positions for slot in slots[position]):
         faulty.setdefault(i, []).append(client_id)
     return "; ".join(
         f"slice {runs[i].slice_name}, policy {runs[i].policy}, clients {client_ids}"
@@ -372,9 +418,7 @@ def run_experiment(
     slice trains on the same datasets. Policies and datasets are checked
     before any round.
     """
-    for policy in policies:
-        if policy not in POLICIES:
-            raise ConfigError(f"unknown policy {policy!r}, expected one of {POLICIES}")
+    check_policies(policies)
     missing = [s for s in cfg.slices if s not in datasets]
     if missing:
         raise ConfigError(f"no datasets for slice(s): {', '.join(missing)}")

@@ -21,6 +21,21 @@ POLICY_SCORE = "score"
 POLICIES = (POLICY_INTELLISELECT, POLICY_NO_POLICY, POLICY_SCORE)
 
 
+def check_policies(policies: list[str]) -> None:
+    """The rule for a list of policies to run: at least one, each known, none repeated.
+
+    Each policy runs one federation per slice and writes files named after
+    it, so a repeated name would train twice and overwrite its own outputs.
+    """
+    if not policies:
+        raise ConfigError("policies: at least one policy is required")
+    for policy in policies:
+        if policy not in POLICIES:
+            raise ConfigError(f"policies: unknown policy {policy!r}, expected one of {POLICIES}")
+    if len(set(policies)) != len(policies):
+        raise ConfigError(f"policies must not repeat a name, got {list(policies)}")
+
+
 @dataclass(frozen=True)
 class SelectionAudit:
     """Why one client made the cut: the feature slot that took it."""

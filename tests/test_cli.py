@@ -115,6 +115,16 @@ class TestRun:
             assert "at least one policy" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_repeated_policy_is_exit_2_before_any_output(self, tmp_path, capsys):
+        # A repeat would train the federation twice, overwrite its files and
+        # count its communication twice.
+        cfg = write_config(tmp_path)
+        assert run_cli("run", "--config", cfg, "--out", tmp_path / "o",
+                       "--policies", "intelliselect,intelliselect") == 2
+        assert ("policies must not repeat a name, got ['intelliselect', 'intelliselect']"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("where", ["override", "config file"])
     def test_policy_key_is_exit_2_pointing_to_policies(self, tmp_path, capsys, where):
         if where == "override":

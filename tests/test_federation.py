@@ -1,5 +1,6 @@
 import dataclasses
 import logging
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -218,6 +219,14 @@ class TestConfig:
             run_experiment(small_config(n_rounds=1), ["intelliselect", "oracle"], small_datasets)
         assert calls == []
 
+    def test_repeated_policy_rejected_before_any_round(self, small_datasets, monkeypatch):
+        # A repeat would train a federation twice and overwrite its outputs.
+        calls = counting_calls(monkeypatch)
+        with pytest.raises(ConfigError, match="policies must not repeat a name"):
+            run_experiment(small_config(n_rounds=1), ["intelliselect", "intelliselect"],
+                           small_datasets)
+        assert calls == []
+
     def test_dataset_count_is_checked_before_any_round(self, small_datasets, monkeypatch):
         calls = counting_calls(monkeypatch)
         datasets = dict(small_datasets, Browsing=small_datasets["Browsing"][:3])
@@ -392,6 +401,82 @@ class TestRounds:
         assert str(info.value) == ("round 0: slice SocialMedia, policy no_policy, clients [2]: "
                                    "non-finite gradient during local training")
 
+    def test_shared_training_overflow_names_every_federation_sharing_it(self, small_datasets):
+        # At round 0 no_policy trains every client from the initial model, so
+        # each client intelliselect selects is a training the two share.
+        cfg = small_config(learning_rate=1e300)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError) as info:
+                run_experiment(cfg, ["intelliselect", "no_policy"], small_datasets)
+        initial = init_params(cfg.network_spec, cfg.seed)
+        at_fault = []
+        for name in cfg.slices:
+            chi = _compute_chi(SliceRun(name, "intelliselect", tuple(small_datasets[name]),
+                                        initial), cfg)
+            chosen = sorted(_select(cfg, "intelliselect", chi).selected)
+            at_fault.append(f"slice {name}, policy intelliselect, clients {chosen}")
+        at_fault += [f"slice {name}, policy no_policy, clients [0, 1, 2, 3]"
+                     for name in cfg.slices]
+        assert str(info.value) == (f"round 0: {'; '.join(at_fault)}: "
+                                   "non-finite gradient during local training")
+
+    def test_federations_on_one_model_share_an_attribution_pass(self, small_datasets,
+                                                                monkeypatch):
+        # At round 0 intelliselect and score attribute each slice's datasets
+        # on the initial model: one pass per slice serves both.
+        original = federation.client_attribution
+        calls = []
+
+        def counting(params, datasets, sample_count):
+            calls.append([(ds.slice_name, ds.client_id) for ds in datasets])
+            return original(params, datasets, sample_count)
+
+        monkeypatch.setattr(federation, "client_attribution", counting)
+        cfg = small_config(n_rounds=1)
+        runs = run_experiment(cfg, ["intelliselect", "score"], small_datasets)
+        assert calls == [[(name, k) for k in range(cfg.n_clients)] for name in cfg.slices]
+        for a, b in zip(runs[:3], runs[3:], strict=True):
+            assert a.records[0].chi.tobytes() == b.records[0].chi.tobytes()
+
+    def test_shared_attribution_logs_each_federations_fallbacks(self, small_datasets, caplog):
+        # All-zero parameters degenerate every client. Score reuses
+        # intelliselect's passes and still warns for itself, in federation order.
+        cfg = small_config(n_rounds=1)
+        zero = ModelParams(np.zeros(23), NetworkSpec())
+        runs = [SliceRun(name, policy, tuple(small_datasets[name]), zero)
+                for policy in ("intelliselect", "score") for name in ("eMBB", "SocialMedia")]
+        with caplog.at_level(logging.WARNING, logger="fedslice.federation"):
+            run_round(runs, cfg)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"slice {run.slice_name}, policy {run.policy}, round 0, client {k}: "
+            "all-zero attribution, using the uniform vector"
+            for run in runs for k in range(cfg.n_clients)
+        ]
+
+    def test_shared_work_is_charged_in_full_to_each_federation(self, small_datasets,
+                                                               monkeypatch):
+        # On a clock that only attribution (0.5 s a pass) and training (1 s a
+        # client) advance, each federation's round time is what its own
+        # attribution and clients cost, though score reuses intelliselect's
+        # pass and both reuse no_policy's trainings.
+        now = [0.0]
+
+        def advancing(fn, seconds):
+            def timed(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                now[0] += seconds(result)
+                return result
+            return timed
+
+        monkeypatch.setattr(federation, "time", SimpleNamespace(perf_counter=lambda: now[0]))
+        monkeypatch.setattr(federation, "client_attribution",
+                            advancing(federation.client_attribution, lambda _: 0.5))
+        monkeypatch.setattr(federation, "train_clients",
+                            advancing(federation.train_clients, len))
+        cfg = small_config(n_rounds=1, slices=["eMBB"])
+        runs = run_experiment(cfg, ["intelliselect", "no_policy", "score"], small_datasets)
+        assert [run.records[0].cum_time_ms for run in runs] == [2500.0, 4000.0, 2500.0]
+
 
 class TestBatching:
     """Federations give the same records stacked into shared calls or advanced alone."""
@@ -437,8 +522,10 @@ class TestBatching:
         cfg = small_config(slices=["eMBB", "Browsing"])
         widths = self.assert_same_records(cfg, small_datasets, monkeypatch)
         # Two selected clients under each attribution policy, all four under
-        # no_policy, for both slices: one call of 16 clients per round.
-        assert widths == [2 * (2 + 2 + 4)] * cfg.n_rounds
+        # no_policy, for both slices: one call of 16 clients per round. At
+        # round 0 every federation starts from the initial model, so the
+        # attribution policies' clients are trainings no_policy already has.
+        assert widths == [2 * 4] + [2 * (2 + 2 + 4)] * (cfg.n_rounds - 1)
 
     def test_unequal_train_rows_make_one_call_per_row_count(self, small_datasets, monkeypatch):
         cfg = small_config(slices=["eMBB", "SocialMedia"])
@@ -446,7 +533,7 @@ class TestBatching:
         datasets = {"eMBB": small_datasets["eMBB"], "SocialMedia": longer["SocialMedia"]}
         assert (datasets["eMBB"][0].n_train, datasets["SocialMedia"][0].n_train) == (48, 64)
         widths = self.assert_same_records(cfg, datasets, monkeypatch)
-        assert widths == [2 + 2 + 4, 2 + 2 + 4] * cfg.n_rounds
+        assert widths == [4, 4] + [2 + 2 + 4, 2 + 2 + 4] * (cfg.n_rounds - 1)
 
 
 class TestExperiment:
