@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 from pathlib import Path
@@ -9,6 +10,9 @@ import pytest
 from conftest import read_rounds_csv
 from fedslice import cli, federation
 from fedslice.metrics import comm_cost
+
+# sha256 of the rounds tables `test_rounds_match_the_pinned_digest` builds.
+PINNED_ROUNDS_DIGEST = "9419c33b7314583d8aaf48bcf597a8b2e2873889391326e8869cddc75670c9d4"
 
 
 def tiny_config(**overrides):
@@ -194,6 +198,26 @@ class TestRun:
         monkeypatch.setattr(cli, "run_experiment", boom)
         cfg = write_config(tmp_path)
         assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 3
+
+    def test_rounds_match_the_pinned_digest(self, tmp_path):
+        # Acceptance criterion 10's config, once. The pin covers every round's
+        # selection exactly and its MSE to 10 significant digits, not the raw
+        # bytes: CI's numpy builds may differ in the last bits. A change that
+        # moves outputs edits the digest and lists the moved cells.
+        config = {"n_clients": 6, "n_selected": 3, "n_rounds": 3, "local_epochs": 10,
+                  "samples_per_client": 200, "attribution_samples": 30, "seed": 42}
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", cfg, "--out", out) == 0
+        lines = []
+        for path in sorted(out.glob("rounds_*.csv")):
+            lines.append(path.name)
+            lines += [f"{r['round']},{r['mse']:.9e},{r['selected']},{r['params_transmitted']}"
+                      for r in read_rounds_csv(path)]
+        text = "\n".join(lines)
+        assert len(lines) == 9 * 4
+        assert hashlib.sha256(text.encode()).hexdigest() == PINNED_ROUNDS_DIGEST, text
 
     def test_runs_without_config_file_use_defaults(self, tmp_path):
         out = tmp_path / "out"
