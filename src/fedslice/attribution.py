@@ -70,15 +70,7 @@ def client_attribution(
     A pool is the client's seeded shuffle of its train split; the first
     `sample_count` rows are used every round so rounds stay comparable.
     """
-    pools = []
-    for ds in datasets:
-        pool = ds.attribution_pool(sample_count)
-        if pool.shape[0] < sample_count:
-            raise ValueError(
-                f"client {ds.client_id} has {pool.shape[0]} attribution samples, "
-                f"needs {sample_count}"
-            )
-        pools.append(pool)
+    pools = [ds.attribution_pool(sample_count) for ds in datasets]
     ig = sample_attributions(params, np.concatenate(pools, axis=0))
     abs_mean = np.abs(ig).reshape(len(pools), sample_count, -1).mean(axis=1)
     total = abs_mean.sum(axis=1, keepdims=True)

@@ -16,7 +16,7 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-from . import __version__
+from . import __version__, federation
 from . import metrics as metrics_mod
 from .data import (DataSpec, NonIidProfile, default_profiles, from_json, generate_client_table,
                    ingest_csv, slice_by_name, write_client_csv)
@@ -87,14 +87,18 @@ def _load_config(config_path: str | None, overrides: list[str],
     return raw, list(policies)
 
 
+def _client_csv(data_dir: str | Path, client_id: int, slice_name: str) -> Path:
+    """The CSV of one client of one slice: `gen-data` writes it, `run` ingests it."""
+    return Path(data_dir) / f"client{client_id:02d}_{slice_name}.csv"
+
+
 def _ingest_datasets(cfg: ExperimentConfig) -> dict[str, list]:
     """Load every client's CSV; each train split must hold the attribution pool.
 
     Every file is checked to exist before any is parsed. Files of a slice may
     differ in row count: clients train in one lockstep call per train row count.
     """
-    data_dir = Path(cfg.data_dir)
-    paths = {name: [data_dir / f"client{k:02d}_{name}.csv" for k in range(cfg.n_clients)]
+    paths = {name: [_client_csv(cfg.data_dir, k, name) for k in range(cfg.n_clients)]
              for name in cfg.slices}
     missing = [str(path) for slice_paths in paths.values() for path in slice_paths
                if not path.exists()]
@@ -148,8 +152,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if base.data_dir is not None:
         datasets = _ingest_datasets(base)
     else:
-        from .federation import build_datasets
-        datasets = build_datasets(base)
+        datasets = federation.build_datasets(base)
 
     runs = run_experiment(base, policies, datasets)
     spec = base.network_spec
@@ -220,7 +223,7 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
         for profile in profiles:
             seed = client_seed(spec.seed, name, profile.client_id)
             table = generate_client_table(profile, slice_spec, spec.samples_per_client, seed)
-            write_client_csv(table, out_dir / f"client{profile.client_id:02d}_{name}.csv")
+            write_client_csv(table, _client_csv(out_dir, profile.client_id, name))
             count += 1
     print(f"wrote {count} dataset file(s) to {out_dir}")
     return EXIT_OK

@@ -51,12 +51,6 @@ class SliceSpec:
     name: str
     ott_apps: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        unknown = [a for a in self.ott_apps if a not in OTT_COLUMNS]
-        if unknown:
-            raise ConfigError(f"unknown OTT applications {unknown} in slice {self.name!r}")
-        object.__setattr__(self, "ott_apps", tuple(self.ott_apps))
-
 
 SLICES = (
     SliceSpec("eMBB", ("Netflix", "Youtube", "Facebook Video")),
@@ -332,8 +326,6 @@ def default_profiles(n_clients: int, seed: int) -> list[NonIidProfile]:
     zones; that keeps a size-weighted federation learnable by a tiny shared
     model at desk scale.
     """
-    if n_clients < 1:
-        raise ConfigError("need at least one client profile")
     rng = np.random.default_rng(seed)
     profiles = []
     cqi_mean = 8.0
@@ -372,9 +364,6 @@ def generate_client_table(
     CPU load is the profile's mix of the three features plus heteroscedastic
     noise, clipped to [0, 100].
     """
-    if n_samples < 2:
-        raise ConfigError("need at least 2 samples per client")
-
     rng, _ = _split_seed(seed)
     hours = np.arange(n_samples)
     base = 1.0 + profile.diurnal_amplitude * np.sin(

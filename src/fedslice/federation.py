@@ -150,10 +150,14 @@ class SliceRun:
         return self.records[-1].global_params if self.records else self.initial_params
 
 
+def _slice_seed(seed: int, slice_name: str, *ids: int) -> np.random.SeedSequence:
+    """Seed sequence for `ids` in a slice, keyed by its DEFAULT_SLICE_NAMES index, not run order."""
+    return np.random.SeedSequence([seed, DEFAULT_SLICE_NAMES.index(slice_name), *ids])
+
+
 def client_seed(seed: int, slice_name: str, client_id: int) -> int:
     """Stable per-(slice, client) generator seed derived from the run seed."""
-    slice_index = DEFAULT_SLICE_NAMES.index(slice_name)
-    return int(np.random.SeedSequence([seed, slice_index, client_id]).generate_state(1)[0])
+    return int(_slice_seed(seed, slice_name, client_id).generate_state(1)[0])
 
 
 def _shuffle_rng(
@@ -163,9 +167,7 @@ def _shuffle_rng(
 
     Full-batch training draws nothing from it.
     """
-    slice_index = DEFAULT_SLICE_NAMES.index(slice_name)
-    return np.random.default_rng(
-        np.random.SeedSequence([cfg.seed, slice_index, round_index, client_id]))
+    return np.random.default_rng(_slice_seed(cfg.seed, slice_name, round_index, client_id))
 
 
 def build_datasets(cfg: ExperimentConfig) -> dict[str, list[ClientDataset]]:
@@ -260,23 +262,13 @@ def _warn_fallbacks(run: SliceRun, degenerate: np.ndarray) -> None:
         )
 
 
-def _compute_chi(run: SliceRun, cfg: ExperimentConfig) -> np.ndarray:
-    """One federation's attributions on its current global model, fallbacks logged.
-
-    This is what `run_round` gives the federation, computed for it alone.
-    """
-    chi, degenerate = _attribute(run.global_params, run.datasets, cfg)
-    _warn_fallbacks(run, degenerate)
-    return chi
-
-
 def _select(cfg: ExperimentConfig, policy: str, chi: np.ndarray | None) -> SelectionResult:
     if policy == POLICY_NO_POLICY:
         return select_no_policy(cfg.n_clients)
     tau = aggregate_importance(chi)
     if policy == POLICY_INTELLISELECT:
         quotas = apportion(tau, cfg.n_selected)
-        return select_clients(chi, quotas, cfg.n_selected)
+        return select_clients(chi, quotas)
     return select_by_score(chi, tau, cfg.n_selected)
 
 
@@ -307,8 +299,6 @@ def run_round(runs: list[SliceRun], cfg: ExperimentConfig) -> None:
     round_index = len(runs[0].records)
     if any(len(run.records) != round_index for run in runs):
         raise ValueError("federations advanced together must be at the same round")
-    if round_index >= cfg.n_rounds:
-        raise ConfigError(f"round {round_index} is past the configured {cfg.n_rounds}")
 
     # Each federation's start model, as bytes: part of every key of shared work.
     starts = [run.global_params.values.tobytes() for run in runs]

@@ -64,8 +64,6 @@ def comm_cost(policy: str, n_clients: int, n_selected: int, n_features: int,
     value per client per feature; the score baseline additionally uploads one
     score per client and broadcasts the global importance vector.
     """
-    if policy not in POLICIES:
-        raise ConfigError(f"unknown policy {policy!r}")
     downlink = n_clients * param_count
     if policy == POLICY_NO_POLICY:
         return CommLedger(policy, n_rounds, downlink, n_clients * param_count)

@@ -261,8 +261,6 @@ def train_clients(
     batch axis. A non-finite gradient raises `NumericError` whose `clients`
     lists the stack positions at fault.
     """
-    if epochs < 1:
-        raise ValueError("epochs must be at least 1")
     if not features or not len(start_params) == len(features) == len(targets):
         raise ValueError("need matching non-empty start model, feature and target lists")
     spec = start_params[0].spec

@@ -83,8 +83,6 @@ def apportion(tau: np.ndarray, m: int) -> np.ndarray:
     fractional remainders, ties broken toward the lower feature index.
     """
     tau = np.asarray(tau, dtype=np.float64).reshape(-1)
-    if m < 1:
-        raise ConfigError("cannot apportion fewer than 1 slot")
     raw = m * tau
     quotas = np.floor(raw).astype(int)
     leftover = m - int(quotas.sum())
@@ -95,7 +93,7 @@ def apportion(tau: np.ndarray, m: int) -> np.ndarray:
     return quotas
 
 
-def select_clients(chis: np.ndarray, quotas: np.ndarray, m: int) -> SelectionResult:
+def select_clients(chis: np.ndarray, quotas: np.ndarray) -> SelectionResult:
     """Fill each feature's quota with its top-attributing unclaimed clients.
 
     Client ids are the row indices of `chis`. Features are processed in
@@ -106,11 +104,7 @@ def select_clients(chis: np.ndarray, quotas: np.ndarray, m: int) -> SelectionRes
     """
     chis = _validate_matrix(chis)
     n_clients, n_features = chis.shape
-    if m > n_clients:
-        raise ConfigError(f"cannot select {m} of {n_clients} clients")
     quotas = np.asarray(quotas, dtype=int).reshape(-1)
-    if quotas.shape[0] != n_features or int(quotas.sum()) != m:
-        raise ConfigError("quotas must cover every feature and sum to m")
 
     tau = aggregate_importance(chis)
     feature_order = sorted(range(n_features), key=lambda f: (-tau[f], f))
@@ -137,8 +131,6 @@ def select_clients(chis: np.ndarray, quotas: np.ndarray, m: int) -> SelectionRes
 
 def select_no_policy(n_clients: int) -> SelectionResult:
     """Every client participates; no quotas, no audit."""
-    if n_clients < 1:
-        raise ConfigError("cannot run a round with zero clients")
     return SelectionResult(selected=tuple(range(n_clients)), per_feature_quota=None)
 
 
@@ -157,8 +149,6 @@ def select_by_score(chis: np.ndarray, tau: np.ndarray, m: int) -> SelectionResul
     """
     chis = _validate_matrix(chis)
     n_clients = chis.shape[0]
-    if m > n_clients:
-        raise ConfigError(f"cannot select {m} of {n_clients} clients")
     tau = np.asarray(tau, dtype=np.float64).reshape(-1)
 
     scores = [_cosine(chis[k], tau) for k in range(n_clients)]

@@ -124,17 +124,17 @@ def test_criterion_4_selection_determinism_and_equivariance(rng):
     chi = rng.uniform(0.01, 1.0, (10, 3))
     chi = chi / chi.sum(axis=1, keepdims=True)
     quotas = apportion(aggregate_importance(chi), 5)
-    baseline = select_clients(chi, quotas, 5)
-    deterministic = all(select_clients(chi, quotas, 5) == baseline for _ in range(100))
+    baseline = select_clients(chi, quotas)
+    deterministic = all(select_clients(chi, quotas) == baseline for _ in range(100))
 
     equivariant = True
     for _ in range(100):
         matrix = rng.uniform(0.01, 1.0, (8, 3))
         matrix = matrix / matrix.sum(axis=1, keepdims=True)
         q = apportion(aggregate_importance(matrix), 4)
-        plain = select_clients(matrix, q, 4)
+        plain = select_clients(matrix, q)
         perm = rng.permutation(8)
-        permuted = select_clients(matrix[perm], q, 4)
+        permuted = select_clients(matrix[perm], q)
         equivariant &= sorted(plain.selected) == sorted(int(perm[k]) for k in permuted.selected)
     report(4, deterministic and equivariant,
            "selection identical across 100 reruns and equivariant under id permutation")

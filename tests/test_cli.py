@@ -216,7 +216,6 @@ class TestRun:
             lines += [f"{r['round']},{r['mse']:.9e},{r['selected']},{r['params_transmitted']}"
                       for r in read_rounds_csv(path)]
         text = "\n".join(lines)
-        assert len(lines) == 9 * 4
         assert hashlib.sha256(text.encode()).hexdigest() == PINNED_ROUNDS_DIGEST, text
 
     def test_runs_without_config_file_use_defaults(self, tmp_path):

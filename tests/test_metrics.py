@@ -5,7 +5,6 @@ import pytest
 
 from conftest import read_rounds_csv, small_config
 from fedslice.data import MinMaxScaler
-from fedslice.errors import ConfigError
 from fedslice.federation import build_datasets, run_experiment
 from fedslice.metrics import (
     CommLedger,
@@ -62,10 +61,6 @@ class TestCommCost:
         rows = thirty.rows()
         assert len(rows) == 30
         assert rows[-1][4] == thirty.total
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ConfigError):
-            comm_cost("random", 10, 5, 3, 23, 1)
 
 
 def identity_scaler():

@@ -1,0 +1,26 @@
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "fedslice"
+
+# Module-level names that only tests call: the reference implementations
+# the tests check the library's own code against.
+TEST_ORACLES = ["nn.param_gradients"]
+
+
+def test_every_module_level_function_and_class_is_used_by_the_library():
+    # A name counts as used when code outside its own definition reads it,
+    # bare or as an attribute; importing it is not a use.
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    readers: dict[str, set[int]] = {}
+    for tree in trees.values():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    readers.setdefault(node.id, set()).add(id(top))
+                elif isinstance(node, ast.Attribute):
+                    readers.setdefault(node.attr, set()).add(id(top))
+    unused = [f"{module}.{top.name}" for module, tree in trees.items() for top in tree.body
+              if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+              and not readers.get(top.name, set()) - {id(top)}]
+    assert unused == TEST_ORACLES
