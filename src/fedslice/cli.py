@@ -152,7 +152,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if base.data_dir is not None:
         datasets = _ingest_datasets(base)
     else:
-        datasets = federation.build_datasets(base)
+        datasets = federation.build_datasets(base)  # perfbench/traced.py wraps it there
 
     runs = run_experiment(base, policies, datasets)
     spec = base.network_spec
