@@ -20,7 +20,6 @@ from fedslice.nn import (
     ModelParams,
     NetworkSpec,
     forward_batch,
-    init_params,
     input_gradients_batch,
     param_gradients,
     pre_activations,

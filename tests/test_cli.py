@@ -2,9 +2,7 @@ import csv
 import hashlib
 import io
 import json
-from pathlib import Path
 
-import numpy as np
 import pytest
 
 from conftest import read_rounds_csv
@@ -69,7 +67,10 @@ class TestRun:
         assert config["batch_size"] == 32
         assert config["policies"] == ["intelliselect", "no_policy", "score"]
         assert manifest["seed"] == 42
-        assert sorted(manifest["outputs"]) == sorted(manifest["outputs"])
+        # The output index names every file the run wrote but the manifest itself.
+        written = {str(path) for path in out.iterdir() if path.name != "manifest.json"}
+        assert set(manifest["outputs"].values()) == written
+        assert all(out.joinpath(path).is_file() for path in manifest["outputs"].values())
 
     def test_override_zero_rounds_succeeds_with_empty_rounds(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -384,9 +384,14 @@ class TestRounds:
         assert str(info.value) == (f"round 0: {'; '.join(at_fault)}: "
                                    "non-finite gradient during local training")
 
-    def test_training_overflow_names_only_the_clients_at_fault(self, small_datasets):
-        # One SocialMedia client with overflowing inputs; the six other
-        # clients of the shared call, eMBB's included, train finitely.
+    @pytest.mark.parametrize("rows_per_step", [4096, 160])
+    def test_training_overflow_names_only_the_clients_at_fault(self, small_datasets,
+                                                               monkeypatch, rows_per_step):
+        # One SocialMedia client with overflowing inputs; the other clients,
+        # eMBB's included, train finitely. The eight trainings of 32-row steps
+        # share one call, or under 160 rows take calls of five and three, the
+        # victim second in the later call.
+        monkeypatch.setattr(federation, "_TRAIN_ROWS_PER_STEP", rows_per_step)
         cfg = small_config(slices=["eMBB", "SocialMedia"])
         victim = small_datasets["SocialMedia"][2]
         poisoned = dataclasses.replace(
@@ -523,6 +528,36 @@ class TestBatching:
         # round 0 every federation starts from the initial model, so the
         # attribution policies' clients are trainings no_policy already has.
         assert widths == [2 * 4] + [2 * (2 + 2 + 4)] * (cfg.n_rounds - 1)
+
+    @pytest.mark.parametrize("batch_size, step_rows", [(None, 48), (48, 48), (32, 32)])
+    @pytest.mark.parametrize("rows_per_step", [1, 100, 200, 4096])
+    def test_training_calls_are_bounded_in_step_rows(self, small_datasets, monkeypatch,
+                                                      batch_size, step_rows, rows_per_step):
+        # Each round's stack of 8, then 16, trainings is cut, in order, into
+        # calls of as many as fit in the bound (at least one), and the records
+        # do not depend, to the last bit, on the cut.
+        cfg = small_config(slices=["eMBB", "Browsing"], batch_size=batch_size)
+        original = federation.train_clients
+        widths = []
+
+        def spying(start_params, *args, **kwargs):
+            widths.append(len(start_params))
+            return original(start_params, *args, **kwargs)
+
+        monkeypatch.setattr(federation, "train_clients", spying)
+        monkeypatch.setattr(federation, "_TRAIN_ROWS_PER_STEP", 10**9)
+        unbounded = run_experiment(cfg, self.POLICIES, small_datasets)
+        assert widths == [8, 16, 16]
+        widths.clear()
+        monkeypatch.setattr(federation, "_TRAIN_ROWS_PER_STEP", rows_per_step)
+        bounded = run_experiment(cfg, self.POLICIES, small_datasets)
+        per_call = max(rows_per_step // step_rows, 1)
+        assert widths == [min(per_call, n - i) for n in (8, 16, 16) for i in range(0, n, per_call)]
+        for a, b in zip(bounded, unbounded, strict=True):
+            for ra, rb in zip(a.records, b.records, strict=True):
+                assert ra.selection == rb.selection
+                assert ra.mse == rb.mse
+                assert ra.global_params.values.tobytes() == rb.global_params.values.tobytes()
 
     def test_unequal_train_rows_make_one_call_per_row_count(self, small_datasets, monkeypatch):
         cfg = small_config(slices=["eMBB", "SocialMedia"])

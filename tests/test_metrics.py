@@ -7,7 +7,6 @@ from conftest import read_rounds_csv, small_config
 from fedslice.data import MinMaxScaler
 from fedslice.federation import build_datasets, run_experiment
 from fedslice.metrics import (
-    CommLedger,
     ProvisioningReport,
     build_summary,
     comm_cost,

@@ -1,7 +1,8 @@
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "fedslice"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "fedslice"
 
 # Module-level names that only tests call: the reference implementations
 # the tests check the library's own code against.
@@ -24,3 +25,21 @@ def test_every_module_level_function_and_class_is_used_by_the_library():
               if isinstance(top, (ast.FunctionDef, ast.ClassDef))
               and not readers.get(top.name, set()) - {id(top)}]
     assert unused == TEST_ORACLES
+
+
+def test_every_imported_name_is_read():
+    # `import a.b` binds `a`; `from __future__` imports bind no name.
+    unused = []
+    for path in sorted([*SRC.glob("*.py"), *TESTS.glob("*.py")]):
+        tree = ast.parse(path.read_text())
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported += [alias.asname or alias.name for alias in node.names]
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unused += [f"{path.parent.name}/{path.name}: {name}" for name in imported
+                   if name not in read]
+    assert unused == []
