@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -268,8 +270,6 @@ def make_dataset(
     """Chronological train/test split, train-only scaler fit, seeded pool order."""
     features = np.ascontiguousarray(features, dtype=np.float64)
     targets = np.ascontiguousarray(targets, dtype=np.float64).reshape(-1)
-    if features.ndim != 2 or features.shape[0] != targets.shape[0]:
-        raise ConfigError("features and targets must have matching row counts")
     n_train = train_rows(features.shape[0], train_fraction)
     scaler = MinMaxScaler.fit(features[:n_train], targets[:n_train])
     return ClientDataset(
@@ -437,65 +437,84 @@ def write_csv(path: str | Path, header, row_format: str, rows) -> None:
 
 
 def write_client_csv(table: dict[str, np.ndarray], path: str | Path) -> None:
-    """Write a full column table in the canonical CSV schema, `%.17g` floats."""
-    rows = np.column_stack([np.asarray(table[c], dtype=np.float64) for c in CSV_COLUMNS])
-    write_csv(path, CSV_COLUMNS, ",".join(["%.17g"] * len(CSV_COLUMNS)),
-              map(tuple, rows.tolist()))
+    """Write a full column table in the canonical CSV schema, `%.17g` floats.
+
+    A column that is `+0.0` in every row is written as the literal `0` that
+    `%.17g` would print, without formatting each of its cells.
+    """
+    columns = np.column_stack([np.asarray(table[c], dtype=np.float64) for c in CSV_COLUMNS])
+    live = columns.any(axis=0) | np.signbit(columns).any(axis=0)
+    write_csv(path, CSV_COLUMNS, ",".join("%.17g" if x else "0" for x in live),
+              map(tuple, columns[:, live].tolist()))
+
+
+# Characters numpy's parser strips as whitespace around a number and `float()` does not.
+_NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 
 
 def read_table_csv(path: str | Path) -> dict[str, np.ndarray]:
     """Parse a canonical CSV into a column table, validating schema and cells.
 
     Columns are found by header name, so extra or reordered columns are fine.
-    Every cell must parse as a finite float (Python `float()` spelling);
-    blank lines are skipped but still count toward reported row numbers.
+    Every cell must parse as a finite float in Python `float()` spelling,
+    quoted cells included. numpy's C parser reads the body; a file it refuses,
+    one holding a non-finite value or one holding a character of
+    `_NUMPY_ONLY_SPACE` is walked cell by cell with `float()`, which names the
+    first bad cell's physical row and column. Blank lines are skipped but
+    still count toward reported row numbers.
     """
     path = Path(path)
     with path.open("r", newline="") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise ConfigError(f"{path}: file is empty") from None
-        missing = [c for c in CSV_COLUMNS if c not in header]
-        if missing:
-            raise ConfigError(f"{path}: missing column(s) {', '.join(missing)}")
-        col_pos = {c: header.index(c) for c in CSV_COLUMNS}
-        records = list(reader)
-    rows = [row for row in records if row]
+        body = fh.read()
+    missing = [c for c in CSV_COLUMNS if c not in header]
+    if missing:
+        raise ConfigError(f"{path}: missing column(s) {', '.join(missing)}")
+    col_pos = {c: header.index(c) for c in CSV_COLUMNS}
     try:
-        table = {
-            col: np.fromiter(map(float, [row[pos] for row in rows]), np.float64, count=len(rows))
-            for col, pos in col_pos.items()
-        }
-    except (IndexError, ValueError):
-        raise _first_bad_cell(path, records, col_pos) from None
+        with warnings.catch_warnings():
+            # loadtxt only warns on a body with no rows; the walk handles that file too.
+            warnings.simplefilter("error", UserWarning)
+            values = np.loadtxt(io.StringIO(body, newline=""), delimiter=",", quotechar='"',
+                                comments=None, ndmin=2, usecols=list(col_pos.values()))
+    except (ValueError, UserWarning):
+        pass
+    else:
+        if np.isfinite(values).all() and not any(c in body for c in _NUMPY_ONLY_SPACE):
+            return dict(zip(col_pos, values.T))
+    return _walk_cells(path, body, col_pos)
+
+
+def _walk_cells(path: Path, body: str, col_pos: dict[str, int]) -> dict[str, np.ndarray]:
+    """The column table of the CSV `body` after the header, each cell parsed with `float()`.
+
+    Raises ConfigError naming the first short or unparseable cell in
+    row-major order, else the first non-finite cell of the first such column
+    in `CSV_COLUMNS` order. Rows are numbered from 2, blank ones included.
+    """
+    records = csv.reader(io.StringIO(body, newline=""))
+    numbered = [(row_number, row) for row_number, row in enumerate(records, start=2) if row]
+    columns: dict[str, list[float]] = {col: [] for col in col_pos}
+    for row_number, row in numbered:
+        for col, pos in col_pos.items():
+            cell = row[pos] if pos < len(row) else ""
+            try:
+                columns[col].append(float(cell))
+            except ValueError:
+                raise ConfigError(
+                    f"{path}: row {row_number}, column {col!r}: cannot parse {cell!r}"
+                ) from None
+    table = {col: np.array(values, dtype=np.float64) for col, values in columns.items()}
     for col, values in table.items():
         finite = np.isfinite(values)
         if not finite.all():
             index = int(np.argmin(finite))
-            row_number = [number for number, row in enumerate(records, start=2) if row][index]
-            raise ConfigError(
-                f"{path}: row {row_number}, column {col!r}: non-finite value {values[index]}"
-            )
+            raise ConfigError(f"{path}: row {numbered[index][0]}, column {col!r}: "
+                              f"non-finite value {values[index]}")
     return table
-
-
-def _first_bad_cell(path: Path, records: list[list[str]],
-                    col_pos: dict[str, int]) -> ConfigError:
-    """The error naming the first short or unparseable cell in row-major order."""
-    for row_number, row in enumerate(records, start=2):
-        if not row:
-            continue
-        for col, pos in col_pos.items():
-            cell = row[pos] if pos < len(row) else ""
-            try:
-                float(cell)
-            except ValueError:
-                return ConfigError(
-                    f"{path}: row {row_number}, column {col!r}: cannot parse {cell!r}"
-                )
-    raise AssertionError(f"{path}: no bad cell found after a failed parse")
 
 
 def ingest_csv(

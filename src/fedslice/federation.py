@@ -199,8 +199,6 @@ def pooled_test_set(datasets: list[ClientDataset]) -> tuple[np.ndarray, np.ndarr
 def evaluate_global(params: ModelParams, test_features: np.ndarray, test_targets: np.ndarray) -> float:
     """Mean squared error of the global model over a pooled test set."""
     y = np.asarray(test_targets, dtype=np.float64).reshape(-1)
-    if y.shape[0] == 0:
-        raise ValueError("cannot evaluate on an empty test pool")
     pred = forward_batch(params, test_features)
     diff = pred - y
     return float(diff @ diff / y.shape[0])
@@ -216,10 +214,7 @@ def fedavg_aggregate(params_list: list[ModelParams], sizes: list[int]) -> ModelP
     """
     if not params_list or len(params_list) != len(sizes):
         raise ValueError("need matching non-empty params and sizes")
-    total = float(sum(sizes))
-    if total <= 0.0:
-        raise ValueError("total dataset size must be positive")
-    weights = np.asarray(sizes, dtype=np.float64) / total
+    weights = np.asarray(sizes, dtype=np.float64) / float(sum(sizes))
     stacked = np.stack([p.values for p in params_list], axis=0)
     return ModelParams((weights[:, None] * stacked).sum(axis=0), params_list[0].spec)
 

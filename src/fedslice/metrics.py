@@ -17,7 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from .data import write_csv
-from .errors import ConfigError
 from .nn import ModelParams, forward_batch
 from .selection import POLICIES, POLICY_NO_POLICY, POLICY_SCORE
 
@@ -88,8 +87,6 @@ class ProvisioningReport:
     def __post_init__(self) -> None:
         e = np.ascontiguousarray(self.errors, dtype=np.float64)
         c = np.ascontiguousarray(self.client_ids, dtype=np.int64)
-        if e.shape != c.shape or e.ndim != 1:
-            raise ConfigError("errors and client_ids must be matching 1-D arrays")
         e.setflags(write=False)
         c.setflags(write=False)
         object.__setattr__(self, "errors", e)

@@ -468,6 +468,14 @@ class TestMalformedData:
         assert self.run_on(tmp_path, data_dir) == 2
         assert f"{path}: a dataset needs at least 2 rows" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    def test_header_only_file_is_exit_2_naming_it(self, tmp_path, capsys):
+        data_dir = self.generate(tmp_path, 20)
+        path = data_dir / "client01_eMBB.csv"
+        path.write_text(path.read_text().splitlines()[0] + "\n")
+        assert self.run_on(tmp_path, data_dir) == 2
+        assert f"{path}: a dataset needs at least 2 rows to split" in capsys.readouterr().err
+
     def test_long_files_are_not_held_to_samples_per_client(self, tmp_path):
         data_dir = self.generate(tmp_path, 200)
         assert self.run_on(tmp_path, data_dir, samples_per_client=40,

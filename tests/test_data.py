@@ -1,5 +1,9 @@
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedslice.data import (
     CSV_COLUMNS,
@@ -292,9 +296,50 @@ class TestCsv:
         for col in CSV_COLUMNS:
             assert a[col].tolist() == b[col].tolist() == [0.25, 1.25, 2.25, 3.25]
 
+    @pytest.mark.parametrize("cell", [
+        "1.5", " 1.5 ", '"1.5"', '" 2 "', "+1.5", ".5", "5.", "1E+05", "-0", "Infinity",
+        "nan", "1_000", "\u0661\u0662", "0x10", '"1,5"',
+        # numpy's parser strips these around a number; float() does not.
+        "\x1c1", "1\x1f",
+    ])
+    def test_cells_agree_with_python_float(self, tmp_path, cell):
+        header = ",".join(CSV_COLUMNS)
+        good = ",".join(["1"] * 13)
+        # The cell sits in row 4, column CQI, after a blank row 3.
+        row = ",".join(["1"] * 10 + [cell, "1", "1"])
+        path = tmp_path / "client.csv"
+        path.write_text(header + "\n" + good + "\n\n" + row + "\n")
+        [text] = next(csv.reader([cell]))
+        try:
+            expected = float(text)
+        except ValueError:
+            expected = None
+        if expected is None or not np.isfinite(expected):
+            with pytest.raises(ConfigError) as info:
+                read_table_csv(path)
+            assert str(info.value).startswith(f"{path}: row 4, column 'CQI': ")
+            return
+        got = read_table_csv(path)["CQI"]
+        assert got.view(np.uint64).tolist() == np.array([1.0, expected]).view(np.uint64).tolist()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 5).flatmap(lambda n: st.lists(
+        st.one_of(st.just(0.0), st.just(-0.0),
+                  st.floats(allow_nan=False, allow_infinity=False)),
+        min_size=13 * n, max_size=13 * n)))
+    def test_written_doubles_read_back_bitwise(self, tmp_path_factory, values):
+        columns = np.array(values, dtype=np.float64).reshape(len(CSV_COLUMNS), -1)
+        path = tmp_path_factory.mktemp("roundtrip") / "client.csv"
+        write_client_csv(dict(zip(CSV_COLUMNS, columns)), path)
+        table = read_table_csv(path)
+        for col, written in zip(CSV_COLUMNS, columns):
+            assert table[col].view(np.uint64).tolist() == written.view(np.uint64).tolist()
+
     def test_writer_golden_bytes(self, tmp_path):
         table = {c: np.zeros(2) for c in CSV_COLUMNS}
         table["Apple"] = np.array([-0.0, 1e-300])
+        # Facebook is -0.0 in every row and stays -0; the columns left at np.zeros print 0.
+        table["Facebook"] = np.array([-0.0, -0.0])
         table["CQI"] = np.array([0.1, 7.0])
         table["MIMO_FI"] = np.array([55.5, 2.5e16])
         table[TARGET_COLUMN] = np.array([1.0 / 3.0, 100.0])
@@ -303,8 +348,8 @@ class TestCsv:
         assert path.read_bytes() == (
             b"Apple,Facebook,Facebook Messages,Facebook Video,HTTPS,Instagram,Netflix,"
             b"QUIC,Whatsapp,Youtube,CQI,MIMO_FI,CPU_Load\r\n"
-            b"-0,0,0,0,0,0,0,0,0,0,0.10000000000000001,55.5,0.33333333333333331\r\n"
-            b"1e-300,0,0,0,0,0,0,0,0,0,7,25000000000000000,100\r\n"
+            b"-0,-0,0,0,0,0,0,0,0,0,0.10000000000000001,55.5,0.33333333333333331\r\n"
+            b"1e-300,-0,0,0,0,0,0,0,0,0,7,25000000000000000,100\r\n"
         )
 
     def test_empty_file_is_schema_error(self, tmp_path):

@@ -190,11 +190,6 @@ class TestEvaluateGlobal:
             acc += (pred - y) ** 2
         assert mse == pytest.approx(acc / 50.0, abs=1e-12)
 
-    def test_empty_pool_rejected(self):
-        p = ModelParams(np.zeros(23), NetworkSpec())
-        with pytest.raises(ValueError):
-            evaluate_global(p, np.zeros((0, 3)), np.zeros(0))
-
 
 class TestConfig:
     def test_selecting_more_than_population_rejected(self):
