@@ -198,32 +198,35 @@ class MinMaxScaler:
 class ClientDataset:
     """One client's local samples for one slice, with split, scaler and pools.
 
-    `features`/`targets` hold raw units; `scaled_*` hold the min-max view used
-    for training and attribution. The split is chronological: the first
-    `n_train` rows train, the rest test, and the split properties are views.
-    The attribution pool is a seeded permutation of the train rows, fixed for
-    the dataset's lifetime.
+    A dataset keeps only what training, attribution, evaluation and
+    provisioning read: the min-max-scaled features and targets of every row,
+    the raw (CPU-percent) targets of the test rows, which provisioning
+    reports in, the scaler and the attribution pool order. Raw features and
+    raw train targets are dropped once scaled, and every array owns its
+    memory, so no parse buffer or generation table outlives the dataset.
+    The split is chronological: the first `n_train` rows train, the rest
+    test, and the split properties are views. The attribution pool is a
+    seeded permutation of the train rows, fixed for the dataset's lifetime.
     """
 
     client_id: int
     slice_name: str
-    features: np.ndarray
-    targets: np.ndarray
     n_train: int
     attribution_indices: np.ndarray
     scaler: MinMaxScaler
     scaled_features: np.ndarray
     scaled_targets: np.ndarray
+    raw_test_targets: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("features", "targets", "attribution_indices",
-                     "scaled_features", "scaled_targets"):
+        for name in ("attribution_indices", "scaled_features", "scaled_targets",
+                     "raw_test_targets"):
             arr = getattr(self, name)
             arr.setflags(write=False)
 
     @property
     def size(self) -> int:
-        return self.features.shape[0]
+        return self.scaled_features.shape[0]
 
     @property
     def train_features(self) -> np.ndarray:
@@ -275,13 +278,13 @@ def make_dataset(
     return ClientDataset(
         client_id=client_id,
         slice_name=slice_name,
-        features=features,
-        targets=targets,
         n_train=n_train,
         attribution_indices=shuffle_rng.permutation(n_train),
         scaler=scaler,
         scaled_features=scaler.transform_features(features),
         scaled_targets=scaler.transform_target(targets),
+        # A copy: a view would keep all of `targets`, and what it views, alive.
+        raw_test_targets=targets[n_train:].copy(),
     )
 
 

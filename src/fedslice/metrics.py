@@ -118,7 +118,7 @@ def slice_provisioning(params: ModelParams, datasets) -> ProvisioningReport:
         provisioning_report(
             params,
             ds.test_features,
-            ds.targets[ds.n_train:],
+            ds.raw_test_targets,
             ds.scaler,
             ds.client_id,
         )

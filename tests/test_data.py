@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -37,6 +38,11 @@ def ks_statistic(a, b):
     return float(np.max(np.abs(fa - fb)))
 
 
+def raw_rows(p, n_samples, seed):
+    """The raw (features, targets) a dataset of `generate_client(p, EMBB, ...)` is built from."""
+    return aggregate_table(generate_client_table(p, EMBB, n_samples, seed), EMBB)
+
+
 def profile(**overrides):
     base = dict(
         client_id=0,
@@ -68,22 +74,26 @@ class TestGenerator:
     def test_same_seed_is_identical(self):
         a = generate_client(profile(), EMBB, 100, seed=5)
         b = generate_client(profile(), EMBB, 100, seed=5)
-        assert np.array_equal(a.features, b.features)
-        assert np.array_equal(a.targets, b.targets)
-        assert np.array_equal(a.attribution_indices, b.attribution_indices)
+        for name in ("scaled_features", "scaled_targets", "raw_test_targets",
+                     "attribution_indices"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        for x, y in zip(raw_rows(profile(), 100, 5), raw_rows(profile(), 100, 5)):
+            assert np.array_equal(x, y)
 
     def test_constant_traffic_maps_straight_to_cpu(self):
         # No diurnal swing, no noise, CPU driven only by traffic.
         p = profile(traffic_scale=42.0, noise_level=0.0,
                     mix_weights=(1.0, 0.0, 0.0), diurnal_amplitude=0.0)
-        ds = generate_client(p, EMBB, 50, seed=1)
-        assert np.array_equal(ds.targets, np.full(50, 42.0))
-        assert np.array_equal(ds.features[:, 0], np.full(50, 42.0))
+        features, targets = raw_rows(p, 50, seed=1)
+        assert np.array_equal(targets, np.full(50, 42.0))
+        assert np.array_equal(features[:, 0], np.full(50, 42.0))
+        assert np.array_equal(generate_client(p, EMBB, 50, seed=1).raw_test_targets,
+                              np.full(10, 42.0))
 
     def test_scale_difference_separates_traffic_marginals(self):
-        a = generate_client(profile(traffic_scale=1.0), EMBB, 1000, seed=3)
-        b = generate_client(profile(client_id=1, traffic_scale=4.0), EMBB, 1000, seed=4)
-        assert ks_statistic(a.features[:, 0], b.features[:, 0]) > 0.5
+        a, _ = raw_rows(profile(traffic_scale=1.0), 1000, seed=3)
+        b, _ = raw_rows(profile(client_id=1, traffic_scale=4.0), 1000, seed=4)
+        assert ks_statistic(a[:, 0], b[:, 0]) > 0.5
 
     def test_zero_scale_profile_rejected(self):
         with pytest.raises(ConfigError, match="traffic_scale must be positive"):
@@ -98,11 +108,11 @@ class TestGenerator:
             generate_client(profile(), EMBB, 1, seed=1)
 
     def test_physical_ranges(self):
-        ds = generate_client(profile(), EMBB, 500, seed=9)
-        assert np.all(ds.features[:, 0] >= 0.0)
-        assert np.all((ds.features[:, 1] >= 0.0) & (ds.features[:, 1] <= 15.0))
-        assert np.all((ds.features[:, 2] >= 0.0) & (ds.features[:, 2] <= 100.0))
-        assert np.all((ds.targets >= 0.0) & (ds.targets <= 100.0))
+        features, targets = raw_rows(profile(), 500, seed=9)
+        assert np.all(features[:, 0] >= 0.0)
+        assert np.all((features[:, 1] >= 0.0) & (features[:, 1] <= 15.0))
+        assert np.all((features[:, 2] >= 0.0) & (features[:, 2] <= 100.0))
+        assert np.all((targets >= 0.0) & (targets <= 100.0))
 
 
 class TestDefaultProfiles:
@@ -113,10 +123,9 @@ class TestDefaultProfiles:
 
     def test_default_federation_is_measurably_non_iid(self):
         profiles = default_profiles(10, seed=42)
-        datasets = [generate_client(p, EMBB, 1000, seed=100 + k)
-                    for k, p in enumerate(profiles)]
+        traffic = [raw_rows(p, 1000, seed=100 + k)[0][:, 0] for k, p in enumerate(profiles)]
         stats = [
-            ks_statistic(datasets[i].features[:, 0], datasets[j].features[:, 0])
+            ks_statistic(traffic[i], traffic[j])
             for i in range(10) for j in range(i + 1, 10)
         ]
         assert max(stats) > 0.3
@@ -173,6 +182,23 @@ class TestSplit:
         ds = generate_client(profile(), EMBB, 100, seed=12)
         assert sorted(ds.attribution_indices) == list(range(ds.n_train))
 
+    def test_a_dataset_holds_its_scaled_rows_once(self, tmp_path):
+        # 1,000 rows: scaled features and targets, an 800-row pool order and
+        # 200 raw test targets, each in memory of its own, so no view can keep
+        # a parse buffer or a generation table alive.
+        p = profile(client_id=2)
+        path = tmp_path / "client02_eMBB.csv"
+        write_client_csv(generate_client_table(p, EMBB, 1000, seed=8), path)
+        for ds in (generate_client(p, EMBB, 1000, seed=8),
+                   ingest_csv(path, EMBB, client_id=2, seed=8)):
+            arrays = {f.name: getattr(ds, f.name) for f in dataclasses.fields(ds)
+                      if isinstance(getattr(ds, f.name), np.ndarray)}
+            assert {name: a.nbytes for name, a in arrays.items()} == {
+                "attribution_indices": 6_400, "scaled_features": 24_000,
+                "scaled_targets": 8_000, "raw_test_targets": 1_600}
+            assert sum(a.nbytes for a in arrays.values()) == 40_000
+            assert all(a.base is None for a in arrays.values())
+
 
 class TestCsv:
     def test_handcrafted_rows_aggregate_exactly(self, tmp_path):
@@ -193,16 +219,22 @@ class TestCsv:
             [2.5 + 3.0 + 1.5, 9.0, 55.0],
             [3.0, 7.0, 50.0],
         ])
-        assert np.array_equal(ds.features, expected)
-        assert np.array_equal(ds.targets, [13.0, 40.0, 30.0])
+        features, targets = aggregate_table(read_table_csv(path), EMBB)
+        assert np.array_equal(features, expected)
+        assert np.array_equal(targets, [13.0, 40.0, 30.0])
+        # Two train rows; the dataset keeps the raw target of the test row only.
+        assert ds.n_train == 2
+        assert np.array_equal(ds.raw_test_targets, [30.0])
 
     def test_zero_ott_columns_give_zero_traffic(self, tmp_path):
         header = ",".join(CSV_COLUMNS)
         rows = ["0,0,0,0,0,0,0,0,0,0,8.0,50.0,20.0"] * 3
         path = tmp_path / "client.csv"
         path.write_text(header + "\n" + "\n".join(rows) + "\n")
+        features, _ = aggregate_table(read_table_csv(path), EMBB)
+        assert np.array_equal(features[:, 0], np.zeros(3))
         ds = ingest_csv(path, EMBB, client_id=0)
-        assert np.array_equal(ds.features[:, 0], np.zeros(3))
+        assert np.array_equal(ds.scaled_features[:, 0], np.zeros(3))
 
     def test_missing_column_names_the_column(self, tmp_path):
         cols = [c for c in CSV_COLUMNS if c != "CQI"]
@@ -366,9 +398,9 @@ class TestCsv:
 
         direct = generate_client(p, EMBB, 120, seed=21)
         ingested = ingest_csv(path, EMBB, client_id=3, seed=21)
-        assert np.array_equal(direct.features, ingested.features)
-        assert np.array_equal(direct.targets, ingested.targets)
-        assert np.array_equal(direct.attribution_indices, ingested.attribution_indices)
+        for name in ("scaled_features", "scaled_targets", "raw_test_targets",
+                     "attribution_indices"):
+            assert np.array_equal(getattr(direct, name), getattr(ingested, name))
 
         re_read = read_table_csv(path)
         for col in CSV_COLUMNS:

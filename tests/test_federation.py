@@ -106,10 +106,9 @@ class TestFedAvg:
         keep = other.size - 5
         trimmed = dataclasses.replace(
             other,
-            features=other.features[:keep],
-            targets=other.targets[:keep],
             scaled_features=other.scaled_features[:keep],
             scaled_targets=other.scaled_targets[:keep],
+            raw_test_targets=other.raw_test_targets[:keep - other.n_train],
         )
         assert len(trimmed.train_targets) == len(full.train_targets)
         assert trimmed.size < full.size
@@ -623,8 +622,8 @@ class TestExperiment:
         rebuilt = build_datasets(cfg)
         for s in rebuilt:
             for da, db in zip(small_datasets[s], rebuilt[s]):
-                assert np.array_equal(da.features, db.features)
-                assert np.array_equal(da.targets, db.targets)
+                for name in ("scaled_features", "scaled_targets", "raw_test_targets"):
+                    assert np.array_equal(getattr(da, name), getattr(db, name))
 
     def test_score_policy_runs(self, small_datasets):
         cfg = small_config(n_rounds=2)
