@@ -222,8 +222,7 @@ def fedavg_aggregate(params_list: list[ModelParams], sizes: list[int]) -> ModelP
 # Most sample rows one attribution call takes; whole clients share a call up
 # to this. Per-sample cost is flat from 800 to 4,000 rows, while one call over
 # a 50-client federation's 40,000 rows (800 samples each) raised the CLI's peak
-# RSS from 47 to 72 MiB and its CPU time by 40-80%, as OpenBLAS threads the
-# large matmuls.
+# RSS from 47 to 72 MiB.
 _ATTRIBUTION_ROWS_PER_CALL = 2048
 
 # Most step rows (clients x rows per Adam step) one training call stacks;

@@ -2,6 +2,10 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +39,16 @@ def write_config(tmp_path, name="config.json", **overrides):
 
 def run_cli(*args):
     return cli.main([str(a) for a in args])
+
+
+def run_python(*args, cwd, **env):
+    """Run `python *args` in a fresh process that imports this fedslice, with `env` added."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, *args], cwd=cwd, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path, **env})
+    assert proc.returncode == 0, proc.stderr
+    return proc
 
 
 def profile_entry(client_id, **overrides):
@@ -589,6 +603,35 @@ class TestCompare:
         err = capsys.readouterr().err
         assert f"{run_dir / name}: " in err and message in err
         assert not (tmp_path / "cmp.csv").exists()
+
+
+class TestBlasThreads:
+    def test_rounds_do_not_depend_on_the_blas_thread_setting(self, tmp_path):
+        # 80 clients pool 16,000 test rows. OpenBLAS splits a dot product over
+        # more than 10,000 elements across its threads, which moves the MSE's
+        # last bits unless the CLI pins one thread.
+        tables = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            run_python("-m", "fedslice.cli", "run", "--out", out, "--policies", "no_policy",
+                       "--override", "n_clients=80", "--override", "seed=1",
+                       "--override", "n_rounds=1", "--override", "local_epochs=1",
+                       "--override", "batch_size=null", "--override", 'slices=["eMBB"]',
+                       cwd=tmp_path, OPENBLAS_NUM_THREADS=threads)
+            tables.append({path.name: [row[:2] + row[3:]  # drop cum_time_ms
+                                       for row in csv.reader(io.StringIO(path.read_text()))]
+                           for path in out.glob("rounds_*.csv")})
+        assert list(tables[0]) == ["rounds_eMBB_no_policy.csv"]
+        assert tables[0] == tables[1]
+
+    def test_cli_import_runs_one_thread_whatever_the_environment_says(self, tmp_path):
+        probe = ("import fedslice.cli, os; print(os.environ['OPENBLAS_NUM_THREADS']); "
+                 "print(len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') "
+                 "else 'none')")
+        setting, threads = run_python("-c", probe, cwd=tmp_path,
+                                      OPENBLAS_NUM_THREADS="4").stdout.split()
+        assert setting == "1"
+        assert threads in ("1", "none")  # none: no /proc to count them in
 
 
 class TestParsing:
