@@ -40,17 +40,7 @@ from .nn import (
     init_params,
     train_clients,
 )
-from .selection import (
-    POLICY_INTELLISELECT,
-    POLICY_NO_POLICY,
-    SelectionResult,
-    aggregate_importance,
-    apportion,
-    check_policies,
-    select_by_score,
-    select_clients,
-    select_no_policy,
-)
+from .selection import POLICY_NO_POLICY, SelectionResult, check_policies, select
 
 logger = logging.getLogger(__name__)
 
@@ -263,16 +253,6 @@ def _warn_fallbacks(run: SliceRun, degenerate: np.ndarray) -> None:
         )
 
 
-def _select(cfg: ExperimentConfig, policy: str, chi: np.ndarray | None) -> SelectionResult:
-    if policy == POLICY_NO_POLICY:
-        return select_no_policy(cfg.n_clients)
-    tau = aggregate_importance(chi)
-    if policy == POLICY_INTELLISELECT:
-        quotas = apportion(tau, cfg.n_selected)
-        return select_clients(chi, quotas)
-    return select_by_score(chi, tau, cfg.n_selected)
-
-
 def run_round(runs: list[SliceRun], cfg: ExperimentConfig) -> None:
     """Advance every federation in `runs`, all at the same round, by one round.
 
@@ -321,7 +301,7 @@ def run_round(runs: list[SliceRun], cfg: ExperimentConfig) -> None:
                 attributed[key] = (chi, degenerate, time.perf_counter() - started)
             _warn_fallbacks(run, degenerate)
         chis.append(chi)
-        selections.append(_select(cfg, run.policy, chi))
+        selections.append(select(run.policy, chi, cfg.n_selected, cfg.n_clients))
         elapsed.append(reused_s + time.perf_counter() - started)
 
     # Per train row count, each distinct local training in stack order, with

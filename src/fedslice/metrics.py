@@ -253,7 +253,8 @@ def persist(out_dir: str | Path, runs, ledgers: list[CommLedger],
     """Write round CSVs, audit CSVs, the comm ledger and the summary JSON.
 
     Returns a mapping of logical names to the written paths; raises OSError
-    annotated with the path on I/O failure.
+    annotated with the path on I/O failure, and ValueError naming summary.json,
+    which is then not written, when a summary value is not a finite number.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -299,6 +300,10 @@ def persist(out_dir: str | Path, runs, ledgers: list[CommLedger],
     summary = build_summary(config_echo, runs, ledgers, provisioning_summary)
     validate_summary(summary)
     summary_path = out / "summary.json"
-    summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    try:
+        text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ValueError(f"{summary_path}: {exc}") from None
+    summary_path.write_text(text + "\n")
     paths["summary"] = summary_path
     return paths

@@ -4,7 +4,7 @@ The main policy splits the m selection slots among input features in
 proportion to their global importance (largest-remainder method) and
 fills each feature's slots with the clients attributing most to that feature.
 Two baselines are provided: select everyone, and a per-client similarity
-score against the global importance vector.
+score against the global importance vector. `select` is the entry point.
 """
 
 from __future__ import annotations
@@ -58,22 +58,29 @@ class SelectionResult:
     audit: tuple[SelectionAudit, ...] = ()
 
     def __post_init__(self) -> None:
+        # Program faults, not bad input: `n_selected <= n_clients` is checked
+        # at the config, so no input reaches either check.
         if len(set(self.selected)) != len(self.selected):
-            raise ConfigError("selection contains duplicate client ids")
+            raise ValueError("selection contains duplicate client ids")
         if self.per_feature_quota is not None and sum(self.per_feature_quota) != len(self.selected):
-            raise ConfigError("feature quotas must sum to the number of selected clients")
+            raise ValueError("feature quotas must sum to the number of selected clients")
 
 
-def _validate_matrix(chis: np.ndarray) -> np.ndarray:
-    m = np.asarray(chis, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
-        raise ValueError("attribution matrix must be a non-empty 2-D array")
-    return m
+def select(policy: str, chi: np.ndarray | None, m: int, n_clients: int) -> SelectionResult:
+    """A round's participants under `policy`, from the attribution matrix `chi`.
 
-
-def aggregate_importance(chis: np.ndarray) -> np.ndarray:
-    """Global per-feature importance: componentwise mean over client rows."""
-    return np.abs(_validate_matrix(chis)).mean(axis=0)
+    `no_policy` takes all `n_clients` and reads no attributions (`chi` may be
+    None). Otherwise the global importance tau, the column mean of |chi| over
+    the client rows, is computed once here: `intelliselect` splits the m slots
+    across features by tau and fills them with `select_clients`; `score`
+    takes the m clients that `select_by_score` ranks first.
+    """
+    if policy == POLICY_NO_POLICY:
+        return SelectionResult(selected=tuple(range(n_clients)), per_feature_quota=None)
+    tau = np.abs(chi).mean(axis=0)
+    if policy == POLICY_INTELLISELECT:
+        return select_clients(chi, tau, apportion(tau, m))
+    return select_by_score(chi, tau, m)
 
 
 def apportion(tau: np.ndarray, m: int) -> np.ndarray:
@@ -82,7 +89,6 @@ def apportion(tau: np.ndarray, m: int) -> np.ndarray:
     Floors of m*tau are assigned first; leftover slots go to the largest
     fractional remainders, ties broken toward the lower feature index.
     """
-    tau = np.asarray(tau, dtype=np.float64).reshape(-1)
     raw = m * tau
     quotas = np.floor(raw).astype(int)
     leftover = m - int(quotas.sum())
@@ -93,20 +99,16 @@ def apportion(tau: np.ndarray, m: int) -> np.ndarray:
     return quotas
 
 
-def select_clients(chis: np.ndarray, quotas: np.ndarray) -> SelectionResult:
+def select_clients(chis: np.ndarray, tau: np.ndarray, quotas: np.ndarray) -> SelectionResult:
     """Fill each feature's quota with its top-attributing unclaimed clients.
 
     Client ids are the row indices of `chis`. Features are processed in
-    descending global-importance order, so the most important feature picks
-    first. A client can be claimed only once; when a top-ranked client is
-    already taken, the slot falls to the next rank. All ties break toward the
-    lower index (feature or client id).
+    descending global-importance (`tau`) order, so the most important feature
+    picks first. A client can be claimed only once; when a top-ranked client
+    is already taken, the slot falls to the next rank. All ties break toward
+    the lower index (feature or client id).
     """
-    chis = _validate_matrix(chis)
     n_clients, n_features = chis.shape
-    quotas = np.asarray(quotas, dtype=int).reshape(-1)
-
-    tau = aggregate_importance(chis)
     feature_order = sorted(range(n_features), key=lambda f: (-tau[f], f))
 
     taken: set[int] = set()
@@ -129,11 +131,6 @@ def select_clients(chis: np.ndarray, quotas: np.ndarray) -> SelectionResult:
     )
 
 
-def select_no_policy(n_clients: int) -> SelectionResult:
-    """Every client participates; no quotas, no audit."""
-    return SelectionResult(selected=tuple(range(n_clients)), per_feature_quota=None)
-
-
 def _cosine(a: np.ndarray, b: np.ndarray) -> float:
     na = float(np.linalg.norm(a))
     nb = float(np.linalg.norm(b))
@@ -147,10 +144,7 @@ def select_by_score(chis: np.ndarray, tau: np.ndarray, m: int) -> SelectionResul
 
     Ties break toward the lower client id.
     """
-    chis = _validate_matrix(chis)
     n_clients = chis.shape[0]
-    tau = np.asarray(tau, dtype=np.float64).reshape(-1)
-
     scores = [_cosine(chis[k], tau) for k in range(n_clients)]
     ranked = sorted(range(n_clients), key=lambda k: (-scores[k], k))[:m]
     return SelectionResult(

@@ -24,7 +24,7 @@ from fedslice.nn import (
     param_gradients,
     pre_activations,
 )
-from fedslice.selection import aggregate_importance, apportion, select_clients
+from fedslice.selection import apportion, select
 from fedslice import cli
 
 SLICE_NAMES = ("eMBB", "SocialMedia", "Browsing")
@@ -122,18 +122,16 @@ def test_criterion_3_apportionment_properties(rng):
 def test_criterion_4_selection_determinism_and_equivariance(rng):
     chi = rng.uniform(0.01, 1.0, (10, 3))
     chi = chi / chi.sum(axis=1, keepdims=True)
-    quotas = apportion(aggregate_importance(chi), 5)
-    baseline = select_clients(chi, quotas)
-    deterministic = all(select_clients(chi, quotas) == baseline for _ in range(100))
+    baseline = select("intelliselect", chi, 5, 10)
+    deterministic = all(select("intelliselect", chi, 5, 10) == baseline for _ in range(100))
 
     equivariant = True
     for _ in range(100):
         matrix = rng.uniform(0.01, 1.0, (8, 3))
         matrix = matrix / matrix.sum(axis=1, keepdims=True)
-        q = apportion(aggregate_importance(matrix), 4)
-        plain = select_clients(matrix, q)
+        plain = select("intelliselect", matrix, 4, 8)
         perm = rng.permutation(8)
-        permuted = select_clients(matrix[perm], q)
+        permuted = select("intelliselect", matrix[perm], 4, 8)
         equivariant &= sorted(plain.selected) == sorted(int(perm[k]) for k in permuted.selected)
     report(4, deterministic and equivariant,
            "selection identical across 100 reruns and equivariant under id permutation")

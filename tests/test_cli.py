@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import read_rounds_csv
@@ -213,6 +214,31 @@ class TestRun:
         monkeypatch.setattr(cli, "run_experiment", boom)
         cfg = write_config(tmp_path)
         assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 3
+
+    def test_non_finite_summary_value_is_exit_3_and_writes_no_summary(self, tmp_path, capsys):
+        # One CPU_Load cell of -1e308 passes ingestion, and an
+        # under-provisioning sum overflows to infinity, which JSON cannot hold:
+        # the run must fail naming summary.json, not write a bare `Infinity`.
+        profiles = tmp_path / "profiles.json"
+        profiles.write_text(json.dumps({"n_clients": 2, "samples_per_client": 50,
+                                        "seed": 42, "slices": ["eMBB"]}))
+        data_dir = tmp_path / "data"
+        assert run_cli("gen-data", "--profiles", profiles, "--out", data_dir) == 0
+        path = data_dir / "client00_eMBB.csv"
+        lines = path.read_text().splitlines()
+        fields = lines[5].split(",")
+        fields[lines[0].split(",").index("CPU_Load")] = "-1e308"
+        lines[5] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        cfg = write_config(tmp_path, n_clients=2, n_selected=1, n_rounds=1,
+                           samples_per_client=50, slices=["eMBB"], data_dir=str(data_dir))
+        out = tmp_path / "o"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run_cli("run", "--config", cfg, "--out", out) == 3
+        summary = out / "summary.json"
+        assert (f"runtime failure: {summary}: Out of range float values are not JSON "
+                "compliant") in capsys.readouterr().err
+        assert not summary.exists()
 
     def test_rounds_match_the_pinned_digest(self, tmp_path):
         # Acceptance criterion 10's config, once. The pin covers every round's

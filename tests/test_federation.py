@@ -13,7 +13,6 @@ from fedslice.federation import (
     ExperimentConfig,
     SliceRun,
     _attribute,
-    _select,
     _shuffle_rng,
     build_datasets,
     evaluate_global,
@@ -23,6 +22,7 @@ from fedslice.federation import (
     run_round,
 )
 from fedslice.nn import ModelParams, NetworkSpec, forward_batch, init_params, train_clients
+from fedslice.selection import select
 
 
 @pytest.fixture(scope="module")
@@ -373,7 +373,7 @@ class TestRounds:
         for policy in policies:
             for name in cfg.slices:
                 chi = _attribute(initial, tuple(small_datasets[name]), cfg)[0]
-                chosen = sorted(_select(cfg, policy, chi).selected)
+                chosen = sorted(select(policy, chi, cfg.n_selected, cfg.n_clients).selected)
                 at_fault.append(f"slice {name}, policy {policy}, clients {chosen}")
         assert str(info.value) == (f"round 0: {'; '.join(at_fault)}: "
                                    "non-finite gradient during local training")
@@ -409,7 +409,7 @@ class TestRounds:
         at_fault = []
         for name in cfg.slices:
             chi = _attribute(initial, tuple(small_datasets[name]), cfg)[0]
-            chosen = sorted(_select(cfg, "intelliselect", chi).selected)
+            chosen = sorted(select("intelliselect", chi, cfg.n_selected, cfg.n_clients).selected)
             at_fault.append(f"slice {name}, policy intelliselect, clients {chosen}")
         at_fault += [f"slice {name}, policy no_policy, clients [0, 1, 2, 3]"
                      for name in cfg.slices]

@@ -4,11 +4,10 @@ import pytest
 from fedslice.errors import ConfigError
 from fedslice.selection import (
     SelectionResult,
-    aggregate_importance,
     apportion,
+    select,
     select_by_score,
     select_clients,
-    select_no_policy,
 )
 
 
@@ -17,23 +16,52 @@ def random_chi(rng, n_clients, n_features=3):
     return raw / raw.sum(axis=1, keepdims=True)
 
 
+# Feature 0 has the larger column mean (0.575 against 0.425), so it picks
+# first and takes client 2; feature 1's top client is also 2, so its slot
+# falls to the next-ranked client 0.
+HAND_TRACE_CHI = np.array([
+    [0.20, 0.75],
+    [0.55, 0.05],
+    [0.95, 0.80],
+    [0.60, 0.10],
+])
+
+
+def brute_force_score_ranking(chi, tau, m):
+    """The m clients of highest cosine similarity to tau, ties to the lower id."""
+    scores = []
+    for k in range(chi.shape[0]):
+        num = float(chi[k] @ tau)
+        den = float(np.linalg.norm(chi[k]) * np.linalg.norm(tau))
+        scores.append(num / den if den else 0.0)
+    return [k for k, _ in sorted(enumerate(scores), key=lambda kv: (-kv[1], kv[0]))][:m]
+
+
+def select_quotas(chi, m):
+    return select("intelliselect", chi, m, chi.shape[0]).per_feature_quota
+
+
 class TestAggregateImportance:
+    # The global importance tau, the column mean of |chi|, is seen through
+    # the quotas `select` apportions from it.
     def test_single_client_is_identity(self):
         chi = np.array([[0.2, 0.5, 0.3]])
-        assert np.array_equal(aggregate_importance(chi), chi[0])
+        assert select_quotas(chi, 1) == tuple(apportion(chi[0], 1)) == (0, 1, 0)
 
     def test_two_clients_mean(self):
+        # tau = (0.5, 0.5, 0.0): one slot each for features 0 and 1.
         chi = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        assert np.array_equal(aggregate_importance(chi), [0.5, 0.5, 0.0])
+        assert select_quotas(chi, 2) == (1, 1, 0)
 
     def test_normalized_rows_give_unit_total(self, rng):
+        # Rows summing to one give a tau summing to one, so the m slots are
+        # split exactly, each quota within one of m times the column mean.
         for _ in range(20):
-            tau = aggregate_importance(random_chi(rng, 8))
-            assert tau.sum() == pytest.approx(1.0, abs=1e-9)
-
-    def test_empty_matrix_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate_importance(np.zeros((0, 3)))
+            chi = random_chi(rng, 8)
+            m = int(rng.integers(1, 9))
+            quotas = np.array(select_quotas(chi, m))
+            assert quotas.sum() == m
+            assert np.all(np.abs(quotas - m * chi.mean(axis=0)) < 1.0)
 
 
 class TestApportion:
@@ -60,23 +88,37 @@ class TestApportion:
             assert np.all(np.abs(quotas - m * tau) < 1.0)
 
 
+class TestSelect:
+    def test_no_policy_takes_every_client_without_chi(self):
+        result = select("no_policy", None, 3, 10)
+        assert result.selected == tuple(range(10))
+
+    def test_score_matches_brute_force_cosine_against_column_mean(self, rng):
+        for _ in range(30):
+            chi = random_chi(rng, 8)
+            m = int(rng.integers(1, 9))
+            result = select("score", chi, m, 8)
+
+            tau = chi.mean(axis=0)
+            assert list(result.selected) == brute_force_score_ranking(chi, tau, m)
+
+    def test_intelliselect_skip_rule_hand_trace(self):
+        # Two slots over those column means give one to each feature.
+        result = select("intelliselect", HAND_TRACE_CHI, 2, 4)
+        assert result.per_feature_quota == (1, 1)
+        assert result.selected == (2, 0)
+        assert [(a.client_id, a.feature) for a in result.audit] == [(2, 0), (0, 1)]
+
+
 class TestSelectClients:
     def test_selecting_everyone_ignores_chi(self, rng):
         chi = random_chi(rng, 6)
-        result = select_clients(chi, apportion(aggregate_importance(chi), 6))
+        result = select("intelliselect", chi, 6, 6)
         assert sorted(result.selected) == list(range(6))
 
     def test_skip_rule_hand_trace(self):
-        # Feature 0 has the larger column mean so it picks first and takes
-        # client 2; feature 1's top client is also 2, so its slot falls to the
-        # next-ranked client 0.
-        chi = np.array([
-            [0.20, 0.75],
-            [0.55, 0.05],
-            [0.95, 0.80],
-            [0.60, 0.10],
-        ])
-        result = select_clients(chi, np.array([1, 1]))
+        chi = HAND_TRACE_CHI
+        result = select_clients(chi, chi.mean(axis=0), np.array([1, 1]))
         assert result.selected == (2, 0)
         assert [(a.client_id, a.feature) for a in result.audit] == [(2, 0), (0, 1)]
         assert result.audit[0].chi_value == 0.95
@@ -88,17 +130,16 @@ class TestSelectClients:
             [0.5, 0.5],
             [0.5, 0.5],
         ])
-        result = select_clients(chi, np.array([1, 1]))
+        result = select_clients(chi, chi.mean(axis=0), np.array([1, 1]))
         assert result.selected == (0, 1)
 
     def test_permutation_equivariance(self, rng):
         for _ in range(50):
             chi = random_chi(rng, 7)
-            quotas = apportion(aggregate_importance(chi), 4)
-            base = select_clients(chi, quotas)
+            base = select("intelliselect", chi, 4, 7)
 
             perm = rng.permutation(7)
-            permuted = select_clients(chi[perm], quotas)
+            permuted = select("intelliselect", chi[perm], 4, 7)
             assert sorted(base.selected) == sorted(int(perm[k]) for k in permuted.selected)
 
     def test_always_m_distinct_ids(self, rng):
@@ -106,36 +147,37 @@ class TestSelectClients:
             n = int(rng.integers(2, 12))
             m = int(rng.integers(1, n + 1))
             chi = random_chi(rng, n)
-            result = select_clients(chi, apportion(aggregate_importance(chi), m))
+            result = select("intelliselect", chi, m, n)
             assert len(result.selected) == m
             assert len(set(result.selected)) == m
 
     def test_determinism(self, rng):
         chi = random_chi(rng, 9)
-        quotas = apportion(aggregate_importance(chi), 5)
-        results = {select_clients(chi, quotas).selected for _ in range(100)}
+        results = {select("intelliselect", chi, 5, 9).selected for _ in range(100)}
         assert len(results) == 1
 
     def test_more_than_population_rejected(self, rng):
         # Four slots over three clients fill three: the quotas no longer sum
-        # to the selection, which `SelectionResult` refuses.
+        # to the selection, which `SelectionResult` refuses as a program fault.
         chi = random_chi(rng, 3)
-        with pytest.raises(ConfigError, match="feature quotas must sum"):
-            select_clients(chi, np.array([2, 1, 1]))
+        with pytest.raises(ValueError, match="feature quotas must sum") as info:
+            select_clients(chi, chi.mean(axis=0), np.array([2, 1, 1]))
+        assert not isinstance(info.value, ConfigError)
 
 
 class TestNoPolicy:
     def test_all_ten(self):
-        result = select_no_policy(10)
+        result = select("no_policy", None, 10, 10)
         assert result.selected == tuple(range(10))
         assert result.per_feature_quota is None
         assert result.audit == ()
 
     def test_single_client(self):
-        assert select_no_policy(1).selected == (0,)
+        assert select("no_policy", None, 1, 1).selected == (0,)
 
     def test_idempotent_across_rounds(self):
-        assert all(select_no_policy(10).selected == tuple(range(10)) for _ in range(5))
+        assert all(select("no_policy", None, 10, 10).selected == tuple(range(10))
+                   for _ in range(5))
 
 
 class TestScorePolicy:
@@ -161,17 +203,11 @@ class TestScorePolicy:
     def test_matches_brute_force_sort(self, rng):
         for _ in range(30):
             chi = random_chi(rng, 8)
-            tau = aggregate_importance(chi)
+            tau = chi.mean(axis=0)
             m = int(rng.integers(1, 9))
             result = select_by_score(chi, tau, m)
 
-            scores = []
-            for k in range(8):
-                num = float(chi[k] @ tau)
-                den = float(np.linalg.norm(chi[k]) * np.linalg.norm(tau))
-                scores.append(num / den if den else 0.0)
-            expected = [k for k, _ in sorted(enumerate(scores), key=lambda kv: (-kv[1], kv[0]))][:m]
-            assert list(result.selected) == expected
+            assert list(result.selected) == brute_force_score_ranking(chi, tau, m)
 
 
 class TestScaleInvariance:
@@ -184,19 +220,22 @@ class TestScaleInvariance:
             scaled_raw = raw * 37.5
             chi_scaled = scaled_raw / scaled_raw.sum(axis=1, keepdims=True)
 
-            quotas = apportion(aggregate_importance(chi), 4)
-            quotas_scaled = apportion(aggregate_importance(chi_scaled), 4)
-            assert np.array_equal(quotas, quotas_scaled)
-            a = select_clients(chi, quotas)
-            b = select_clients(chi_scaled, quotas_scaled)
+            a = select("intelliselect", chi, 4, 8)
+            b = select("intelliselect", chi_scaled, 4, 8)
+            assert a.per_feature_quota == b.per_feature_quota
             assert a.selected == b.selected
 
 
 class TestSelectionResult:
+    # No input reaches these checks (`n_selected <= n_clients` is a config
+    # rule), so a failure is a program fault: not a ConfigError, which the
+    # CLI reports as bad input.
     def test_duplicate_ids_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError) as info:
             SelectionResult(selected=(1, 1), per_feature_quota=None)
+        assert not isinstance(info.value, ConfigError)
 
     def test_quota_total_must_match_selection(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError) as info:
             SelectionResult(selected=(0, 1), per_feature_quota=(3, 0))
+        assert not isinstance(info.value, ConfigError)
