@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError
 from .nn import ModelParams, input_gradients_batch, pre_activations
 
 
@@ -46,7 +45,7 @@ def sample_attributions(params: ModelParams, samples: np.ndarray) -> np.ndarray:
     """Signed exact integrated gradients for many samples at once; returns (n, F)."""
     xs = np.asarray(samples, dtype=np.float64)
     if xs.ndim != 2:
-        raise ConfigError("samples must be a 2-D array")
+        raise ValueError("samples must be a 2-D array")
     n, n_features = xs.shape
     cuts = _path_cuts(params, xs)
     mids = 0.5 * (cuts[:, :-1] + cuts[:, 1:])

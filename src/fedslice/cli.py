@@ -1,15 +1,19 @@
 """Command-line entry point: run experiments, generate datasets, compare runs.
 
 The CLI is a thin shell over the library: it parses a JSON config (plus
-``--override key=value`` pairs), dispatches, and maps errors to exit codes
-(0 success, 2 usage/config, 3 runtime failure). Every run directory gets
-exactly one ``manifest.json`` echoing the effective configuration.
+``--override key=value`` pairs and ``--policies``), dispatches, and maps
+errors to exit codes (0 success, 2 usage/config, 3 runtime failure). `run`
+builds one `ExperimentConfig`, which names the policies too, builds or
+ingests the datasets, runs every federation, has `metrics.persist` write the
+run directory, and adds its one ``manifest.json`` echoing the effective
+configuration.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import os
@@ -29,9 +33,7 @@ from . import metrics as metrics_mod
 from .data import (DataSpec, NonIidProfile, default_profiles, from_json, generate_client_table,
                    ingest_csv, slice_by_name, write_client_csv)
 from .errors import ConfigError
-from .federation import ExperimentConfig, SliceRun, client_seed, run_experiment
-from .metrics import comm_cost, convergence_round, slice_provisioning
-from .selection import POLICIES, POLICY_INTELLISELECT, check_policies
+from .federation import ExperimentConfig, client_seed, run_experiment
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_SCHEMA_VERSION = 1
@@ -65,11 +67,16 @@ def _read_json(path: str | Path):
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def _load_config(config_path: str | None, overrides: list[str],
-                 policies_flag: str | None) -> tuple[dict, list[str]]:
-    """Merge file config and overrides; returns (raw config dict, policies).
+def _split_policies(text: str) -> list[str]:
+    return [p.strip() for p in text.split(",") if p.strip()]
 
-    The `--policies` flag, when given, wins over a `policies` key.
+
+def _load_config(config_path: str | None, overrides: list[str],
+                 policies_flag: str | None) -> ExperimentConfig:
+    """The config file, then each override, then the `--policies` flag, as one config.
+
+    `policies` may be a comma-separated string as well as a list. The flag,
+    when given, wins over a `policies` key, which is still checked.
     """
     raw: dict = {}
     if config_path is not None:
@@ -83,16 +90,12 @@ def _load_config(config_path: str | None, overrides: list[str],
     if "policy" in raw:
         raise ConfigError("config key 'policy' is not accepted; "
                           "name the policies to run with 'policies' or --policies")
-    policies = raw.pop("policies", list(POLICIES))
-    if not (isinstance(policies, str) or isinstance(policies, list)
-            and all(isinstance(p, str) for p in policies)):
-        raise ConfigError(f"policies must be a string or a list of strings, got {policies!r}")
+    if isinstance(raw.get("policies"), str):
+        raw["policies"] = _split_policies(raw["policies"])
+    cfg = from_json(ExperimentConfig, raw, "config")
     if policies_flag is not None:
-        policies = policies_flag
-    if isinstance(policies, str):
-        policies = [p.strip() for p in policies.split(",") if p.strip()]
-    check_policies(policies)
-    return raw, list(policies)
+        cfg = dataclasses.replace(cfg, policies=_split_policies(policies_flag))
+    return cfg
 
 
 def _client_csv(data_dir: str | Path, client_id: int, slice_name: str) -> Path:
@@ -131,56 +134,23 @@ def _ingest_datasets(cfg: ExperimentConfig) -> dict[str, list]:
     return datasets
 
 
-def _provisioning_rows(runs: list[SliceRun],
-                       policies: list[str]) -> dict[str, tuple[str, list]]:
-    """Per-slice provisioning at round 0 and at the convergence round.
-
-    Uses the attribution-policy run when present so the report reflects the
-    selection policy under study.
-    """
-    chosen = POLICY_INTELLISELECT if POLICY_INTELLISELECT in policies else policies[0]
-    rows: dict[str, tuple[str, list]] = {}
-    for run in runs:
-        if run.policy != chosen or not run.records:
-            continue
-        mses = [r.mse for r in run.records]
-        conv = convergence_round(mses)
-        report_rounds = [(t, slice_provisioning(run.records[t].global_params, run.datasets))
-                         for t in sorted({0, conv})]
-        rows[run.slice_name] = (chosen, report_rounds)
-    return rows
-
-
 def cmd_run(args: argparse.Namespace) -> int:
-    raw, policies = _load_config(args.config, args.override, args.policies)
-    base = from_json(ExperimentConfig, raw, "config")
-
+    cfg = _load_config(args.config, args.override, args.policies)
     out_dir = Path(args.out)
     started = datetime.now(timezone.utc).isoformat()
-    if base.data_dir is not None:
-        datasets = _ingest_datasets(base)
+    if cfg.data_dir is not None:
+        datasets = _ingest_datasets(cfg)
     else:
-        datasets = federation.build_datasets(base)  # perfbench/traced.py wraps it there
+        datasets = federation.build_datasets(cfg)  # perfbench/traced.py wraps it there
 
-    runs = run_experiment(base, policies, datasets)
-    spec = base.network_spec
-    ledgers = [
-        comm_cost(policy, base.n_clients, base.n_selected, spec.n_features,
-                  spec.param_count, base.n_rounds)
-        for policy in policies
-    ]
-    provisioning = _provisioning_rows(runs, policies)
-
-    config_echo = base.to_dict()
-    config_echo["policies"] = policies
-    paths = metrics_mod.persist(out_dir, runs, ledgers, provisioning, config_echo)
-
+    runs = run_experiment(cfg, datasets)
+    paths = metrics_mod.persist(out_dir, cfg, runs)
     manifest = {
         "schema_version": MANIFEST_SCHEMA_VERSION,
         "code_version": __version__,
-        "seed": base.seed,
+        "seed": cfg.seed,
         "started_utc": started,
-        "config": config_echo,
+        "config": cfg.to_dict(),
         "overrides": list(args.override),
         "outputs": {name: str(path) for name, path in sorted(paths.items())},
     }

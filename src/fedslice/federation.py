@@ -40,7 +40,7 @@ from .nn import (
     init_params,
     train_clients,
 )
-from .selection import POLICY_NO_POLICY, SelectionResult, check_policies, select
+from .selection import POLICIES, POLICY_NO_POLICY, SelectionResult, check_policies, select
 
 logger = logging.getLogger(__name__)
 
@@ -57,10 +57,13 @@ class ExperimentConfig(DataSpec):
     layer_sizes: tuple[int, ...] = (3, 3, 2, 1)
     train_fraction: float = 0.8
     data_dir: str | None = None
+    policies: tuple[str, ...] = POLICIES
 
     def __post_init__(self) -> None:
         super().__post_init__()
         object.__setattr__(self, "layer_sizes", tuple(self.layer_sizes))
+        object.__setattr__(self, "policies", tuple(self.policies))
+        check_policies(self.policies)
         if not 1 <= self.n_selected <= self.n_clients:
             raise ConfigError(
                 f"n_selected must be in [1, n_clients], got {self.n_selected} of {self.n_clients}"
@@ -386,17 +389,14 @@ def _at_fault(
 
 
 def run_experiment(
-    cfg: ExperimentConfig,
-    policies: list[str],
-    datasets: dict[str, list[ClientDataset]],
+    cfg: ExperimentConfig, datasets: dict[str, list[ClientDataset]]
 ) -> list[SliceRun]:
-    """Every (policy, configured slice) federation, policy-major, run round by round together.
+    """Every (policy, slice) federation of `cfg`, policy-major, run round by round together.
 
     All federations start from one initial model, and every federation of a
-    slice trains on the same datasets. Policies and datasets are checked
-    before any round.
+    slice trains on the same datasets. The datasets are checked before any
+    round.
     """
-    check_policies(policies)
     missing = [s for s in cfg.slices if s not in datasets]
     if missing:
         raise ConfigError(f"no datasets for slice(s): {', '.join(missing)}")
@@ -407,7 +407,7 @@ def run_experiment(
             )
     initial = init_params(cfg.network_spec, cfg.seed)
     runs = [SliceRun(name, policy, tuple(datasets[name]), initial)
-            for policy in policies for name in cfg.slices]
+            for policy in cfg.policies for name in cfg.slices]
     for _ in range(cfg.n_rounds):
         run_round(runs, cfg)
     return runs

@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import write_csv
 from .nn import ModelParams, forward_batch
-from .selection import POLICIES, POLICY_NO_POLICY, POLICY_SCORE
+from .selection import POLICIES, POLICY_INTELLISELECT, POLICY_NO_POLICY, POLICY_SCORE
 
 SUMMARY_SCHEMA_VERSION = 1
 ROUNDS_HEADER = ("round", "mse", "cum_time_ms", "selected_ids", "params_transmitted")
@@ -179,41 +179,6 @@ def write_provisioning_csv(path: Path, policy: str,
                                                   report.errors.tolist()))))
 
 
-def build_summary(config_echo: dict, runs, ledgers: list[CommLedger],
-                  provisioning: dict[str, dict]) -> dict:
-    """Plot-ready run summary; see validate_summary for the schema."""
-    slices: dict[str, dict] = {}
-    for run in runs:
-        mses = [r.mse for r in run.records]
-        ledger = next(l for l in ledgers if l.policy == run.policy)
-        entry = {
-            "rounds": len(run.records),
-            "final_mse": mses[-1] if mses else None,
-            "convergence_round": convergence_round(mses) if mses else None,
-            "cum_time_ms": run.records[-1].cum_time_ms if run.records else 0.0,
-            "total_comm_params": ledger.total,
-        }
-        slices.setdefault(run.slice_name, {})[run.policy] = entry
-
-    comm_model = {
-        ledger.policy: {
-            "downlink_per_round": ledger.downlink_per_round,
-            "uplink_per_round": ledger.uplink_per_round,
-            "rounds": ledger.n_rounds,
-            "total": ledger.total,
-        }
-        for ledger in ledgers
-    }
-    return {
-        "schema_version": SUMMARY_SCHEMA_VERSION,
-        "config": config_echo,
-        "comm_model": comm_model,
-        "slices": slices,
-        "provisioning": provisioning,
-        "total_comm_params": sum(ledger.total for ledger in ledgers),
-    }
-
-
 def validate_summary(summary: dict) -> None:
     """Raise ValueError when a summary does not match the documented schema."""
     if not isinstance(summary, dict):
@@ -247,57 +212,88 @@ def validate_summary(summary: dict) -> None:
                 raise ValueError("slice entry 'total_comm_params' must be an int")
 
 
-def persist(out_dir: str | Path, runs, ledgers: list[CommLedger],
-            provisioning_rows: dict[str, tuple[str, list[tuple[int, ProvisioningReport]]]],
-            config_echo: dict) -> dict[str, Path]:
-    """Write round CSVs, audit CSVs, the comm ledger and the summary JSON.
+def persist(out_dir: str | Path, cfg, runs) -> dict[str, Path]:
+    """Write every file of the run directory of `cfg`'s `runs` except the manifest.
 
-    Returns a mapping of logical names to the written paths; raises OSError
-    annotated with the path on I/O failure, and ValueError naming summary.json,
-    which is then not written, when a summary value is not a finite number.
+    Per federation: its rounds CSV, and its attributions and selection audit
+    CSVs when it has any. Per run: the comm ledger, one provisioning CSV per
+    slice and the summary JSON. Provisioning is reported for `intelliselect`
+    when it ran, else for the first policy, at round 0 and at the
+    convergence round. Returns a mapping of logical names to the written
+    paths; raises OSError annotated with the path on I/O failure, and
+    ValueError naming summary.json, which is then not written, when a
+    summary value is not a finite number.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths: dict[str, Path] = {}
 
+    def csv_path(name: str) -> Path:
+        paths[name] = out / f"{name}.csv"
+        return paths[name]
+
+    spec = cfg.network_spec
+    ledgers = {policy: comm_cost(policy, cfg.n_clients, cfg.n_selected, spec.n_features,
+                                 spec.param_count, cfg.n_rounds)
+               for policy in cfg.policies}
+    reported = POLICY_INTELLISELECT if POLICY_INTELLISELECT in cfg.policies else cfg.policies[0]
+    slices: dict[str, dict] = {}
+    provisioning: dict[str, dict] = {}
+
     for run in runs:
         stem = f"{run.slice_name}_{run.policy}"
-        ledger = next(l for l in ledgers if l.policy == run.policy)
-        rounds_path = out / f"rounds_{stem}.csv"
-        write_rounds_csv(rounds_path, run.records, ledger.round_total)
-        paths[f"rounds_{stem}"] = rounds_path
+        ledger = ledgers[run.policy]
+        write_rounds_csv(csv_path(f"rounds_{stem}"), run.records, ledger.round_total)
         chi_rounds = [r.chi for r in run.records if r.chi is not None]
         if chi_rounds:
-            chi_path = out / f"attributions_{stem}.csv"
-            write_attributions_csv(chi_path, chi_rounds)
-            paths[f"attributions_{stem}"] = chi_path
+            write_attributions_csv(csv_path(f"attributions_{stem}"), chi_rounds)
         selections = [r.selection for r in run.records]
         if any(s.audit for s in selections):
-            sel_path = out / f"selection_{stem}.csv"
-            write_selection_csv(sel_path, selections)
-            paths[f"selection_{stem}"] = sel_path
+            write_selection_csv(csv_path(f"selection_{stem}"), selections)
 
-    ledger_path = out / "comm_ledger.csv"
-    write_comm_ledger_csv(ledger_path, ledgers)
-    paths["comm_ledger"] = ledger_path
-
-    provisioning_summary: dict[str, dict] = {}
-    for slice_name, (policy, round_reports) in provisioning_rows.items():
-        prov_path = out / f"provisioning_{slice_name}.csv"
-        write_provisioning_csv(prov_path, policy, round_reports)
-        paths[f"provisioning_{slice_name}"] = prov_path
-        provisioning_summary[slice_name] = {
-            "policy": policy,
-            "rounds": {
-                str(round_index): {
-                    "over_provisioning_sum": report.over_sum,
-                    "under_provisioning_sum": report.under_sum,
-                }
-                for round_index, report in round_reports
-            },
+        mses = [r.mse for r in run.records]
+        converged = convergence_round(mses) if mses else None
+        slices.setdefault(run.slice_name, {})[run.policy] = {
+            "rounds": len(mses),
+            "final_mse": mses[-1] if mses else None,
+            "convergence_round": converged,
+            "cum_time_ms": run.records[-1].cum_time_ms if mses else 0.0,
+            "total_comm_params": ledger.total,
         }
+        if run.policy == reported and mses:
+            round_reports = [(t, slice_provisioning(run.records[t].global_params, run.datasets))
+                             for t in sorted({0, converged})]
+            write_provisioning_csv(csv_path(f"provisioning_{run.slice_name}"), reported,
+                                   round_reports)
+            provisioning[run.slice_name] = {
+                "policy": reported,
+                "rounds": {
+                    str(t): {
+                        "over_provisioning_sum": report.over_sum,
+                        "under_provisioning_sum": report.under_sum,
+                    }
+                    for t, report in round_reports
+                },
+            }
 
-    summary = build_summary(config_echo, runs, ledgers, provisioning_summary)
+    write_comm_ledger_csv(csv_path("comm_ledger"), list(ledgers.values()))
+
+    summary = {
+        "schema_version": SUMMARY_SCHEMA_VERSION,
+        "config": cfg.to_dict(),
+        "comm_model": {
+            policy: {
+                "downlink_per_round": ledger.downlink_per_round,
+                "uplink_per_round": ledger.uplink_per_round,
+                "rounds": ledger.n_rounds,
+                "total": ledger.total,
+            }
+            for policy, ledger in ledgers.items()
+        },
+        "slices": slices,
+        "provisioning": provisioning,
+        "total_comm_params": sum(ledgers[run.policy].total for run in runs),
+    }
     validate_summary(summary)
     summary_path = out / "summary.json"
     try:

@@ -81,9 +81,9 @@ class ModelParams:
     def __post_init__(self) -> None:
         values = np.ascontiguousarray(self.values, dtype=np.float64)
         if values.ndim != 1:
-            raise ConfigError("parameter vector must be one-dimensional")
+            raise ValueError("parameter vector must be one-dimensional")
         if values.shape[0] != self.spec.param_count:
-            raise ConfigError(
+            raise ValueError(
                 f"parameter vector has {values.shape[0]} entries, "
                 f"spec {self.spec.layer_sizes} needs {self.spec.param_count}"
             )
@@ -118,7 +118,7 @@ def pack(spec: NetworkSpec, layers: list[tuple[np.ndarray, np.ndarray]]) -> Mode
         w = np.asarray(w, dtype=np.float64)
         b = np.asarray(b, dtype=np.float64)
         if w.shape != (n_in, n_out) or b.shape != (n_out,):
-            raise ConfigError(f"layer arrays do not match spec {spec.layer_sizes}")
+            raise ValueError(f"layer arrays do not match spec {spec.layer_sizes}")
         chunks.append(w.reshape(-1))
         chunks.append(b)
     return ModelParams(np.concatenate(chunks), spec)
@@ -141,7 +141,7 @@ def _as_batch(params: ModelParams, features: np.ndarray) -> np.ndarray:
     if x.ndim == 1:
         x = x[None, :]
     if x.ndim != 2 or x.shape[1] != params.spec.n_features:
-        raise ConfigError(
+        raise ValueError(
             f"expected feature dimension {params.spec.n_features}, got shape {x.shape}"
         )
     return x
@@ -218,7 +218,7 @@ def param_gradients(params: ModelParams, features: np.ndarray, targets: np.ndarr
     if y.shape[0] == 0:
         raise ValueError("gradient of an empty batch is undefined")
     if y.shape[0] != x.shape[0]:
-        raise ConfigError(f"batch has {x.shape[0]} rows but {y.shape[0]} targets")
+        raise ValueError(f"batch has {x.shape[0]} rows but {y.shape[0]} targets")
     grad = np.empty(params.spec.param_count)
     _pass(*_stack(params), x.T[None], y[None], _layer_views(grad, params.spec, 1))
     return grad
@@ -265,7 +265,7 @@ def train_clients(
         raise ValueError("need matching non-empty start model, feature and target lists")
     spec = start_params[0].spec
     if any(p.spec != spec for p in start_params):
-        raise ConfigError("clients must share a network spec to train in lockstep")
+        raise ValueError("clients must share a network spec to train in lockstep")
     features = [np.asarray(f, dtype=np.float64) for f in features]
     targets = [np.asarray(t, dtype=np.float64).reshape(-1) for t in targets]
     row_counts = [f.shape[0] for f in features]
@@ -279,7 +279,7 @@ def train_clients(
     if n_rows == 0:
         raise ValueError("cannot train on an empty dataset")
     if x_epoch.shape[2] != spec.n_features:
-        raise ConfigError(f"expected feature dimension {spec.n_features}, got {x_epoch.shape}")
+        raise ValueError(f"expected feature dimension {spec.n_features}, got {x_epoch.shape}")
 
     theta = np.empty(n_clients * spec.param_count)
     grad = np.empty_like(theta)

@@ -21,7 +21,7 @@ POLICY_SCORE = "score"
 POLICIES = (POLICY_INTELLISELECT, POLICY_NO_POLICY, POLICY_SCORE)
 
 
-def check_policies(policies: list[str]) -> None:
+def check_policies(policies: tuple[str, ...]) -> None:
     """The rule for a list of policies to run: at least one, each known, none repeated.
 
     Each policy runs one federation per slice and writes files named after

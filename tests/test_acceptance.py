@@ -48,7 +48,8 @@ def default_datasets(default_config):
 @pytest.fixture(scope="module")
 def trend_runs(default_config, default_datasets):
     """Full default-scale runs for intelliselect and no_policy on all slices."""
-    runs = run_experiment(default_config, ["intelliselect", "no_policy"], default_datasets)
+    cfg = dataclasses.replace(default_config, policies=("intelliselect", "no_policy"))
+    runs = run_experiment(cfg, default_datasets)
     return {(run.policy, run.slice_name): run for run in runs}
 
 
@@ -195,8 +196,9 @@ def test_criterion_7_convergence_trend(trend_runs):
 def test_criterion_8_scalability_trend(default_config):
     finals = {}
     for n_clients in (40, 50):
-        cfg = dataclasses.replace(default_config, n_clients=n_clients, n_selected=25)
-        for run in run_experiment(cfg, ["intelliselect"], build_datasets(cfg)):
+        cfg = dataclasses.replace(default_config, n_clients=n_clients, n_selected=25,
+                                  policies=("intelliselect",))
+        for run in run_experiment(cfg, build_datasets(cfg)):
             finals[(n_clients, run.slice_name)] = run.records[-1].mse
     details = []
     ok = True

@@ -100,8 +100,10 @@ class TestIntegratedGradients:
     def test_config_validation(self, rng):
         with pytest.raises(ConfigError, match="attribution_samples"):
             ExperimentConfig(attribution_samples=0)
-        with pytest.raises(ConfigError):
+        # A 1-D sample array is a program fault, not bad input.
+        with pytest.raises(ValueError, match="2-D") as info:
             sample_attributions(init_params(NetworkSpec(), rng), np.zeros(3))
+        assert not isinstance(info.value, ConfigError)
 
 
 class TestClientAttribution:

@@ -52,6 +52,27 @@ def run_python(*args, cwd, **env):
     return proc
 
 
+def wall_clock_free(out):
+    """Every file of a run directory by name, without wall-clock fields and output paths."""
+    files = {}
+    for path in sorted(out.iterdir()):
+        if path.name.startswith("rounds_"):
+            rows = list(csv.reader(io.StringIO(path.read_text(), newline="")))
+            files[path.name] = [row[:2] + row[3:] for row in rows]  # column 3 is cum_time_ms
+        elif path.suffix == ".json":
+            doc = json.loads(path.read_text())
+            doc.pop("started_utc", None)
+            if "outputs" in doc:
+                doc["outputs"] = sorted(doc["outputs"])
+            for entries in doc.get("slices", {}).values():
+                for entry in entries.values():
+                    entry.pop("cum_time_ms")
+            files[path.name] = doc
+        else:
+            files[path.name] = path.read_bytes()
+    return files
+
+
 def profile_entry(client_id, **overrides):
     base = {"client_id": client_id, "traffic_scale": 2.0, "diurnal_phase": 0.0,
             "cqi_mean": 8.0, "noise_level": 1.0, "mix_weights": [1.0, 0.5, 0.1]}
@@ -165,6 +186,28 @@ class TestRun:
             assert "policy" not in config
             assert "n_features" not in config
             assert config["policies"] == ["no_policy"]
+
+    def test_policies_as_list_key_string_key_or_flag_write_identical_runs(self, tmp_path):
+        # The flag wins over a key; a comma string names policies as a list does.
+        ways = {
+            "list": ("--config", write_config(tmp_path, "list.json",
+                                              policies=["score", "intelliselect"])),
+            "string": ("--config", write_config(tmp_path, "string.json",
+                                                policies=" score, intelliselect,")),
+            "flag": ("--config", write_config(tmp_path, "flag.json", policies="no_policy"),
+                     "--policies", "score,intelliselect"),
+        }
+        runs = []
+        for name, args in ways.items():
+            assert run_cli("run", *args, "--out", tmp_path / name) == 0
+            runs.append(wall_clock_free(tmp_path / name))
+        assert runs[0] == runs[1] == runs[2]
+        assert sorted(runs[0]) == sorted([
+            "comm_ledger.csv", "manifest.json", "summary.json",
+            *(f"{kind}_{s}_{p}.csv" for kind in ("rounds", "attributions", "selection")
+              for s in ("eMBB", "SocialMedia", "Browsing") for p in ("score", "intelliselect")),
+            *(f"provisioning_{s}.csv" for s in ("eMBB", "SocialMedia", "Browsing")),
+        ])
 
     @pytest.mark.parametrize("override", [
         "seed=-1",

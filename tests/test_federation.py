@@ -32,7 +32,7 @@ def small_datasets():
 
 def run_embb(cfg, policy, datasets):
     """The single eMBB federation of `policy` on `datasets`, run by `run_experiment`."""
-    [run] = run_experiment(dataclasses.replace(cfg, slices=("eMBB",)), [policy],
+    [run] = run_experiment(dataclasses.replace(cfg, slices=("eMBB",), policies=(policy,)),
                            {"eMBB": datasets})
     return run
 
@@ -199,33 +199,26 @@ class TestConfig:
         with pytest.raises(ConfigError, match="bogus_knob"):
             from_json(ExperimentConfig, {"bogus_knob": 3}, "config")
 
-    def test_unknown_policy_rejected(self, small_datasets, monkeypatch):
-        # The policy is checked before any round attributes or trains a client.
-        calls = counting_calls(monkeypatch)
-        with pytest.raises(ConfigError, match="oracle"):
-            run_experiment(small_config(), ["oracle"], small_datasets)
-        assert calls == []
+    # The policies are checked when the config is built, so before any round.
+    def test_unknown_policy_rejected(self):
+        with pytest.raises(ConfigError, match="unknown policy 'oracle'"):
+            small_config(policies=("oracle",))
 
-    def test_every_policy_is_checked_before_any_round(self, small_datasets, monkeypatch):
-        # A valid policy listed first does not get to attribute or train.
-        calls = counting_calls(monkeypatch)
-        with pytest.raises(ConfigError, match="oracle"):
-            run_experiment(small_config(n_rounds=1), ["intelliselect", "oracle"], small_datasets)
-        assert calls == []
+    def test_every_policy_is_checked_before_any_round(self):
+        # A valid policy listed first does not hide an unknown one after it.
+        with pytest.raises(ConfigError, match="unknown policy 'oracle'"):
+            small_config(policies=["intelliselect", "oracle"])
 
-    def test_repeated_policy_rejected_before_any_round(self, small_datasets, monkeypatch):
+    def test_repeated_policy_rejected_before_any_round(self):
         # A repeat would train a federation twice and overwrite its outputs.
-        calls = counting_calls(monkeypatch)
         with pytest.raises(ConfigError, match="policies must not repeat a name"):
-            run_experiment(small_config(n_rounds=1), ["intelliselect", "intelliselect"],
-                           small_datasets)
-        assert calls == []
+            small_config(policies=("intelliselect", "intelliselect"))
 
     def test_dataset_count_is_checked_before_any_round(self, small_datasets, monkeypatch):
         calls = counting_calls(monkeypatch)
         datasets = dict(small_datasets, Browsing=small_datasets["Browsing"][:3])
         with pytest.raises(ConfigError, match="Browsing"):
-            run_experiment(small_config(n_rounds=1), ["intelliselect"], datasets)
+            run_experiment(small_config(n_rounds=1, policies=("intelliselect",)), datasets)
         assert calls == []
 
     def test_attribution_pool_must_fit_train_split(self):
@@ -275,6 +268,9 @@ class TestConfig:
         ({"local_epochs": 0}, "local_epochs"),
         ({"n_rounds": -1}, "n_rounds"),
         ({"batch_size": 0}, "batch_size"),
+        ({"policies": []}, "policies: at least one policy"),
+        ({"policies": 5}, "policies must be a list of strings"),
+        ({"policies": "score"}, "policies must be a list of strings"),
     ])
     def test_bad_value_is_rejected_up_front(self, overrides, message):
         # Through from_json, so a deleted key (ig_steps) is named as unknown.
@@ -363,14 +359,13 @@ class TestRounds:
     def test_training_overflow_names_round_slice_and_clients(self, small_datasets):
         # A huge step size sends every selected client's weights past float
         # range on the next step, in all six federations of the shared call.
-        cfg = small_config(learning_rate=1e300)
-        policies = ["intelliselect", "score"]
+        cfg = small_config(learning_rate=1e300, policies=("intelliselect", "score"))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericError) as info:
-                run_experiment(cfg, policies, small_datasets)
+                run_experiment(cfg, small_datasets)
         initial = init_params(cfg.network_spec, cfg.seed)
         at_fault = []
-        for policy in policies:
+        for policy in cfg.policies:
             for name in cfg.slices:
                 chi = _attribute(initial, tuple(small_datasets[name]), cfg)[0]
                 chosen = sorted(select(policy, chi, cfg.n_selected, cfg.n_clients).selected)
@@ -394,7 +389,7 @@ class TestRounds:
             poisoned if ds is victim else ds for ds in small_datasets["SocialMedia"]])
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericError) as info:
-                run_experiment(cfg, ["no_policy"], datasets)
+                run_experiment(dataclasses.replace(cfg, policies=("no_policy",)), datasets)
         assert str(info.value) == ("round 0: slice SocialMedia, policy no_policy, clients [2]: "
                                    "non-finite gradient during local training")
 
@@ -404,7 +399,8 @@ class TestRounds:
         cfg = small_config(learning_rate=1e300)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericError) as info:
-                run_experiment(cfg, ["intelliselect", "no_policy"], small_datasets)
+                run_experiment(dataclasses.replace(cfg, policies=("intelliselect", "no_policy")),
+                               small_datasets)
         initial = init_params(cfg.network_spec, cfg.seed)
         at_fault = []
         for name in cfg.slices:
@@ -429,7 +425,8 @@ class TestRounds:
 
         monkeypatch.setattr(federation, "client_attribution", counting)
         cfg = small_config(n_rounds=1)
-        runs = run_experiment(cfg, ["intelliselect", "score"], small_datasets)
+        runs = run_experiment(dataclasses.replace(cfg, policies=("intelliselect", "score")),
+                              small_datasets)
         assert calls == [[(name, k) for k in range(cfg.n_clients)] for name in cfg.slices]
         for a, b in zip(runs[:3], runs[3:], strict=True):
             assert a.records[0].chi.tobytes() == b.records[0].chi.tobytes()
@@ -470,7 +467,7 @@ class TestRounds:
         monkeypatch.setattr(federation, "train_clients",
                             advancing(federation.train_clients, len))
         cfg = small_config(n_rounds=1, slices=["eMBB"])
-        runs = run_experiment(cfg, ["intelliselect", "no_policy", "score"], small_datasets)
+        runs = run_experiment(cfg, small_datasets)
         assert [run.records[0].cum_time_ms for run in runs] == [2500.0, 4000.0, 2500.0]
 
 
@@ -498,7 +495,7 @@ class TestBatching:
             return original(start_params, *args, **kwargs)
 
         monkeypatch.setattr(federation, "train_clients", spying)
-        stacked = run_experiment(cfg, self.POLICIES, datasets)
+        stacked = run_experiment(dataclasses.replace(cfg, policies=self.POLICIES), datasets)
         stacked_widths = list(widths)
         alone = self.one_at_a_time(cfg, self.POLICIES, datasets)
         assert len(widths) - len(stacked_widths) == len(alone) * cfg.n_rounds
@@ -530,7 +527,8 @@ class TestBatching:
         # Each round's stack of 8, then 16, trainings is cut, in order, into
         # calls of as many as fit in the bound (at least one), and the records
         # do not depend, to the last bit, on the cut.
-        cfg = small_config(slices=["eMBB", "Browsing"], batch_size=batch_size)
+        cfg = small_config(slices=["eMBB", "Browsing"], batch_size=batch_size,
+                           policies=self.POLICIES)
         original = federation.train_clients
         widths = []
 
@@ -540,11 +538,11 @@ class TestBatching:
 
         monkeypatch.setattr(federation, "train_clients", spying)
         monkeypatch.setattr(federation, "_TRAIN_ROWS_PER_STEP", 10**9)
-        unbounded = run_experiment(cfg, self.POLICIES, small_datasets)
+        unbounded = run_experiment(cfg, small_datasets)
         assert widths == [8, 16, 16]
         widths.clear()
         monkeypatch.setattr(federation, "_TRAIN_ROWS_PER_STEP", rows_per_step)
-        bounded = run_experiment(cfg, self.POLICIES, small_datasets)
+        bounded = run_experiment(cfg, small_datasets)
         per_call = max(rows_per_step // step_rows, 1)
         assert widths == [min(per_call, n - i) for n in (8, 16, 16) for i in range(0, n, per_call)]
         for a, b in zip(bounded, unbounded, strict=True):
@@ -583,8 +581,8 @@ class TestExperiment:
             assert np.array_equal(ra.global_params.values, rb.global_params.values)
 
     def test_zero_rounds_returns_initial_model(self, small_datasets):
-        cfg = small_config(n_rounds=0)
-        runs = run_experiment(cfg, ["intelliselect"], small_datasets)
+        cfg = small_config(n_rounds=0, policies=("intelliselect",))
+        runs = run_experiment(cfg, small_datasets)
         assert all(run.records == [] for run in runs)
         expected = init_params(cfg.network_spec, cfg.seed)
         for run in runs:
@@ -592,15 +590,16 @@ class TestExperiment:
             assert run.global_params is run.initial_params
 
     def test_all_slices_run_independently(self, small_datasets):
-        cfg = small_config(n_rounds=1)
-        runs = run_experiment(cfg, ["intelliselect"], small_datasets)
+        cfg = small_config(n_rounds=1, policies=("intelliselect",))
+        runs = run_experiment(cfg, small_datasets)
         assert [r.slice_name for r in runs] == ["eMBB", "SocialMedia", "Browsing"]
         mses = {r.slice_name: r.records[0].mse for r in runs}
         assert len(set(mses.values())) == 3  # different data per slice
 
     def test_shared_initial_model_across_slices_and_policies(self, small_datasets):
         cfg = small_config(n_rounds=0)
-        runs = run_experiment(cfg, ["intelliselect", "score"], small_datasets)
+        runs = run_experiment(dataclasses.replace(cfg, policies=("intelliselect", "score")),
+                              small_datasets)
         assert [(r.policy, r.slice_name) for r in runs] == [
             (policy, name) for policy in ("intelliselect", "score") for name in cfg.slices
         ]
@@ -611,11 +610,11 @@ class TestExperiment:
     def test_missing_slice_data_rejected(self, small_datasets):
         cfg = small_config()
         with pytest.raises(ConfigError):
-            run_experiment(cfg, ["intelliselect"], {"eMBB": small_datasets["eMBB"]})
+            run_experiment(cfg, {"eMBB": small_datasets["eMBB"]})
 
     def test_datasets_do_not_depend_on_policy(self, small_datasets):
         cfg = small_config(n_rounds=0)
-        runs = run_experiment(cfg, ["intelliselect", "no_policy", "score"], small_datasets)
+        runs = run_experiment(cfg, small_datasets)
         for run in runs:
             assert all(a is b for a, b in
                        zip(run.datasets, small_datasets[run.slice_name], strict=True))

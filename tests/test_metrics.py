@@ -8,7 +8,6 @@ from fedslice.data import MinMaxScaler
 from fedslice.federation import build_datasets, run_experiment
 from fedslice.metrics import (
     ProvisioningReport,
-    build_summary,
     comm_cost,
     convergence_round,
     persist,
@@ -136,8 +135,8 @@ class TestConvergenceRound:
 
 @pytest.fixture(scope="module")
 def tiny_runs():
-    cfg = small_config(n_rounds=2)
-    return cfg, run_experiment(cfg, ["intelliselect"], build_datasets(cfg))
+    cfg = small_config(n_rounds=2, policies=("intelliselect",))
+    return cfg, run_experiment(cfg, build_datasets(cfg))
 
 
 class TestPersistence:
@@ -164,13 +163,7 @@ class TestPersistence:
 
     def test_persist_writes_all_files_and_valid_summary(self, tmp_path, tiny_runs):
         cfg, runs = tiny_runs
-        ledgers = [comm_cost("intelliselect", cfg.n_clients, cfg.n_selected,
-                             cfg.network_spec.n_features, cfg.network_spec.param_count,
-                             cfg.n_rounds)]
-        report = slice_provisioning(runs[0].records[-1].global_params, runs[0].datasets)
-        paths = persist(tmp_path, runs, ledgers,
-                        {"eMBB": ("intelliselect", [(0, report)])},
-                        cfg.to_dict())
+        paths = persist(tmp_path, cfg, runs)
         for name in ("rounds_eMBB_intelliselect", "comm_ledger", "summary",
                      "provisioning_eMBB", "attributions_eMBB_intelliselect",
                      "selection_eMBB_intelliselect"):
@@ -183,27 +176,55 @@ class TestPersistence:
         reread = read_rounds_csv(paths["rounds_eMBB_intelliselect"])
         assert [r["mse"] for r in reread] == [r.mse for r in runs[0].records]
 
+    def test_provisioning_reports_intelliselect_at_round_0_and_convergence(self, tmp_path,
+                                                                        tiny_runs):
+        cfg, runs = tiny_runs
+        summary = json.loads(persist(tmp_path, cfg, runs)["summary"].read_text())
+        for run in runs:
+            converged = convergence_round([r.mse for r in run.records])
+            reported = summary["provisioning"][run.slice_name]
+            assert reported["policy"] == "intelliselect"
+            assert sorted(reported["rounds"]) == sorted({"0", str(converged)})
+            report = slice_provisioning(run.records[converged].global_params, run.datasets)
+            assert reported["rounds"][str(converged)] == {
+                "over_provisioning_sum": report.over_sum,
+                "under_provisioning_sum": report.under_sum,
+            }
+
+    def test_provisioning_reports_the_first_policy_without_intelliselect(self, tmp_path):
+        cfg = small_config(n_rounds=1, slices=("eMBB",), policies=("score", "no_policy"))
+        paths = persist(tmp_path, cfg, run_experiment(cfg, build_datasets(cfg)))
+        summary = json.loads(paths["summary"].read_text())
+        assert summary["provisioning"]["eMBB"]["policy"] == "score"
+        assert paths["provisioning_eMBB"].read_text().splitlines()[1].startswith("score,0,")
+
+    def test_total_comm_params_sums_every_federation(self, tmp_path):
+        # Two slices per policy: each policy's ledger counts once per slice.
+        cfg = small_config(n_rounds=2, slices=("eMBB", "Browsing"),
+                           policies=("intelliselect", "no_policy"))
+        runs = run_experiment(cfg, build_datasets(cfg))
+        summary = json.loads(persist(tmp_path, cfg, runs)["summary"].read_text())
+        entries = [entry for per_slice in summary["slices"].values()
+                   for entry in per_slice.values()]
+        assert len(entries) == 4
+        assert summary["total_comm_params"] == sum(e["total_comm_params"] for e in entries)
+        assert summary["total_comm_params"] == 2 * sum(
+            model["total"] for model in summary["comm_model"].values())
+
     def test_rounds_link_load_matches_per_round_comm(self, tmp_path):
         cfg = small_config(n_rounds=2, slices=("eMBB",))
-        policies = ["intelliselect", "no_policy", "score"]
         spec = cfg.network_spec
-        ledgers = [comm_cost(p, cfg.n_clients, cfg.n_selected, spec.n_features,
-                             spec.param_count, cfg.n_rounds) for p in policies]
-        runs = run_experiment(cfg, policies, build_datasets(cfg))
-        paths = persist(tmp_path, runs, ledgers, {}, cfg.to_dict())
-        for policy in policies:
+        paths = persist(tmp_path, cfg, run_experiment(cfg, build_datasets(cfg)))
+        for policy in cfg.policies:
             ledger = comm_cost(policy, cfg.n_clients, cfg.n_selected,
                                spec.n_features, spec.param_count, cfg.n_rounds)
             expected = ledger.downlink_per_round + ledger.uplink_per_round
             rows = read_rounds_csv(paths[f"rounds_eMBB_{policy}"])
             assert [r["params_transmitted"] for r in rows] == [expected] * cfg.n_rounds
 
-    def test_summary_schema_rejects_bad_documents(self, tiny_runs):
+    def test_summary_schema_rejects_bad_documents(self, tmp_path, tiny_runs):
         cfg, runs = tiny_runs
-        ledgers = [comm_cost("intelliselect", cfg.n_clients, cfg.n_selected,
-                             cfg.network_spec.n_features, cfg.network_spec.param_count,
-                             cfg.n_rounds)]
-        good = build_summary(cfg.to_dict(), runs, ledgers, {})
+        good = json.loads(persist(tmp_path, cfg, runs)["summary"].read_text())
         validate_summary(good)
 
         for corrupt in (
@@ -216,9 +237,8 @@ class TestPersistence:
                 validate_summary(corrupt)
 
     def test_comm_ledger_reparses(self, tmp_path):
-        ledgers = [comm_cost(p, 10, 5, 3, 23, 4)
-                   for p in ("intelliselect", "no_policy", "score")]
-        paths = persist(tmp_path, [], ledgers, {}, {"seed": 42})
+        cfg = small_config(n_clients=10, n_selected=5, n_rounds=4)
+        paths = persist(tmp_path, cfg, [])
         lines = paths["comm_ledger"].read_text().strip().splitlines()
         assert lines[0] == "policy,round,downlink_params,uplink_params,round_total,cumulative_total"
         assert len(lines) == 1 + 3 * 4

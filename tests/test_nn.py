@@ -127,9 +127,13 @@ class TestNetworkSpec:
         with pytest.raises(ConfigError):
             NetworkSpec((3, 3, 2))
 
+    # A parameter vector, batch or stack that does not fit its spec is a
+    # program fault that no input reaches: a ValueError, not a ConfigError,
+    # which the CLI reports as bad input.
     def test_params_length_checked(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError) as info:
             ModelParams(np.zeros(22), NetworkSpec())
+        assert not isinstance(info.value, ConfigError)
 
 
 class TestForward:
@@ -151,10 +155,22 @@ class TestForward:
             expected = reference_forward(spec.layer_sizes, p.values, x)
             assert predict(p, x) == pytest.approx(expected, abs=1e-12)
 
-    def test_dimension_mismatch_is_config_error(self):
+    def test_dimension_mismatch_is_value_error(self):
         p = ModelParams(np.zeros(23), NetworkSpec())
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError) as info:
             forward_batch(p, np.zeros((2, 4)))
+        assert not isinstance(info.value, ConfigError)
+
+    @pytest.mark.parametrize("fault, match", [
+        (lambda: ModelParams(np.zeros((1, 23)), NetworkSpec()), "one-dimensional"),
+        (lambda: pack(NetworkSpec((3, 1)), [(np.zeros((2, 1)), np.zeros(1))]), "layer arrays"),
+        (lambda: param_gradients(ModelParams(np.zeros(23), NetworkSpec()), np.zeros((2, 3)),
+                                 np.zeros(3)), "2 rows but 3 targets"),
+    ])
+    def test_shape_faults_are_value_errors(self, fault, match):
+        with pytest.raises(ValueError, match=match) as info:
+            fault()
+        assert not isinstance(info.value, ConfigError)
 
     def test_batch_agrees_with_scalar(self, rng):
         p = init_params(NetworkSpec(), rng)
@@ -279,8 +295,9 @@ class TestAdam:
 
     def test_length_mismatch_rejected(self):
         p = ModelParams(np.zeros(23), NetworkSpec())
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match="feature dimension") as info:
             train_one(p, np.zeros((4, 2)), np.zeros(4), epochs=1)
+        assert not isinstance(info.value, ConfigError)
 
     def test_converges_on_quadratic(self):
         # With x = 0 the 1-1 net predicts its bias, so the loss is (b - 3)^2;
@@ -385,8 +402,9 @@ class TestTrainClients:
         targs = [rng.uniform(0, 1, 8) for _ in range(2)]
         with pytest.raises(ValueError, match="start model"):
             train_clients([p], feats, targs, 1)
-        with pytest.raises(ConfigError, match="network spec"):
+        with pytest.raises(ValueError, match="network spec") as info:
             train_clients([p, init_params(NetworkSpec((3, 4, 1)), 3)], feats, targs, 1)
+        assert not isinstance(info.value, ConfigError)
 
     def test_shuffled_minibatches_are_seeded(self, rng):
         p = init_params(NetworkSpec(), 11)
