@@ -16,6 +16,9 @@ from fedslice.metrics import comm_cost
 
 # sha256 of the rounds tables `test_rounds_match_the_pinned_digest` builds.
 PINNED_ROUNDS_DIGEST = "9419c33b7314583d8aaf48bcf597a8b2e2873889391326e8869cddc75670c9d4"
+# sha256 of the attribution and selection tables
+# `test_blocked_attributions_match_the_pinned_digest` builds.
+PINNED_BLOCKED_DIGEST = "21acf32297db21ede78c14be15f84b54da1aaea14df6b9b2f04fa678dbb5716a"
 
 
 def tiny_config(**overrides):
@@ -301,6 +304,30 @@ class TestRun:
                       for r in read_rounds_csv(path)]
         text = "\n".join(lines)
         assert hashlib.sha256(text.encode()).hexdigest() == PINNED_ROUNDS_DIGEST, text
+
+    def test_blocked_attributions_match_the_pinned_digest(self, tmp_path):
+        # 600-sample pools fit 3 to a 2,048-row attribution call, so the 8
+        # clients are attributed in calls of 3, 3 and 2 every pass. The pin
+        # covers the attributions and the selection audits, each value to 10
+        # significant digits, as the rounds pin does.
+        config = {"n_clients": 8, "n_selected": 3, "n_rounds": 2, "local_epochs": 2,
+                  "samples_per_client": 800, "attribution_samples": 600, "seed": 42,
+                  "slices": ["eMBB"]}
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", cfg, "--out", out,
+                       "--policies", "intelliselect,score") == 0
+        lines = []
+        for path in sorted([*out.glob("attributions_*.csv"), *out.glob("selection_*.csv")]):
+            rows = list(csv.reader(io.StringIO(path.read_text(), newline="")))
+            lines.append(path.name)
+            lines.append(",".join(rows[0]))
+            n_ints = 3 if path.name.startswith("selection_") else 2
+            lines += [",".join(row[:n_ints] + [f"{float(v):.9e}" for v in row[n_ints:]])
+                      for row in rows[1:]]
+        text = "\n".join(lines)
+        assert hashlib.sha256(text.encode()).hexdigest() == PINNED_BLOCKED_DIGEST, text
 
     def test_runs_without_config_file_use_defaults(self, tmp_path):
         out = tmp_path / "out"
