@@ -7,8 +7,10 @@ average is exact: cut [0, 1] where a hidden unit changes sign and sum, over
 the pieces, piece length times the gradient at the piece's midpoint
 (Sundararajan et al. 2017, "Axiomatic Attribution for Deep Networks").
 Completeness then holds to rounding. A client's summary is the componentwise
-absolute mean over a fixed pool of samples, normalized to sum to one; several
-clients' pools are attributed in one call.
+absolute mean over a fixed pool of samples, normalized to sum to one, or the
+uniform vector where every attribution is zero. `client_attribution` is the
+one routine from a slice's pools to that finished matrix: it attributes as
+many whole pools per call as fit in a row bound.
 """
 
 from __future__ import annotations
@@ -55,28 +57,39 @@ def sample_attributions(params: ModelParams, samples: np.ndarray) -> np.ndarray:
     return xs * (np.diff(cuts, axis=1)[:, :, None] * grads).sum(axis=1)
 
 
+# Most sample rows one `sample_attributions` call takes; whole pools share a
+# call up to this. Per-sample cost is flat from 800 to 4,000 rows, while one
+# call over a 50-client federation's 40,000 rows (800 samples each) raised the
+# CLI's peak RSS from 47 to 72 MiB.
+_ATTRIBUTION_ROWS_PER_CALL = 2048
+
+
 def client_attribution(
     params: ModelParams, datasets, sample_count: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Absolute-mean attribution of each client over its fixed sample pool, normalized.
 
-    Every client's pool goes into one `sample_attributions` call. Returns
-    (chi, degenerate): chi has one row per client of non-negative float64
-    importances summing to 1, except where `degenerate` marks a client whose
-    attributions are all zero; proportional normalization is undefined there
-    and its row is left at zero.
+    Clients are attributed in id order, as many whole pools per
+    `sample_attributions` call as fit in `_ATTRIBUTION_ROWS_PER_CALL` rows
+    (at least one). Returns (chi, degenerate): chi is a read-only array with
+    one row per client of non-negative float64 importances summing to 1.
+    `degenerate` marks each client whose attributions are all zero;
+    proportional normalization is undefined there, so its row holds the
+    uniform vector 1/F, the least-informative fallback.
 
     A pool is the client's seeded shuffle of its train split; the first
     `sample_count` rows are used every round so rounds stay comparable.
     """
-    pools = [ds.attribution_pool(sample_count) for ds in datasets]
-    ig = sample_attributions(params, np.concatenate(pools, axis=0))
-    abs_mean = np.abs(ig).reshape(len(pools), sample_count, -1).mean(axis=1)
-    total = abs_mean.sum(axis=1, keepdims=True)
+    per_call = max(_ATTRIBUTION_ROWS_PER_CALL // sample_count, 1)
+    chi = np.empty((len(datasets), params.spec.n_features))
+    for start in range(0, len(datasets), per_call):
+        block = datasets[start:start + per_call]
+        pools = np.concatenate([ds.attribution_pool(sample_count) for ds in block], axis=0)
+        abs_ig = np.abs(sample_attributions(params, pools))
+        chi[start:start + len(block)] = abs_ig.reshape(len(block), sample_count, -1).mean(axis=1)
+    total = chi.sum(axis=1, keepdims=True)
     degenerate = total[:, 0] <= 0.0
-    return abs_mean / np.where(degenerate[:, None], 1.0, total), degenerate
-
-
-def uniform_attribution(n_features: int) -> np.ndarray:
-    """Least-informative fallback used when attributions degenerate to zero."""
-    return np.full(n_features, 1.0 / n_features)
+    chi /= np.where(degenerate[:, None], 1.0, total)
+    chi[degenerate] = 1.0 / chi.shape[1]
+    chi.setflags(write=False)  # federations sharing the pass share the array
+    return chi, degenerate

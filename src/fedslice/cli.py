@@ -123,10 +123,9 @@ def _ingest_datasets(cfg: ExperimentConfig) -> dict[str, list]:
             ds = ingest_csv(path, spec, client_id=k,
                             seed=client_seed(cfg.seed, name, k),
                             train_fraction=cfg.train_fraction)
-            pool = ds.attribution_indices.shape[0]
-            if pool < cfg.attribution_samples:
+            if ds.n_train < cfg.attribution_samples:
                 raise ConfigError(
-                    f"{path}: train split has {pool} rows, fewer than "
+                    f"{path}: train split has {ds.n_train} rows, fewer than "
                     f"attribution_samples ({cfg.attribution_samples})"
                 )
             rows.append(ds)

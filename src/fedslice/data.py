@@ -210,7 +210,6 @@ class ClientDataset:
     """
 
     client_id: int
-    slice_name: str
     n_train: int
     attribution_indices: np.ndarray
     scaler: MinMaxScaler
@@ -264,7 +263,6 @@ def train_rows(n: int, train_fraction: float) -> int:
 
 def make_dataset(
     client_id: int,
-    slice_name: str,
     features: np.ndarray,
     targets: np.ndarray,
     shuffle_rng: np.random.Generator,
@@ -277,7 +275,6 @@ def make_dataset(
     scaler = MinMaxScaler.fit(features[:n_train], targets[:n_train])
     return ClientDataset(
         client_id=client_id,
-        slice_name=slice_name,
         n_train=n_train,
         attribution_indices=shuffle_rng.permutation(n_train),
         scaler=scaler,
@@ -422,9 +419,7 @@ def generate_client(
     table = generate_client_table(profile, slice_spec, n_samples, seed)
     features, targets = aggregate_table(table, slice_spec)
     _, shuffle_rng = _split_seed(seed)
-    return make_dataset(
-        profile.client_id, slice_spec.name, features, targets, shuffle_rng, train_fraction
-    )
+    return make_dataset(profile.client_id, features, targets, shuffle_rng, train_fraction)
 
 
 def write_csv(path: str | Path, header, row_format: str, rows) -> None:
@@ -532,7 +527,6 @@ def ingest_csv(
     features, targets = aggregate_table(table, slice_spec)
     _, shuffle_rng = _split_seed(seed)
     try:
-        return make_dataset(client_id, slice_spec.name, features, targets, shuffle_rng,
-                            train_fraction)
+        return make_dataset(client_id, features, targets, shuffle_rng, train_fraction)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None

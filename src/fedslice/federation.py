@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attribution import client_attribution, uniform_attribution
+from .attribution import client_attribution
 from .data import (
     DEFAULT_SLICE_NAMES,
     N_FEATURES,
@@ -212,38 +212,12 @@ def fedavg_aggregate(params_list: list[ModelParams], sizes: list[int]) -> ModelP
     return ModelParams((weights[:, None] * stacked).sum(axis=0), params_list[0].spec)
 
 
-# Most sample rows one attribution call takes; whole clients share a call up
-# to this. Per-sample cost is flat from 800 to 4,000 rows, while one call over
-# a 50-client federation's 40,000 rows (800 samples each) raised the CLI's peak
-# RSS from 47 to 72 MiB.
-_ATTRIBUTION_ROWS_PER_CALL = 2048
-
 # Most step rows (clients x rows per Adam step) one training call stacks;
 # whole trainings share a call up to this, at least one a call. 46 full-batch
 # clients of 800 rows in one call raised the CLI's peak RSS from 41 to 47 MiB,
 # while stacks of 32-row minibatches stay one call up to 128 clients (the
 # default config stacks at most 60), so they pay the per-step fixed cost once.
 _TRAIN_ROWS_PER_STEP = 4096
-
-
-def _attribute(
-    params: ModelParams, datasets: tuple[ClientDataset, ...], cfg: ExperimentConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-client normalized attributions on `params`, and which clients fell back.
-
-    Clients are attributed in id order, as many whole clients per
-    `client_attribution` call as fit in `_ATTRIBUTION_ROWS_PER_CALL` sample
-    rows (at least one). A client whose attributions degenerate to all-zero
-    gets the uniform vector instead and is flagged in the returned mask.
-    """
-    per_call = max(_ATTRIBUTION_ROWS_PER_CALL // cfg.attribution_samples, 1)
-    blocks = [client_attribution(params, datasets[i:i + per_call], cfg.attribution_samples)
-              for i in range(0, len(datasets), per_call)]
-    chi = np.concatenate([rows for rows, _ in blocks], axis=0)
-    degenerate = np.concatenate([flags for _, flags in blocks])
-    chi[degenerate] = uniform_attribution(params.spec.n_features)
-    chi.setflags(write=False)  # federations sharing the pass share the array
-    return chi, degenerate
 
 
 def _warn_fallbacks(run: SliceRun, degenerate: np.ndarray) -> None:
@@ -259,14 +233,15 @@ def _warn_fallbacks(run: SliceRun, degenerate: np.ndarray) -> None:
 def run_round(runs: list[SliceRun], cfg: ExperimentConfig) -> None:
     """Advance every federation in `runs`, all at the same round, by one round.
 
-    Each federation attributes its clients on its own current model and
-    selects. Then the selected clients of all federations train together,
-    stacked in `runs` order and, within a federation, by ascending client id:
-    per distinct train row count, as many trainings per `train_clients` call
-    as fit in `_TRAIN_ROWS_PER_STEP` step rows (at least one), where a
-    step's rows are the train rows under full batch and `batch_size`
-    otherwise. Last, each federation aggregates, evaluates and appends its
-    record.
+    Each federation selects; under an attribution policy it first takes its
+    chi, uniform rows included, from `client_attribution` on its own current
+    model, and a warning names each fallback client. Then the selected
+    clients of all federations train together, stacked in `runs` order and,
+    within a federation, by ascending client id: per distinct train row
+    count, as many trainings per `train_clients` call as fit in
+    `_TRAIN_ROWS_PER_STEP` step rows (at least one), where a step's rows are
+    the train rows under full batch and `batch_size` otherwise. Last, each
+    federation aggregates, evaluates and appends its record.
 
     Work that federations share is done once. Attribution depends only on
     the slice's datasets and the model, so federations of a slice on the
@@ -300,7 +275,8 @@ def run_round(runs: list[SliceRun], cfg: ExperimentConfig) -> None:
             if key in attributed:
                 chi, degenerate, reused_s = attributed[key]
             else:
-                chi, degenerate = _attribute(run.global_params, run.datasets, cfg)
+                chi, degenerate = client_attribution(run.global_params, run.datasets,
+                                                     cfg.attribution_samples)
                 attributed[key] = (chi, degenerate, time.perf_counter() - started)
             _warn_fallbacks(run, degenerate)
         chis.append(chi)

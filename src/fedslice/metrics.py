@@ -84,14 +84,6 @@ class ProvisioningReport:
     errors: np.ndarray
     client_ids: np.ndarray
 
-    def __post_init__(self) -> None:
-        e = np.ascontiguousarray(self.errors, dtype=np.float64)
-        c = np.ascontiguousarray(self.client_ids, dtype=np.int64)
-        e.setflags(write=False)
-        c.setflags(write=False)
-        object.__setattr__(self, "errors", e)
-        object.__setattr__(self, "client_ids", c)
-
     @property
     def over_sum(self) -> float:
         return float(self.errors[self.errors > 0.0].sum())
@@ -101,33 +93,14 @@ class ProvisioningReport:
         return float(-self.errors[self.errors < 0.0].sum())
 
 
-def provisioning_report(params: ModelParams, scaled_features: np.ndarray,
-                        raw_targets: np.ndarray, scaler,
-                        client_id: int = 0) -> ProvisioningReport:
-    """Prediction error of one client's samples in original CPU-percent units."""
-    y = np.asarray(raw_targets, dtype=np.float64).reshape(-1)
-    if y.shape[0] == 0:
-        raise ValueError("cannot report provisioning on an empty sample set")
-    pred_pct = scaler.inverse_target(forward_batch(params, scaled_features))
-    return ProvisioningReport(pred_pct - y, np.full(y.shape[0], client_id, dtype=np.int64))
-
-
 def slice_provisioning(params: ModelParams, datasets) -> ProvisioningReport:
-    """Slice-level report over every client's test split, each in its own units."""
-    reports = [
-        provisioning_report(
-            params,
-            ds.test_features,
-            ds.raw_test_targets,
-            ds.scaler,
-            ds.client_id,
-        )
-        for ds in datasets
-    ]
-    return ProvisioningReport(
-        np.concatenate([r.errors for r in reports]),
-        np.concatenate([r.client_ids for r in reports]),
-    )
+    """Prediction error over every client's test split, each in its own CPU-percent units."""
+    errors = []
+    for ds in datasets:
+        pred_pct = ds.scaler.inverse_target(forward_batch(params, ds.test_features))
+        errors.append(pred_pct - ds.raw_test_targets)
+    client_ids = np.repeat([ds.client_id for ds in datasets], [e.shape[0] for e in errors])
+    return ProvisioningReport(np.concatenate(errors), client_ids)
 
 
 def convergence_round(mses: list[float]) -> int:
@@ -156,7 +129,7 @@ def write_comm_ledger_csv(path: Path, ledgers: list[CommLedger]) -> None:
 
 
 def write_attributions_csv(path: Path, chi_rounds: list[np.ndarray]) -> None:
-    n_features = chi_rounds[0].shape[1] if chi_rounds else 0
+    n_features = chi_rounds[0].shape[1]
     write_csv(path, ["round", "client_id"] + [f"chi_{f}" for f in range(n_features)],
               "%d,%d" + ",%.17g" * n_features,
               ((t, k, *row) for t, chi in enumerate(chi_rounds)

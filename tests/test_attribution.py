@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
 
-from fedslice.attribution import (
-    client_attribution,
-    sample_attributions,
-    uniform_attribution,
-)
+from conftest import small_config
+from fedslice import attribution
+from fedslice.attribution import client_attribution, sample_attributions
 from fedslice.errors import ConfigError
-from fedslice.federation import ExperimentConfig
+from fedslice.federation import ExperimentConfig, build_datasets
 from fedslice.nn import (
     ModelParams,
     NetworkSpec,
@@ -154,14 +152,13 @@ class TestClientAttribution:
             checked += 1
 
     def test_dead_model_is_flagged_degenerate(self, rng):
+        # Every attribution is zero, so each row falls back to the uniform vector.
         p = ModelParams(np.zeros(23), NetworkSpec())
         pools = [FixedPool(rng.uniform(0, 1, (8, 3)), k) for k in range(2)]
         chi, degenerate = client_attribution(p, pools, 8)
         assert degenerate.tolist() == [True, True]
-        assert np.array_equal(chi, np.zeros((2, 3)))
-
-    def test_uniform_fallback(self):
-        assert np.array_equal(uniform_attribution(3), np.full(3, 1.0 / 3.0))
+        assert chi.tobytes() == np.full((2, 3), 1.0 / 3.0).tobytes()
+        assert not chi.flags.writeable  # federations sharing the pass share the array
 
     def test_output_scale_leaves_chi_argmax_unchanged(self, rng):
         spec = NetworkSpec()
@@ -188,7 +185,7 @@ class TestClientAttribution:
         # `sample_attributions`: to the last bit on the default network, to
         # rounding on others, whose bits can depend on the block's clients.
         # The all-zero pool of client 2 has all-zero attributions, so it alone
-        # is flagged and its row stays zero.
+        # is flagged and its row is the uniform vector.
         spec = NetworkSpec(layer_sizes)
         p = ModelParams(rng.normal(0, 0.8, spec.param_count), spec)
         pools = [FixedPool(rng.uniform(0, 1, (n, spec.n_features)), k)
@@ -205,4 +202,26 @@ class TestClientAttribution:
                 assert chi[k].tobytes() == expected.tobytes()
             else:
                 assert np.allclose(chi[k], expected, rtol=0, atol=1e-12)
-        assert chi[2].tobytes() == np.zeros(spec.n_features).tobytes()
+        assert chi[2].tobytes() == np.full(spec.n_features, 1.0 / spec.n_features).tobytes()
+        assert not chi.flags.writeable
+
+    @pytest.mark.parametrize("rows_per_call, calls", [(10, [1] * 4), (25, [2, 2]), (2048, [4])])
+    def test_clients_are_attributed_in_bounded_blocks(self, monkeypatch, rows_per_call, calls):
+        # Whole pools of 10 samples share a `sample_attributions` call up to
+        # the row bound, and chi does not depend, to the last bit, on how the
+        # clients are blocked.
+        cfg = small_config()
+        datasets = tuple(build_datasets(cfg)["eMBB"])
+        p = init_params(cfg.network_spec, cfg.seed)
+        expected = np.stack([client_attribution(p, [ds], 10)[0][0] for ds in datasets])
+        original = attribution.sample_attributions
+        widths = []
+
+        def counting(params, samples):
+            widths.append(samples.shape[0] // 10)
+            return original(params, samples)
+
+        monkeypatch.setattr(attribution, "sample_attributions", counting)
+        monkeypatch.setattr(attribution, "_ATTRIBUTION_ROWS_PER_CALL", rows_per_call)
+        assert client_attribution(p, datasets, 10)[0].tobytes() == expected.tobytes()
+        assert widths == calls

@@ -152,17 +152,17 @@ class TestScaler:
     def test_fit_ignores_test_rows(self, rng):
         features = rng.uniform(0, 1, (50, 3))
         targets = rng.uniform(0, 100, 50)
-        ds_plain = make_dataset(0, "eMBB", features, targets, np.random.default_rng(1))
+        ds_plain = make_dataset(0, features, targets, np.random.default_rng(1))
         poisoned = features.copy()
         poisoned[-1] = [1e9, -1e9, 1e9]  # last row is in the test split
-        ds_poisoned = make_dataset(0, "eMBB", poisoned, targets, np.random.default_rng(1))
+        ds_poisoned = make_dataset(0, poisoned, targets, np.random.default_rng(1))
         assert np.array_equal(ds_plain.scaler.feature_min, ds_poisoned.scaler.feature_min)
         assert np.array_equal(ds_plain.scaler.feature_span, ds_poisoned.scaler.feature_span)
 
 
 class TestSplit:
     def test_chronological_disjoint_cover(self, rng):
-        ds = make_dataset(0, "eMBB", rng.uniform(0, 1, (100, 3)),
+        ds = make_dataset(0, rng.uniform(0, 1, (100, 3)),
                           rng.uniform(0, 100, 100), np.random.default_rng(0))
         assert ds.n_train == 80
         assert np.array_equal(ds.train_features, ds.scaled_features[:80])

@@ -7,12 +7,12 @@ import pytest
 
 from conftest import small_config
 from fedslice import federation
+from fedslice.attribution import client_attribution
 from fedslice.data import from_json
 from fedslice.errors import ConfigError, NumericError
 from fedslice.federation import (
     ExperimentConfig,
     SliceRun,
-    _attribute,
     _shuffle_rng,
     build_datasets,
     evaluate_global,
@@ -141,29 +141,6 @@ class TestComputeChi:
             "using the uniform vector"
             for k in range(4)
         ]
-
-    @pytest.mark.parametrize("rows_per_call, calls", [(10, [1] * 4), (25, [2, 2]), (2048, [4])])
-    def test_clients_are_attributed_in_bounded_blocks(
-        self, small_datasets, monkeypatch, rows_per_call, calls
-    ):
-        # Whole clients of 10 samples share a call up to the row bound, and
-        # chi does not depend, to the last bit, on how they are blocked.
-        cfg = small_config()
-        run = SliceRun("eMBB", "score", tuple(small_datasets["eMBB"]),
-                       init_params(cfg.network_spec, cfg.seed))
-        expected = np.stack([federation.client_attribution(run.global_params, [ds], 10)[0][0]
-                             for ds in run.datasets])
-        original = federation.client_attribution
-        widths = []
-
-        def counting(params, datasets, sample_count):
-            widths.append(len(datasets))
-            return original(params, datasets, sample_count)
-
-        monkeypatch.setattr(federation, "client_attribution", counting)
-        monkeypatch.setattr(federation, "_ATTRIBUTION_ROWS_PER_CALL", rows_per_call)
-        assert _attribute(run.global_params, run.datasets, cfg)[0].tobytes() == expected.tobytes()
-        assert widths == calls
 
 
 class TestEvaluateGlobal:
@@ -326,8 +303,8 @@ class TestRounds:
         for t, record in enumerate(run.records):
             # Round t attributes every client on round t-1's global model.
             before = dataclasses.replace(run, records=run.records[:t])
-            assert np.array_equal(record.chi, _attribute(before.global_params, before.datasets,
-                                                         cfg)[0])
+            assert np.array_equal(record.chi, client_attribution(
+                before.global_params, before.datasets, cfg.attribution_samples)[0])
 
     @pytest.mark.parametrize("policy", ["intelliselect", "score", "no_policy"])
     @pytest.mark.parametrize("n_rounds", [0, 2])
@@ -367,7 +344,8 @@ class TestRounds:
         at_fault = []
         for policy in cfg.policies:
             for name in cfg.slices:
-                chi = _attribute(initial, tuple(small_datasets[name]), cfg)[0]
+                chi = client_attribution(initial, small_datasets[name],
+                                         cfg.attribution_samples)[0]
                 chosen = sorted(select(policy, chi, cfg.n_selected, cfg.n_clients).selected)
                 at_fault.append(f"slice {name}, policy {policy}, clients {chosen}")
         assert str(info.value) == (f"round 0: {'; '.join(at_fault)}: "
@@ -404,7 +382,7 @@ class TestRounds:
         initial = init_params(cfg.network_spec, cfg.seed)
         at_fault = []
         for name in cfg.slices:
-            chi = _attribute(initial, tuple(small_datasets[name]), cfg)[0]
+            chi = client_attribution(initial, small_datasets[name], cfg.attribution_samples)[0]
             chosen = sorted(select("intelliselect", chi, cfg.n_selected, cfg.n_clients).selected)
             at_fault.append(f"slice {name}, policy intelliselect, clients {chosen}")
         at_fault += [f"slice {name}, policy no_policy, clients [0, 1, 2, 3]"
@@ -420,14 +398,14 @@ class TestRounds:
         calls = []
 
         def counting(params, datasets, sample_count):
-            calls.append([(ds.slice_name, ds.client_id) for ds in datasets])
+            calls.append(list(map(id, datasets)))
             return original(params, datasets, sample_count)
 
         monkeypatch.setattr(federation, "client_attribution", counting)
         cfg = small_config(n_rounds=1)
         runs = run_experiment(dataclasses.replace(cfg, policies=("intelliselect", "score")),
                               small_datasets)
-        assert calls == [[(name, k) for k in range(cfg.n_clients)] for name in cfg.slices]
+        assert calls == [list(map(id, small_datasets[name])) for name in cfg.slices]
         for a, b in zip(runs[:3], runs[3:], strict=True):
             assert a.records[0].chi.tobytes() == b.records[0].chi.tobytes()
 

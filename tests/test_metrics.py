@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from fedslice.metrics import (
     comm_cost,
     convergence_round,
     persist,
-    provisioning_report,
     slice_provisioning,
     validate_summary,
     write_rounds_csv,
@@ -65,11 +65,17 @@ def identity_scaler():
     return MinMaxScaler(np.zeros(1), np.ones(1), 0.0, 1.0)
 
 
+def stand_in_split(features, raw_targets, client_id=0):
+    """Minimal stand-in for the ClientDataset surface `slice_provisioning` reads."""
+    return SimpleNamespace(client_id=client_id, test_features=features,
+                           raw_test_targets=raw_targets, scaler=identity_scaler())
+
+
 class TestProvisioning:
     def test_perfect_predictor_has_zero_sums(self):
         p = ModelParams(np.array([1.0, 0.0]), NetworkSpec((1, 1)))
         xs = np.linspace(0.1, 0.9, 10)[:, None]
-        report = provisioning_report(p, xs, xs[:, 0], identity_scaler())
+        report = slice_provisioning(p, [stand_in_split(xs, xs[:, 0])])
         assert report.over_sum == 0.0
         assert report.under_sum == 0.0
 
@@ -77,7 +83,7 @@ class TestProvisioning:
         # Prediction y + 5 on 10 samples: over = 50, under = 0.
         p = ModelParams(np.array([1.0, 5.0]), NetworkSpec((1, 1)))
         xs = np.linspace(0.0, 1.0, 10)[:, None]
-        report = provisioning_report(p, xs, xs[:, 0], identity_scaler())
+        report = slice_provisioning(p, [stand_in_split(xs, xs[:, 0])])
         assert report.over_sum == pytest.approx(50.0, abs=1e-9)
         assert report.under_sum == 0.0
 
@@ -85,7 +91,7 @@ class TestProvisioning:
         p = ModelParams(rng.normal(0, 1, 2), NetworkSpec((1, 1)))
         xs = rng.uniform(0, 1, (40, 1))
         ys = rng.uniform(0, 1, 40)
-        report = provisioning_report(p, xs, ys, identity_scaler())
+        report = slice_provisioning(p, [stand_in_split(xs, ys)])
 
         over = under = 0.0
         for x, y in zip(xs, ys):
@@ -103,11 +109,6 @@ class TestProvisioning:
         assert report.over_sum - report.under_sum == pytest.approx(errors.sum(), abs=1e-9)
         assert report.over_sum - report.under_sum == pytest.approx(
             errors.mean() * 200, abs=1e-9)
-
-    def test_empty_samples_rejected(self):
-        p = ModelParams(np.zeros(2), NetworkSpec((1, 1)))
-        with pytest.raises(ValueError):
-            provisioning_report(p, np.zeros((0, 1)), np.zeros(0), identity_scaler())
 
     def test_slice_report_concatenates_clients(self):
         cfg = small_config()
