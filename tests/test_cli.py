@@ -612,6 +612,62 @@ class TestCsvBytes:
             assert rewritten.getvalue() == text, path.name
 
 
+def summary_entry(rounds, final_mse, convergence_round, cum_time_ms, total_comm_params):
+    return {"rounds": rounds, "final_mse": final_mse, "convergence_round": convergence_round,
+            "cum_time_ms": cum_time_ms, "total_comm_params": total_comm_params}
+
+
+# Hand-made compare inputs: per case, one {slice: {policy: entry}} per run.
+_S1 = {
+    "eMBB": {"intelliselect": summary_entry(3, 0.012345678901234567, 1, 153.25, 1125),
+             "no_policy": summary_entry(3, 0.02, 2, 98.0, 1380)},
+    "Browsing": {"intelliselect": summary_entry(3, 1.5e-05, 0, 12, 1125),
+                 "no_policy": summary_entry(3, 2.75e-05, 2, 7.125, 1380)},
+}
+_S2 = {
+    "eMBB": {"intelliselect": summary_entry(3, 0.011, 2, 160.5, 1125),
+             "no_policy": summary_entry(3, 0.019999999999999997, 1, 101.75, 1380)},
+    "Browsing": {"intelliselect": summary_entry(3, 1.25e-05, 1, 11.5, 1125),
+                 "no_policy": summary_entry(3, 3e-05, 0, 8, 1380)},
+}
+COMPARE_CASES = {
+    "same-policies-two-slices": [_S1, _S2],
+    "three-runs": [
+        {"SocialMedia": {"score": summary_entry(2, 0.5, 1, 40.0, 776)}},
+        {"SocialMedia": {"score": summary_entry(2, 0.25, 0, 41.5, 776)}},
+        {"SocialMedia": {"intelliselect": summary_entry(2, 0.75, 1, 39.0, 750)}},
+    ],
+    "single-policy-across-names": [
+        {"eMBB": {"intelliselect": summary_entry(4, 0.125, 3, 88.0, 1500)}},
+        {"eMBB": {"no_policy": summary_entry(4, 0.0625, 2, 70.25, 1840)}},
+    ],
+    "zero-rounds": [
+        {"eMBB": {"intelliselect": summary_entry(0, None, None, 0.0, 0)}},
+        {"eMBB": {"intelliselect": summary_entry(2, 0.3, 1, 20.5, 750)}},
+    ],
+    "multi-policy-against-single": [
+        {"eMBB": {"intelliselect": summary_entry(1, 0.4, 0, 10.0, 375),
+                  "score": summary_entry(1, 0.45, 0, 11.0, 388)},
+         "Browsing": {"score": summary_entry(1, 0.2, 0, 5.0, 388)}},
+        {"eMBB": {"score": summary_entry(1, 0.5, 0, 12.0, 388)},
+         "Browsing": {"no_policy": summary_entry(1, 0.1, 0, 6.0, 460)}},
+    ],
+}
+# sha256 of what `compare` prints and writes for `COMPARE_CASES`.
+PINNED_COMPARE_DIGEST = "2460d6daa8533267b3a2dd2c1a8b97f5acbcdf3dd888abfb6aabb13527e46d1c"
+
+
+def write_run_dir(path, slices, seed=42):
+    """A run directory holding only a manifest and a summary of the given entries."""
+    path.mkdir()
+    (path / "manifest.json").write_text(json.dumps({"seed": seed}))
+    total = sum(e["total_comm_params"] for entries in slices.values() for e in entries.values())
+    (path / "summary.json").write_text(json.dumps({
+        "schema_version": 1, "config": {}, "comm_model": {}, "slices": slices,
+        "provisioning": {}, "total_comm_params": total}))
+    return path
+
+
 def string_convergence_round(text):
     """A summary.json whose eMBB/intelliselect convergence round is a string."""
     summary = json.loads(text)
@@ -666,6 +722,19 @@ class TestCompare:
         assert "final_mse n/a" in capsys.readouterr().out
         rows = list(csv.reader(io.StringIO(csv_out.read_bytes().decode(), newline="")))
         assert rows[-1] == ["eMBB", "intelliselect", "intelliselect", "", "", "0.0", "0"]
+
+    def test_compare_output_matches_the_pinned_digest(self, tmp_path, capsys):
+        # Hand-made summaries, so no wall-clock value gets in: the pin covers
+        # the table, the deltas printed and the comparison CSV byte for byte.
+        digest = hashlib.sha256()
+        for case, runs in COMPARE_CASES.items():
+            dirs = [write_run_dir(tmp_path / f"{case}_{i}", slices)
+                    for i, slices in enumerate(runs)]
+            csv_out = tmp_path / f"{case}.csv"
+            assert run_cli("compare", *dirs, "--out", csv_out) == 0, case
+            digest.update(capsys.readouterr().out.replace(str(tmp_path), "<tmp>").encode())
+            digest.update(csv_out.read_bytes())
+        assert digest.hexdigest() == PINNED_COMPARE_DIGEST
 
     def test_mismatched_seeds_exit_2(self, tmp_path, capsys):
         out_a = self.make_run(tmp_path, "s42", ["intelliselect"])
