@@ -207,68 +207,50 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 
 
 def _load_run_dir(path: Path) -> tuple[dict, dict]:
+    """A run directory's manifest and its summary entries by slice and policy."""
     manifest_path = path / MANIFEST_NAME
     if not manifest_path.exists():
         raise ConfigError(f"{path}: no {MANIFEST_NAME} found")
     manifest = _read_json(manifest_path)
-    if not isinstance(manifest, dict) or not isinstance(manifest.get("seed"), int):
+    if not isinstance(manifest, dict) or type(manifest.get("seed")) is not int:
         raise ConfigError(f"{manifest_path}: must be an object with an integer 'seed'")
     summary_path = path / "summary.json"
     summary = _read_json(summary_path)
     try:
-        metrics_mod.validate_summary(summary)
+        return manifest, metrics_mod.validate_summary(summary)
     except ValueError as exc:
         raise ConfigError(f"{summary_path}: {exc}") from None
-    return manifest, summary
 
 
-def _summary_rows(dir_name: str, summary: dict) -> list[dict]:
-    rows = []
-    for slice_name, policies in sorted(summary["slices"].items()):
-        for policy, entry in sorted(policies.items()):
-            rows.append({
-                "run": dir_name,
-                "slice": slice_name,
-                "policy": policy,
-                "final_mse": entry["final_mse"],
-                "convergence_round": entry["convergence_round"],
-                "cum_time_ms": entry["cum_time_ms"],
-                "total_comm_params": entry["total_comm_params"],
-            })
-    return rows
+# The summary fields `compare` reports and takes deltas of.
+_COMPARED = tuple(f.name for f in dataclasses.fields(metrics_mod.FederationSummary)
+                  if f.name != "rounds")
 
 
-_DELTA_FIELDS = ("final_mse", "convergence_round", "cum_time_ms", "total_comm_params")
+def _pair_deltas(base: dict, other: dict) -> list[dict]:
+    """Per-slice metric deltas between two runs' summary entries.
 
-
-def _pair_deltas(base_rows: list[dict], other_rows: list[dict]) -> list[dict]:
-    """Per-slice metric deltas between two runs.
-
-    Rows pair by (slice, policy) when both runs share policies; single-policy
-    runs pair across policy names so baselines can be compared directly. A
-    delta is null when either side is null (a run of zero rounds).
+    Entries pair by policy when both runs share policies on a slice;
+    single-policy slices pair across policy names so baselines can be
+    compared directly. A delta is null when either side is null (a run of
+    zero rounds).
     """
     deltas = []
-    slices = sorted({r["slice"] for r in base_rows} & {r["slice"] for r in other_rows})
-    for slice_name in slices:
-        base_slice = [r for r in base_rows if r["slice"] == slice_name]
-        other_slice = [r for r in other_rows if r["slice"] == slice_name]
-        base_policies = {r["policy"] for r in base_slice}
-        other_policies = {r["policy"] for r in other_slice}
-        if base_policies == other_policies:
-            pairs = [
-                (b, next(o for o in other_slice if o["policy"] == b["policy"]))
-                for b in base_slice
-            ]
+    for slice_name in sorted(base.keys() & other.keys()):
+        base_slice, other_slice = base[slice_name], other[slice_name]
+        if base_slice.keys() == other_slice.keys():
+            pairs = [(policy, policy) for policy in sorted(base_slice)]
         elif len(base_slice) == 1 and len(other_slice) == 1:
-            pairs = [(base_slice[0], other_slice[0])]
+            pairs = [(*base_slice, *other_slice)]
         else:
             continue
         for b, o in pairs:
-            delta = {"slice": slice_name, "base_policy": b["policy"], "other_policy": o["policy"]}
-            for field in _DELTA_FIELDS:
-                delta[f"{field}_delta"] = (None if b[field] is None or o[field] is None
-                                           else o[field] - b[field])
+            delta = {"slice": slice_name, "base_policy": b, "other_policy": o}
+            for field in _COMPARED:
+                b_value = getattr(base_slice[b], field)
+                o_value = getattr(other_slice[o], field)
+                delta[f"{field}_delta"] = (None if b_value is None or o_value is None
+                                           else o_value - b_value)
             deltas.append(delta)
     return deltas
 
@@ -281,24 +263,19 @@ def cmd_compare(args: argparse.Namespace) -> int:
     seeds = {manifest["seed"] for _, manifest, _ in loaded}
     if len(seeds) != 1:
         raise ConfigError(f"run seeds differ: {sorted(seeds)}")
-    slice_sets = {tuple(sorted(summary["slices"])) for _, _, summary in loaded}
-    if len(slice_sets) != 1:
+    if len({tuple(sorted(entries)) for _, _, entries in loaded}) != 1:
         raise ConfigError("runs cover different slice sets")
 
-    all_rows = []
-    for path, _, summary in loaded:
-        all_rows.append(_summary_rows(path.name, summary))
+    header = ["run", "slice", "policy", *_COMPARED]
+    rows = [[path.name, slice_name, policy, *(getattr(entry, f) for f in _COMPARED)]
+            for path, _, entries in loaded
+            for slice_name, per_policy in sorted(entries.items())
+            for policy, entry in sorted(per_policy.items())]
+    for row in [header, *rows]:
+        print("  ".join(f"{str(cell)[:18]:>18}" for cell in row))
 
-    header = ["run", "slice", "policy", "final_mse", "convergence_round",
-              "cum_time_ms", "total_comm_params"]
-    print("  ".join(f"{h:>18}" for h in header))
-    for rows in all_rows:
-        for r in rows:
-            print("  ".join(f"{str(r[h])[:18]:>18}" for h in header))
-
-    deltas = []
-    for rows in all_rows[1:]:
-        deltas.extend(_pair_deltas(all_rows[0], rows))
+    base = loaded[0][2]
+    deltas = [d for _, _, entries in loaded[1:] for d in _pair_deltas(base, entries)]
     if deltas:
         print("\ndeltas vs first run:")
         for d in deltas:
@@ -311,12 +288,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     with out_path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for rows in all_rows:
-            for r in rows:
-                writer.writerow([r[h] for h in header])
+        writer.writerows(rows)
         writer.writerow([])
         delta_header = ["slice", "base_policy", "other_policy",
-                        *(f"{field}_delta" for field in _DELTA_FIELDS)]
+                        *(f"{field}_delta" for field in _COMPARED)]
         writer.writerow(delta_header)
         for d in deltas:
             writer.writerow([d[h] for h in delta_header])

@@ -84,6 +84,7 @@ def _is_finite(value) -> bool:
 _FIELD_TYPES = {
     "int": (_is_int, "an integer"),
     "float": (_is_finite, "a finite number"),
+    "float | None": (lambda v: v is None or _is_finite(v), "a finite number or null"),
     "int | None": (lambda v: v is None or _is_int(v), "an integer or null"),
     "str | None": (lambda v: v is None or isinstance(v, str), "a string or null"),
     "tuple[int, ...]": (lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)),

@@ -10,13 +10,15 @@ original CPU-percent units.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .data import write_csv
+from .data import check_fields, from_json, write_csv
+from .errors import ConfigError
 from .nn import ModelParams, forward_batch
 from .selection import POLICIES, POLICY_INTELLISELECT, POLICY_NO_POLICY, POLICY_SCORE
 
@@ -152,37 +154,57 @@ def write_provisioning_csv(path: Path, policy: str,
                                                   report.errors.tolist()))))
 
 
-def validate_summary(summary: dict) -> None:
-    """Raise ValueError when a summary does not match the documented schema."""
+@dataclass(frozen=True)
+class FederationSummary:
+    """One (slice, policy) federation's entry under `slices` in summary.json.
+
+    After zero rounds `final_mse` and `convergence_round` are None. Construction
+    raises ConfigError naming the first field that does not fit its annotation.
+    """
+
+    rounds: int
+    final_mse: float | None
+    convergence_round: int | None
+    cum_time_ms: float
+    total_comm_params: int
+
+    def __post_init__(self) -> None:
+        check_fields(self)
+
+
+def validate_summary(summary) -> dict[str, dict[str, FederationSummary]]:
+    """A summary's entries by slice and policy; ValueError when it does not match the schema.
+
+    Entries are read by `from_json`, so an unknown or missing key is an error. No bool is an int.
+    """
     if not isinstance(summary, dict):
         raise ValueError("summary must be a JSON object")
-    if summary.get("schema_version") != SUMMARY_SCHEMA_VERSION:
+    version = summary.get("schema_version")
+    if type(version) is not int or version != SUMMARY_SCHEMA_VERSION:
         raise ValueError(f"summary schema_version must be {SUMMARY_SCHEMA_VERSION}")
     for key, kind in (("config", dict), ("comm_model", dict), ("slices", dict),
                       ("provisioning", dict), ("total_comm_params", int)):
-        if not isinstance(summary.get(key), kind):
+        if type(summary.get(key)) is not kind:
             raise ValueError(f"summary[{key!r}] must be a {kind.__name__}")
     for policy, model in summary["comm_model"].items():
         if policy not in POLICIES:
             raise ValueError(f"unknown policy {policy!r} in comm_model")
+        if type(model) is not dict:
+            raise ValueError(f"comm_model[{policy!r}] must be a dict, got {model!r}")
         for field in ("downlink_per_round", "uplink_per_round", "rounds", "total"):
-            if not isinstance(model.get(field), int):
+            if type(model.get(field)) is not int:
                 raise ValueError(f"comm_model[{policy!r}][{field!r}] must be an int")
+    entries: dict[str, dict[str, FederationSummary]] = {}
     for slice_name, policies in summary["slices"].items():
+        if type(policies) is not dict:
+            raise ValueError(f"slices[{slice_name!r}] must be a dict, got {policies!r}")
+        parsed = entries[slice_name] = {}
         for policy, entry in policies.items():
             if policy not in POLICIES:
                 raise ValueError(f"unknown policy {policy!r} under slice {slice_name!r}")
-            if not isinstance(entry.get("rounds"), int):
-                raise ValueError("slice entry 'rounds' must be an int")
-            for field in ("final_mse", "cum_time_ms"):
-                value = entry.get(field)
-                if value is not None and not isinstance(value, (int, float)):
-                    raise ValueError(f"slice entry {field!r} must be numeric or null")
-            value = entry.get("convergence_round")
-            if value is not None and not isinstance(value, int):
-                raise ValueError("slice entry 'convergence_round' must be an int or null")
-            if not isinstance(entry.get("total_comm_params"), int):
-                raise ValueError("slice entry 'total_comm_params' must be an int")
+            parsed[policy] = from_json(FederationSummary, entry,
+                                       f"slices[{slice_name!r}][{policy!r}]")
+    return entries
 
 
 def persist(out_dir: str | Path, cfg, runs) -> dict[str, Path]:
@@ -200,6 +222,7 @@ def persist(out_dir: str | Path, cfg, runs) -> dict[str, Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths: dict[str, Path] = {}
+    summary_path = out / "summary.json"
 
     def csv_path(name: str) -> Path:
         paths[name] = out / f"{name}.csv"
@@ -225,17 +248,16 @@ def persist(out_dir: str | Path, cfg, runs) -> dict[str, Path]:
             write_selection_csv(csv_path(f"selection_{stem}"), selections)
 
         mses = [r.mse for r in run.records]
-        converged = convergence_round(mses) if mses else None
-        slices.setdefault(run.slice_name, {})[run.policy] = {
-            "rounds": len(mses),
-            "final_mse": mses[-1] if mses else None,
-            "convergence_round": converged,
-            "cum_time_ms": run.records[-1].cum_time_ms if mses else 0.0,
-            "total_comm_params": ledger.total,
-        }
+        try:
+            entry = FederationSummary(len(mses), mses[-1] if mses else None,
+                                      convergence_round(mses) if mses else None,
+                                      run.records[-1].cum_time_ms if mses else 0.0, ledger.total)
+        except ConfigError as exc:  # a non-finite value is a runtime failure, not bad input
+            raise ValueError(f"{summary_path}: {exc}") from None
+        slices.setdefault(run.slice_name, {})[run.policy] = dataclasses.asdict(entry)
         if run.policy == reported and mses:
             round_reports = [(t, slice_provisioning(run.records[t].global_params, run.datasets))
-                             for t in sorted({0, converged})]
+                             for t in sorted({0, entry.convergence_round})]
             write_provisioning_csv(csv_path(f"provisioning_{run.slice_name}"), reported,
                                    round_reports)
             provisioning[run.slice_name] = {
@@ -267,9 +289,8 @@ def persist(out_dir: str | Path, cfg, runs) -> dict[str, Path]:
         "provisioning": provisioning,
         "total_comm_params": sum(ledgers[run.policy].total for run in runs),
     }
-    validate_summary(summary)
-    summary_path = out / "summary.json"
     try:
+        validate_summary(summary)
         text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:
         raise ValueError(f"{summary_path}: {exc}") from None

@@ -49,8 +49,9 @@ class SelectionAudit:
 class SelectionResult:
     """Ordered distinct client ids chosen for a round.
 
-    `per_feature_quota` is None for the all-clients baseline, which has no
-    notion of feature slots; `audit` is empty in that case too.
+    `per_feature_quota` is None under `no_policy` and `score`, which fill no
+    feature slots. `audit` is empty only under `no_policy`: under `score` it
+    lists the chosen clients, each with feature -1 and its score as `chi_value`.
     """
 
     selected: tuple[int, ...]

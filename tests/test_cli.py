@@ -668,11 +668,18 @@ def write_run_dir(path, slices, seed=42):
     return path
 
 
-def string_convergence_round(text):
-    """A summary.json whose eMBB/intelliselect convergence round is a string."""
-    summary = json.loads(text)
-    summary["slices"]["eMBB"]["intelliselect"]["convergence_round"] = "x"
-    return json.dumps(summary)
+def edited(change):
+    """A function of a JSON file's text that applies `change` to the parsed document."""
+    def edit(text):
+        doc = json.loads(text)
+        change(doc)
+        return json.dumps(doc)
+    return edit
+
+
+def entry_of(summary):
+    """The eMBB/intelliselect entry of a parsed summary.json."""
+    return summary["slices"]["eMBB"]["intelliselect"]
 
 
 class TestCompare:
@@ -755,10 +762,30 @@ class TestCompare:
         ("summary.json", "{not json", "Expecting property name"),
         ("summary.json", "[]", "must be a JSON object"),
         ("summary.json", '{"schema_version": 2}', "schema_version must be 1"),
-        ("summary.json", string_convergence_round,
-         "'convergence_round' must be an int or null"),
+        ("summary.json", edited(lambda s: s.update(schema_version=True)),
+         "schema_version must be 1"),
+        ("manifest.json", edited(lambda m: m.update(seed=True)), "integer 'seed'"),
+        ("summary.json", edited(lambda s: entry_of(s).update(convergence_round="x")),
+         "slices['eMBB']['intelliselect']: convergence_round must be an integer or null"),
+        ("summary.json", edited(lambda s: s["slices"].update(eMBB=5)),
+         "slices['eMBB'] must be a dict, got 5"),
+        ("summary.json", edited(lambda s: s["slices"]["eMBB"].update(intelliselect=5)),
+         "slices['eMBB']['intelliselect']: must be a JSON object, got int"),
+        ("summary.json", edited(lambda s: s["comm_model"].update(intelliselect=5)),
+         "comm_model['intelliselect'] must be a dict, got 5"),
+        ("summary.json", edited(lambda s: entry_of(s).pop("cum_time_ms")),
+         "slices['eMBB']['intelliselect']: missing key(s): cum_time_ms"),
+        ("summary.json", edited(lambda s: entry_of(s).update(fallbacks=0)),
+         "slices['eMBB']['intelliselect']: unknown key(s): fallbacks"),
+        ("summary.json", edited(lambda s: entry_of(s).update(final_mse=True)),
+         "final_mse must be a finite number or null, got True"),
+        ("summary.json", edited(lambda s: entry_of(s).update(final_mse=float("nan"))),
+         "final_mse must be a finite number or null, got nan"),
     ], ids=["manifest-malformed", "manifest-list", "summary-malformed", "summary-list",
-            "summary-schema", "summary-convergence-round"])
+            "summary-schema", "summary-schema-bool", "manifest-seed-bool",
+            "summary-convergence-round", "summary-slice-int", "summary-entry-int",
+            "summary-comm-model-int", "summary-entry-missing-key", "summary-entry-unknown-key",
+            "summary-final-mse-bool", "summary-final-mse-nan"])
     def test_bad_run_dir_json_is_exit_2_naming_file(self, tmp_path, capsys, name, text,
                                                     message):
         run_dir = self.make_run(tmp_path, "run", ["intelliselect"])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from types import SimpleNamespace
 
@@ -6,6 +7,7 @@ import pytest
 
 from conftest import read_rounds_csv, small_config
 from fedslice.data import MinMaxScaler
+from fedslice.errors import ConfigError
 from fedslice.federation import build_datasets, run_experiment
 from fedslice.metrics import (
     ProvisioningReport,
@@ -172,8 +174,9 @@ class TestPersistence:
             assert paths[name].exists()
 
         summary = json.loads(paths["summary"].read_text())
-        validate_summary(summary)
-        assert summary["slices"]["eMBB"]["intelliselect"]["rounds"] == cfg.n_rounds
+        entry = validate_summary(summary)["eMBB"]["intelliselect"]
+        assert dataclasses.asdict(entry) == summary["slices"]["eMBB"]["intelliselect"]
+        assert entry.rounds == cfg.n_rounds
         reread = read_rounds_csv(paths["rounds_eMBB_intelliselect"])
         assert [r["mse"] for r in reread] == [r.mse for r in runs[0].records]
 
@@ -236,6 +239,18 @@ class TestPersistence:
         ):
             with pytest.raises(ValueError):
                 validate_summary(corrupt)
+
+    def test_non_finite_entry_value_is_a_runtime_error_naming_summary(self, tmp_path,
+                                                                      tiny_runs):
+        # An MSE that overflowed is a runtime failure (exit 3), not a ConfigError.
+        cfg, runs = tiny_runs
+        last = dataclasses.replace(runs[0].records[-1], mse=float("inf"))
+        runs = [dataclasses.replace(runs[0], records=[*runs[0].records[:-1], last])]
+        with pytest.raises(ValueError) as info:
+            persist(tmp_path, cfg, runs)
+        assert not isinstance(info.value, ConfigError)
+        assert str(info.value).startswith(f"{tmp_path / 'summary.json'}: final_mse must be")
+        assert not (tmp_path / "summary.json").exists()
 
     def test_comm_ledger_reparses(self, tmp_path):
         cfg = small_config(n_clients=10, n_selected=5, n_rounds=4)
