@@ -13,6 +13,7 @@ from fedslice.nn import (
     init_params,
     input_gradients_batch,
     pack,
+    pre_activations,
 )
 
 
@@ -32,6 +33,36 @@ def midpoint_attributions(params, xs, steps):
     alphas = (np.arange(steps) + 0.5) / steps
     return np.array([x * input_gradients_batch(params, alphas[:, None] * x).mean(axis=0)
                      for x in xs])
+
+
+def path_cut_attributions(params, xs):
+    """Test-side oracle: exact IG by cutting the path at every hidden sign change.
+
+    Hidden layers are cut in order, each at the zeros interpolated between
+    the current cuts, where it is linear; then each piece contributes its
+    length times the input gradient at its midpoint.
+    """
+    n, n_features = xs.shape
+    cuts = np.tile([0.0, 1.0], (n, 1))
+    for layer in range(len(params.spec.layer_sizes) - 2):
+        points = (cuts[:, :, None] * xs[:, None, :]).reshape(-1, n_features)
+        z = pre_activations(params, points)[layer].reshape(n, cuts.shape[1], -1)
+        z0, z1 = z[:, :-1], z[:, 1:]
+        a0, a1 = cuts[:, :-1, None], cuts[:, 1:, None]
+        crosses = np.sign(z0) * np.sign(z1) < 0.0
+        zeros = np.where(crosses, a0 + (a1 - a0) * z0 / np.where(crosses, z0 - z1, 1.0), 1.0)
+        cuts = np.sort(np.concatenate([cuts, zeros.reshape(n, -1)], axis=1), axis=1)
+    mids = 0.5 * (cuts[:, :-1] + cuts[:, 1:])
+    points = (mids[:, :, None] * xs[:, None, :]).reshape(-1, n_features)
+    grads = input_gradients_batch(params, points).reshape(n, -1, n_features)
+    return xs * (np.diff(cuts, axis=1)[:, :, None] * grads).sum(axis=1)
+
+
+def assert_matches_path_cut_oracle(params, xs):
+    """Every row within 1e-12 of its largest oracle entry; all-zero rows exactly zero."""
+    expected = path_cut_attributions(params, xs)
+    scale = np.abs(expected).max(axis=1, keepdims=True)
+    assert np.all(np.abs(sample_attributions(params, xs) - expected) <= 1e-12 * scale)
 
 
 def completeness_residuals(params, xs):
@@ -102,6 +133,63 @@ class TestIntegratedGradients:
         with pytest.raises(ValueError, match="2-D") as info:
             sample_attributions(init_params(NetworkSpec(), rng), np.zeros(3))
         assert not isinstance(info.value, ConfigError)
+
+
+class TestPathCutOracle:
+    @pytest.mark.parametrize("layer_sizes", [(3, 1), (3, 4, 1), (3, 3, 2, 1), (3, 8, 8, 4, 1),
+                                             (3, 5, 5, 5, 5, 1), (3, 16, 1)])
+    def test_random_nets(self, rng, layer_sizes):
+        spec = NetworkSpec(layer_sizes)
+        for _ in range(10):
+            p = ModelParams(rng.normal(0, 0.8, spec.param_count), spec)
+            assert_matches_path_cut_oracle(p, rng.uniform(-0.5, 1.0, (40, 3)))
+
+    def test_first_layer_unit_with_zero_weights_and_bias(self, rng):
+        # W1^T x = 0 and b = 0: the unit sits at exactly 0 along every path.
+        w1 = rng.normal(0, 0.8, (3, 3))
+        w1[:, 1] = 0.0
+        b1 = rng.normal(0, 0.8, 3)
+        b1[1] = 0.0
+        p = pack(NetworkSpec(), [(w1, b1), (rng.normal(0, 0.8, (3, 2)), rng.normal(0, 0.8, 2)),
+                                 (rng.normal(0, 0.8, (2, 1)), np.zeros(1))])
+        assert_matches_path_cut_oracle(p, rng.uniform(0, 1, (20, 3)))
+
+    def test_last_hidden_unit_exactly_zero_over_a_piece(self):
+        # First-layer unit 0 is relu(x0 - 0.5), which crosses at alpha = 0.5
+        # for x0 = 1; last-hidden unit 0 copies it, so it is exactly 0 on
+        # [0, 0.5] and positive after.
+        w1 = np.array([[1.0, 0.3], [0.0, -0.7], [0.0, 0.4]])
+        layers = [(w1, np.array([-0.5, 0.2])),
+                  (np.array([[1.0, -0.6], [0.0, 0.9]]), np.array([0.0, 0.1])),
+                  (np.array([[1.3], [-0.8]]), np.array([0.05]))]
+        p = pack(NetworkSpec((3, 2, 2, 1)), layers)
+        xs = np.array([[1.0, 0.2, 0.7], [1.0, 0.9, 0.1], [0.8, 0.5, 0.5]])
+        assert_matches_path_cut_oracle(p, xs)
+
+    def test_crossing_at_exactly_the_end_of_the_path(self):
+        # u = 0.5 and b = -0.5: the unit reaches 0 exactly at alpha = 1.
+        w1 = np.array([[1.0, -0.4, 0.6], [0.0, 0.8, 0.2], [0.0, 0.3, -0.9]])
+        layers = [(w1, np.array([-0.5, 0.1, 0.2])),
+                  (np.array([[0.7, -1.1], [0.5, 0.6], [-0.3, 0.8]]), np.array([0.2, -0.1])),
+                  (np.array([[0.9], [1.2]]), np.array([0.0]))]
+        p = pack(NetworkSpec(), layers)
+        xs = np.array([[0.5, 0.25, 0.75], [0.5, 1.0, 0.0], [0.5, 0.0, 0.5]])
+        assert_matches_path_cut_oracle(p, xs)
+
+    def test_all_zero_sample(self, rng):
+        for spec in (NetworkSpec(), NetworkSpec((3, 8, 8, 4, 1)), NetworkSpec((3, 4, 1))):
+            p = ModelParams(rng.normal(0, 0.8, spec.param_count), spec)
+            xs = rng.uniform(0, 1, (6, 3))
+            xs[2] = 0.0
+            assert_matches_path_cut_oracle(p, xs)
+            assert np.all(sample_attributions(p, xs)[2] == 0.0)
+
+    def test_dead_all_zero_model(self, rng):
+        for spec in (NetworkSpec(), NetworkSpec((3, 5, 5, 5, 5, 1)), NetworkSpec((3, 16, 1))):
+            p = ModelParams(np.zeros(spec.param_count), spec)
+            xs = rng.uniform(0, 1, (8, 3))
+            assert_matches_path_cut_oracle(p, xs)
+            assert np.all(sample_attributions(p, xs) == 0.0)
 
 
 class TestClientAttribution:
