@@ -1,11 +1,25 @@
 """Integrated-gradients feature attributions and their per-client reduction.
 
 Per sample, the attribution of feature i is x_i times the average input
-gradient along the straight path from the zero baseline to x. Along that
-path a ReLU network is piecewise linear in the path fraction alpha, so the
-average is exact: cut [0, 1] where a hidden unit changes sign and sum, over
-the pieces, piece length times the gradient at the piece's midpoint
-(Sundararajan et al. 2017, "Axiomatic Attribution for Deep Networks").
+gradient along the straight path alpha * x, alpha in [0, 1], from the zero
+baseline (Sundararajan et al. 2017, "Axiomatic Attribution for Deep
+Networks"). A ReLU network is piecewise linear along that path, so the
+average is computed exactly, in closed form:
+
+- First hidden layer: its pre-activation is alpha * (W1^T x) + b1, affine
+  in alpha, so unit j crosses zero once, at -b_j / (W1^T x)_j, where that
+  lies in (0, 1). These crossings cut [0, 1] into pieces.
+- Hidden layers between the first and the last: each is evaluated at the
+  current cuts, where the layers before it keep their signs, so it is
+  affine on each piece and its zeros are interpolated and added as cuts.
+- Last hidden layer: not cut. Its pre-activation z is affine on each piece
+  [a0, a1], so a unit's ReLU gate integrated over the piece is
+  (a1 - a0) * (max(z0, 0) + max(z1, 0)) / (|z0| + |z1|). It is 0 where z is
+  0 at both ends: the ReLU subgradient at exactly 0 is 0.
+- One backward sweep starts from those integrated gates times the output
+  weights, applies the earlier layers' masks at the piece midpoints, and
+  sums over the pieces before the last product with W1.
+
 Completeness then holds to rounding. A client's summary is the componentwise
 absolute mean over a fixed pool of samples, normalized to sum to one, or the
 uniform vector where every attribution is zero. `client_attribution` is the
@@ -17,44 +31,97 @@ from __future__ import annotations
 
 import numpy as np
 
-from .nn import ModelParams, input_gradients_batch, pre_activations
-
-
-def _path_cuts(params: ModelParams, xs: np.ndarray) -> np.ndarray:
-    """Sorted path fractions (n, C) that split each sample's path into linear pieces.
-
-    Rows start at 0 and end at 1, padded with trailing 1s to a common width.
-    Hidden layers are cut in order: between two cuts every earlier layer keeps
-    its activation pattern, so the layer's pre-activation is linear there and
-    a sign change inside the piece sits at the interpolated zero.
-    """
-    n, n_features = xs.shape
-    cuts = np.tile([0.0, 1.0], (n, 1))
-    for layer in range(len(params.spec.layer_sizes) - 2):
-        points = (cuts[:, :, None] * xs[:, None, :]).reshape(-1, n_features)
-        z = pre_activations(params, points)[layer].reshape(n, cuts.shape[1], -1)
-        z0, z1 = z[:, :-1], z[:, 1:]
-        a0, a1 = cuts[:, :-1, None], cuts[:, 1:, None]
-        crosses = np.sign(z0) * np.sign(z1) < 0.0
-        zeros = np.where(crosses, a0 + (a1 - a0) * z0 / np.where(crosses, z0 - z1, 1.0), 1.0)
-        cuts = np.sort(np.concatenate([cuts, zeros.reshape(n, -1)], axis=1), axis=1)
-        # Padding 1s sort to the end: keep the widest row's cuts below 1 and one 1.
-        cuts = cuts[:, :int((cuts < 1.0).sum(axis=1).max()) + 1]
-    return cuts
+from .nn import ModelParams, _layer_views
 
 
 def sample_attributions(params: ModelParams, samples: np.ndarray) -> np.ndarray:
-    """Signed exact integrated gradients for many samples at once; returns (n, F)."""
+    """Signed exact integrated gradients for many samples at once; returns (n, F).
+
+    Arrays are feature-major, (units, pieces, samples) or (cuts, samples), so
+    every elementwise operation runs along the contiguous samples.
+    """
     xs = np.asarray(samples, dtype=np.float64)
     if xs.ndim != 2:
         raise ValueError("samples must be a 2-D array")
-    n, n_features = xs.shape
-    cuts = _path_cuts(params, xs)
-    mids = 0.5 * (cuts[:, :-1] + cuts[:, 1:])
-    # One gradient pass over every piece's midpoint of every sample.
-    points = (mids[:, :, None] * xs[:, None, :]).reshape(-1, n_features)
-    grads = input_gradients_batch(params, points).reshape(n, -1, n_features)
-    return xs * (np.diff(cuts, axis=1)[:, :, None] * grads).sum(axis=1)
+    ws, bs = _layer_views(params.values, params.spec, 1)
+    ws = [w[0] for w in ws]  # (fan_in, fan_out)
+    bs = [b[0, 0, :, None, None] for b in bs]  # (fan_out, 1, 1)
+    last = len(ws) - 2  # index of the last hidden layer
+    if last < 0:
+        return xs * ws[0][:, 0]
+    slope = ws[0].T @ xs.T  # first-layer pre-activation at alpha is alpha * slope + b
+    cuts = np.array([[0.0], [1.0]])
+    if last > 0:
+        # Unit j's zero -b_j / slope_j lies in (0, 1) only where |slope_j| > |b_j|,
+        # which also keeps out 0 / 0 (a unit that is 0 along the whole path).
+        zeros = np.ones_like(slope)
+        np.divide(-bs[0][:, 0], slope, out=zeros, where=np.abs(slope) > np.abs(bs[0][:, 0]))
+        zeros[zeros <= 0.0] = 1.0
+        cuts = _merge(cuts, zeros)
+    slope = slope[:, None]
+    for layer in range(1, last):
+        cuts = _merge(cuts, _zeros(cuts, _forward(ws, bs, slope, cuts, layer)[1]))
+    masks, z = _forward(ws, bs, slope, cuts, last)
+    gate = np.maximum(z, 0.0)
+    gate = gate[:, :-1] + gate[:, 1:]
+    size = np.abs(z, out=z)
+    size = size[:, :-1] + size[:, 1:]
+    np.divide(gate, size, out=gate, where=size > 0.0)  # 0 stays 0 where z is 0 at both ends
+    gate *= np.diff(cuts, axis=0)
+    delta = gate * ws[-1][:, :, None]
+    for layer in range(last - 1, -1, -1):
+        delta = _matmul(ws[layer + 1], delta)
+        delta *= masks[layer]
+    return xs * (delta.sum(axis=1).T @ ws[0].T)
+
+
+def _matmul(w: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """w (m, k) applied to the units of a (k, ...); returns (m, ...)."""
+    return (w @ a.reshape(a.shape[0], -1)).reshape(w.shape[0], *a.shape[1:])
+
+
+def _forward(
+    ws: list[np.ndarray], bs: list[np.ndarray], slope: np.ndarray, cuts: np.ndarray, depth: int
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Hidden layer `depth`'s pre-activations at the cuts, and the masks before it.
+
+    Returns the (units, C, n) pre-activations and, for each earlier hidden
+    layer, its on-mask on every piece, (units, C - 1, n). An earlier layer
+    is affine on each piece, so its value at the midpoint has the sign of the
+    sum of its values at the two ends.
+    """
+    z = cuts * slope
+    z += bs[0]
+    masks = []
+    for layer in range(1, depth + 1):
+        masks.append(z[:, :-1] + z[:, 1:] > 0.0)
+        np.maximum(z, 0.0, out=z)
+        z = _matmul(ws[layer].T, z)
+        z += bs[layer]
+    return masks, z
+
+
+def _zeros(cuts: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Where z, affine on each piece, changes sign inside it; 1 on the other pieces.
+
+    Returns (units * (C - 1), n) path fractions.
+    """
+    z0, z1 = z[:, :-1], z[:, 1:]
+    crosses = np.sign(z0) * np.sign(z1) < 0.0
+    zeros = np.divide(z0, z0 - z1, out=np.ones(z0.shape), where=crosses)
+    zeros *= np.diff(cuts, axis=0)
+    zeros += cuts[:-1]
+    return np.where(crosses, zeros, 1.0).reshape(-1, cuts.shape[1])
+
+
+def _merge(cuts: np.ndarray, zeros: np.ndarray) -> np.ndarray:
+    """Sorted union of cuts (C, n or 1) and zeros (k, n), each column from 0 to 1.
+
+    Padding 1s sort to the end: keep the widest column's cuts below 1 and one 1.
+    """
+    cuts = np.concatenate([np.broadcast_to(cuts, (cuts.shape[0], zeros.shape[1])), zeros])
+    cuts.sort(axis=0)
+    return cuts[:int((cuts < 1.0).sum(axis=0).max()) + 1]
 
 
 # Most sample rows one `sample_attributions` call takes; whole pools share a

@@ -6,7 +6,11 @@ SRC = TESTS.parent / "src" / "fedslice"
 
 # Module-level names that only tests call: the reference implementations
 # the tests check the library's own code against.
-TEST_ORACLES = ["nn.param_gradients"]
+TEST_ORACLES = [
+    "nn.param_gradients",
+    # Input gradients per point: the path-cut IG oracle and criterion 2's FD check.
+    "nn.input_gradients_batch",
+]
 
 
 def test_every_module_level_function_and_class_is_used_by_the_library():
