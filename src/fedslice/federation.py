@@ -241,14 +241,18 @@ def run_round(runs: list[SliceRun], cfg: ExperimentConfig) -> None:
     count, as many trainings per `train_clients` call as fit in
     `_TRAIN_ROWS_PER_STEP` step rows (at least one), where a step's rows are
     the train rows under full batch and `batch_size` otherwise. Last, each
-    federation aggregates, evaluates and appends its record.
+    federation aggregates, evaluates on its slice's pooled test set and
+    appends its record.
 
     Work that federations share is done once. Attribution depends only on
     the slice's datasets and the model, so federations of a slice on the
     same model share one pass (at round 0 all start from one model). A local
     update depends only on its dataset, slice, client id and start model
     (the shuffle stream is policy-free), so each distinct one trains once
-    and its model goes to every federation that selected it.
+    and its model goes to every federation that selected it. The federations
+    of a slice evaluate on one pooled test set, built after training: held
+    through training, a slice's set would raise the run's peak memory by its
+    size.
 
     A federation's round time is its own select and aggregate wall time, the
     wall time of the attribution pass its chi came from, and, from each
@@ -322,6 +326,8 @@ def run_round(runs: list[SliceRun], cfg: ExperimentConfig) -> None:
                 trained[slot] = model
                 elapsed[slot[0]] += share
 
+    # (dataset ids) -> the pooled test set of those datasets.
+    test_sets: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
     for i, (run, chi, selection) in enumerate(zip(runs, chis, selections)):
         started = time.perf_counter()
         ordered = sorted(selection.selected)
@@ -331,7 +337,10 @@ def run_round(runs: list[SliceRun], cfg: ExperimentConfig) -> None:
         )
         elapsed_ms = (elapsed[i] + time.perf_counter() - started) * 1e3
 
-        mse = evaluate_global(new_global, *pooled_test_set(run.datasets))
+        key = tuple(map(id, run.datasets))
+        if key not in test_sets:
+            test_sets[key] = pooled_test_set(run.datasets)
+        mse = evaluate_global(new_global, *test_sets[key])
         previous_ms = run.records[-1].cum_time_ms if run.records else 0.0
         run.records.append(RoundRecord(
             round_index=round_index,
