@@ -154,6 +154,20 @@ class TestPathCutOracle:
                                  (rng.normal(0, 0.8, (2, 1)), np.zeros(1))])
         assert_matches_path_cut_oracle(p, rng.uniform(0, 1, (20, 3)))
 
+    def test_first_layer_unit_at_zero_along_the_path_but_not_constant(self, rng):
+        # Weights (1, -1, 0) and x0 = x1 give W1^T x = 0 exactly, in any rounding,
+        # with b = 0: the unit is 0 along the path, off under the strict > rule,
+        # though its gradient (1, -1, 0) is not 0.
+        w1 = rng.normal(0, 0.8, (3, 3))
+        w1[:, 1] = [1.0, -1.0, 0.0]
+        b1 = rng.normal(0, 0.8, 3)
+        b1[1] = 0.0
+        p = pack(NetworkSpec(), [(w1, b1), (rng.normal(0, 0.8, (3, 2)), rng.normal(0, 0.8, 2)),
+                                 (rng.normal(0, 0.8, (2, 1)), np.zeros(1))])
+        xs = rng.uniform(0, 1, (20, 3))
+        xs[:, 1] = xs[:, 0]
+        assert_matches_path_cut_oracle(p, xs)
+
     def test_last_hidden_unit_exactly_zero_over_a_piece(self):
         # First-layer unit 0 is relu(x0 - 0.5), which crosses at alpha = 0.5
         # for x0 = 1; last-hidden unit 0 copies it, so it is exactly 0 on
