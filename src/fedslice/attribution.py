@@ -54,8 +54,9 @@ def sample_attributions(params: ModelParams, samples: np.ndarray) -> np.ndarray:
     if last > 0:
         # Unit j's zero -b_j / slope_j lies in (0, 1) only where |slope_j| > |b_j|,
         # which also keeps out 0 / 0 (a unit that is 0 along the whole path).
+        bias = bs[0][:, 0]
         zeros = np.ones_like(slope)
-        np.divide(-bs[0][:, 0], slope, out=zeros, where=np.abs(slope) > np.abs(bs[0][:, 0]))
+        np.divide(-bias, slope, out=zeros, where=np.abs(slope) > np.abs(bias))
         zeros[zeros <= 0.0] = 1.0
         cuts = _merge(cuts, zeros)
     slope = slope[:, None]

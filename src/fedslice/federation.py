@@ -241,8 +241,7 @@ def run_round(runs: list[SliceRun], cfg: ExperimentConfig) -> None:
     count, as many trainings per `train_clients` call as fit in
     `_TRAIN_ROWS_PER_STEP` step rows (at least one), where a step's rows are
     the train rows under full batch and `batch_size` otherwise. Last, each
-    federation aggregates, evaluates on its slice's pooled test set and
-    appends its record.
+    federation aggregates, evaluates and appends its record.
 
     Work that federations share is done once. Attribution depends only on
     the slice's datasets and the model, so federations of a slice on the
