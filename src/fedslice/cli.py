@@ -28,6 +28,8 @@ from pathlib import Path
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
 
+import numpy as np
+
 from . import __version__, federation
 from . import metrics as metrics_mod
 from .data import (DataSpec, NonIidProfile, default_profiles, from_json, generate_client_table,
@@ -191,18 +193,27 @@ def _load_profiles(path: str) -> tuple[list[NonIidProfile], DataSpec]:
 
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
+    """Write every client's CSV; a table with a non-finite cell exits 2 and leaves none."""
     profiles, spec = _load_profiles(args.profiles)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    count = 0
+    written: list[Path] = []
     for name in spec.slices:
         slice_spec = slice_by_name(name)
-        for profile in profiles:
+        for i, profile in enumerate(profiles):
             seed = client_seed(spec.seed, name, profile.client_id)
-            table = generate_client_table(profile, slice_spec, spec.samples_per_client, seed)
-            write_client_csv(table, _client_csv(out_dir, profile.client_id, name))
-            count += 1
-    print(f"wrote {count} dataset file(s) to {out_dir}")
+            # An extreme profile can overflow; the writer refuses what is not finite.
+            with np.errstate(all="ignore"):
+                table = generate_client_table(profile, slice_spec, spec.samples_per_client, seed)
+            path = _client_csv(out_dir, profile.client_id, name)
+            try:
+                write_client_csv(table, path)
+            except ConfigError as exc:
+                for done in written:
+                    done.unlink()
+                raise ConfigError(f"{args.profiles}: profiles[{i}]: slice {name}, {exc}") from None
+            written.append(path)
+    print(f"wrote {len(written)} dataset file(s) to {out_dir}")
     return EXIT_OK
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import io
 import sys
 import warnings
@@ -423,28 +424,179 @@ def generate_client(
     return make_dataset(profile.client_id, features, targets, shuffle_rng, train_fraction)
 
 
-def write_csv(path: str | Path, header, row_format: str, rows) -> None:
-    """Write `header`, then one `row_format % row` line per row tuple, CRLF-ended.
+def write_csv(path: str | Path, header, lines) -> None:
+    """Write `header`, then the bytes objects of `lines`, which make up CRLF-ended lines.
 
-    Nothing is quoted, so no cell may hold a comma, a quote or a line break;
-    the bytes are then those `csv.writer` writes.
+    Every line ends with CRLF and nothing is quoted, so no cell may hold a
+    comma, a quote or a line break; the bytes are then those `csv.writer`
+    writes.
     """
+    with Path(path).open("wb") as fh:
+        fh.write(",".join(header).encode() + b"\r\n")
+        fh.writelines(lines)
+
+
+def format_rows(row_format: str, rows):
+    """One `row_format % row` line per row tuple, as CRLF-ended bytes for `write_csv`."""
     row_format += "\r\n"
-    with Path(path).open("w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        fh.writelines(row_format % row for row in rows)
+    return ((row_format % row).encode() for row in rows)
+
+
+# `"%.17g"` prints |x| in [1e-4, 1e17) in fixed notation; `format_g17` builds
+# those cells (and the zeros) with numpy and formats the rest with `%`.
+_G17_FIXED = (1e-4, 1e17)
+# A cell is a 44-byte slot of 11 four-byte words, then its tail; NUL bytes are dropped:
+#   0 '-'  1 '0'  2 NUL  3 D0  4-19 D1..D16   sign, then the integer part
+#   20 '.'  21-23 '000'  24-26 NUL  27 D0  28-43 D1..D16   the fraction
+# where D0..D16 are the 17 significant digits, D1..D16 as four-digit groups.
+# The fraction's last nonzero group and those after it come from a copy of
+# the group table whose trailing zeros are NUL. What else is kept depends
+# only on the exponent k and on whether there is a fraction: a mask picks it,
+# and no byte moves.
+_G17_SLOT = 44
+_G17_CHUNK_CELLS = 2048
+_VELTKAMP = 134217729.0  # 2**27 + 1: splits a double into two 26-bit halves
+
+
+def _veltkamp_split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    c = _VELTKAMP * a
+    high = c - (c - a)
+    return high, a - high
+
+
+@functools.cache
+def _g17_tables() -> dict[str, np.ndarray]:
+    """The kernel's constant tables, built on first use (not at import) and read-only."""
+    # The smallest double >= 10**k, k = -4..16: exact for k >= 0, and each
+    # negative power's nearest double lies above it.
+    powers = np.array([float(f"1e{k}") for k in range(-4, 17)])
+    scales = np.array([float(10 ** q) for q in range(21)])  # exact: 5**q < 2**53
+    group = np.arange(10_000, dtype=np.uint16)[:, None]
+    place = np.array([1000, 100, 10, 1], np.uint16)
+    digits = (group // place % 10 + 48).astype(np.uint8)
+    stripped = np.where(group % (place * 10) == 0, np.uint8(0), digits)
+    # Words 0-9999 are the groups, 10000-19999 the stripped groups, 20000 + D0
+    # is '-0', NUL, D0; 20010 is '.000'; and 20011 + D0 is NUL, NUL, NUL, D0.
+    heads = ([[45, 48, 0, 48 + d] for d in range(10)] + [[46, 48, 48, 48]]
+             + [[0, 0, 0, 48 + d] for d in range(10)])
+    words = np.concatenate([digits, stripped, np.array(heads, np.uint8)]).view(np.uint32).ravel()
+    # One mask per (k, whether there is a fraction), then one for zero.
+    pos = np.arange(_G17_SLOT)
+    k = np.repeat(np.arange(-4, 17), 2)[:, None]
+    fraction = np.tile([False, True], 21)[:, None]
+    integer_digit, fraction_digit = pos - 3, pos - 27
+    keep = (((pos == 1) & (k < 0))
+            | ((integer_digit >= 0) & (integer_digit <= k))
+            | ((pos == 20) & fraction)
+            | ((pos >= 21) & (pos <= 23) & (pos - 20 <= -k - 1))
+            | ((fraction_digit >= 0) & (fraction_digit > k)))
+    masks = np.concatenate([keep, (pos == 1)[None, :]]).astype(np.uint8) * np.uint8(255)
+    tables = {"powers": powers, "scales": np.stack([scales, *_veltkamp_split(scales)]),
+              "words": words, "masks": masks}
+    for table in tables.values():
+        table.flags.writeable = False
+    return tables
+
+
+def _g17_chunk(cells: np.ndarray, tables: dict, words: np.ndarray, masks: np.ndarray,
+               index: np.ndarray) -> bytes:
+    """`format_g17` of a few rows; `index` is a workspace whose tail words are set."""
+    values = cells.ravel()
+    index = index[:len(cells)].reshape(values.size, -1)
+    magnitude = np.abs(values)
+    fixed = (magnitude >= _G17_FIXED[0]) & (magnitude < _G17_FIXED[1])
+    zero = magnitude == 0.0
+    x = np.where(fixed, magnitude, 1.0)
+    # k = floor(log10 x), exactly; then N = round-half-even(x * 10**(16 - k))
+    # by Dekker's two-product: p is the rounded product and err its exact
+    # error. As x * 10**(16 - k) >= 10**16 > 2**53, p is an even integer and
+    # |err| <= 8, so p + rint(err) is N, ties to even included. N never rounds
+    # up to 10**17: the largest double below each power of ten from 1e-3 to
+    # 1e17 scales to at least 8 below it.
+    k = np.searchsorted(tables["powers"], x, side="right") - 5
+    scale, scale_high, scale_low = np.take(tables["scales"], 16 - k, axis=1)
+    x_high, x_low = _veltkamp_split(x)
+    p = x * scale
+    err = ((x_high * scale_high - p) + x_high * scale_low + x_low * scale_high) + x_low * scale_low
+    n = p.astype(np.int64) + np.rint(err).astype(np.int64)
+
+    first = n // 10 ** 16
+    rest = n - first * 10 ** 16
+    high = rest // 10 ** 8
+    low = rest - high * 10 ** 8
+    groups = index[:, 1:5]
+    groups[:, 0] = high // 10 ** 4
+    groups[:, 1] = high - groups[:, 0] * 10 ** 4
+    groups[:, 2] = low // 10 ** 4
+    groups[:, 3] = low - groups[:, 2] * 10 ** 4
+    index[:, 0] = 20_000 + first
+    index[:, 5] = 20_010
+    index[:, 6] = 20_011 + first
+    # The fraction's groups, stripped from the last nonzero one on.
+    stripped = np.ones(values.size, bool)
+    for g in (3, 2, 1, 0):
+        index[:, 7 + g] = groups[:, g] + 10_000 * stripped
+        stripped &= groups[:, g] == 0
+    # A fixed-notation x has a fraction exactly when it is not an integer.
+    mask_row = np.where(zero, len(masks) - 1, 2 * (k + 4) + (np.floor(x) != x))
+
+    text = np.take(words, index).view(np.uint8)
+    text &= np.take(masks, mask_row, axis=0)
+    text[:, 0] = np.signbit(values) * np.uint8(45)
+    for i in np.flatnonzero(~(fixed | zero)):
+        text[i, :_G17_SLOT] = np.frombuffer((b"%.17g" % values[i]).ljust(_G17_SLOT, b"\0"),
+                                            np.uint8)
+    return text.tobytes().translate(None, b"\0")
+
+
+def format_g17(cells: np.ndarray, tails) -> bytes:
+    """Each cell of a float64 matrix as the bytes of `"%.17g" % cell`, then its column's tail.
+
+    Cells come in row-major order; `tails[j]` (bytes without NUL) follows
+    every cell of column j. The bytes are exactly `%`'s: cells printed in
+    fixed notation and zeros are built from the exact round-half-even 17
+    digits (same on every platform), and the rest are formatted by `%`.
+    Rows are formatted in chunks, so memory stays bounded.
+    """
+    cells = np.asarray(cells, dtype=np.float64)
+    rows, columns = cells.shape
+    tables = _g17_tables()
+    tail_words = -(-max(map(len, tails), default=0) // 4)
+    tail_table = np.frombuffer(b"".join(t.ljust(4 * tail_words, b"\0") for t in tails),
+                               np.uint32)
+    words = np.concatenate([tables["words"], tail_table])
+    masks = np.concatenate([tables["masks"], np.full((len(tables["masks"]), 4 * tail_words),
+                                                     255, np.uint8)], axis=1)
+    step = max(1, _G17_CHUNK_CELLS // max(columns, 1))
+    index = np.empty((min(step, rows), columns, 11 + tail_words), np.intp)
+    index[:, :, 11:] = (len(tables["words"])
+                        + np.arange(columns * tail_words).reshape(columns, tail_words))
+    return b"".join(_g17_chunk(cells[start:start + step], tables, words, masks, index)
+                    for start in range(0, rows, step))
 
 
 def write_client_csv(table: dict[str, np.ndarray], path: str | Path) -> None:
     """Write a full column table in the canonical CSV schema, `%.17g` floats.
 
     A column that is `+0.0` in every row is written as the literal `0` that
-    `%.17g` would print, without formatting each of its cells.
+    `%.17g` would print, without formatting each of its cells. A table with a
+    non-finite value raises ConfigError naming the first such column in
+    `CSV_COLUMNS` order, and nothing is written.
     """
     columns = np.column_stack([np.asarray(table[c], dtype=np.float64) for c in CSV_COLUMNS])
+    finite = np.isfinite(columns).all(axis=0)
+    if not finite.all():
+        raise ConfigError(f"column {CSV_COLUMNS[int(np.argmin(finite))]!r}: non-finite value")
     live = columns.any(axis=0) | np.signbit(columns).any(axis=0)
-    write_csv(path, CSV_COLUMNS, ",".join("%.17g" if x else "0" for x in live),
-              map(tuple, columns[:, live].tolist()))
+    live[-1] = True  # so every row ends with a formatted cell
+    formatted = np.flatnonzero(live)
+    # After each formatted cell: a comma, or CRLF, and the zero columns up to
+    # the next. The zeros that open a row end the previous row's tail, so they
+    # are written once before the body and cut from its end.
+    lead = b"0," * formatted[0]
+    tails = [b"," + b"0," * (b - a - 1) for a, b in zip(formatted[:-1], formatted[1:])]
+    body = format_g17(columns[:, formatted], tails + [b"\r\n" + lead])
+    write_csv(path, CSV_COLUMNS, [lead, memoryview(body)[:len(body) - len(lead)]] if body else [])
 
 
 # Characters numpy's parser strips as whitespace around a number and `float()` does not.

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import check_fields, from_json, write_csv
+from .data import check_fields, format_rows, from_json, write_csv
 from .errors import ConfigError
 from .nn import ModelParams, forward_batch
 from .selection import POLICIES, POLICY_INTELLISELECT, POLICY_NO_POLICY, POLICY_SCORE
@@ -118,40 +118,42 @@ def convergence_round(mses: list[float]) -> int:
 
 def write_rounds_csv(path: Path, records, params_transmitted: int) -> None:
     """One row per round; `params_transmitted` is the policy's per-round link load."""
-    write_csv(path, ROUNDS_HEADER, "%d,%.17g,%.17g,%s,%d", (
+    write_csv(path, ROUNDS_HEADER, format_rows("%d,%.17g,%.17g,%s,%d", (
         (r.round_index, r.mse, r.cum_time_ms,
          SELECTED_IDS_SEP.join(str(c) for c in r.selection.selected), params_transmitted)
-        for r in records))
+        for r in records)))
 
 
 def write_comm_ledger_csv(path: Path, ledgers: list[CommLedger]) -> None:
     write_csv(path, ("policy", "round", "downlink_params", "uplink_params", "round_total",
-                     "cumulative_total"), "%s,%d,%d,%d,%d,%d",
-              ((ledger.policy, *row) for ledger in ledgers for row in ledger.rows()))
+                     "cumulative_total"),
+              format_rows("%s,%d,%d,%d,%d,%d",
+                          ((ledger.policy, *row) for ledger in ledgers for row in ledger.rows())))
 
 
 def write_attributions_csv(path: Path, chi_rounds: list[np.ndarray]) -> None:
     n_features = chi_rounds[0].shape[1]
     write_csv(path, ["round", "client_id"] + [f"chi_{f}" for f in range(n_features)],
-              "%d,%d" + ",%.17g" * n_features,
-              ((t, k, *row) for t, chi in enumerate(chi_rounds)
-               for k, row in enumerate(chi.tolist())))
+              format_rows("%d,%d" + ",%.17g" * n_features,
+                          ((t, k, *row) for t, chi in enumerate(chi_rounds)
+                           for k, row in enumerate(chi.tolist()))))
 
 
 def write_selection_csv(path: Path, selections) -> None:
     write_csv(path, ("round", "client_id", "selected_by_feature", "chi_value"),
-              "%d,%d,%d,%.17g",
-              ((t, audit.client_id, audit.feature, audit.chi_value)
-               for t, sel in enumerate(selections) for audit in sel.audit))
+              format_rows("%d,%d,%d,%.17g",
+                          ((t, audit.client_id, audit.feature, audit.chi_value)
+                           for t, sel in enumerate(selections) for audit in sel.audit)))
 
 
 def write_provisioning_csv(path: Path, policy: str,
                            round_reports: list[tuple[int, ProvisioningReport]]) -> None:
     write_csv(path, ("policy", "round", "client_id", "sample_index", "p_err"),
-              "%s,%d,%d,%d,%.17g",
-              ((policy, round_index, cid, i, err) for round_index, report in round_reports
-               for i, (cid, err) in enumerate(zip(report.client_ids.tolist(),
-                                                  report.errors.tolist()))))
+              format_rows("%s,%d,%d,%d,%.17g",
+                          ((policy, round_index, cid, i, err)
+                           for round_index, report in round_reports
+                           for i, (cid, err) in enumerate(zip(report.client_ids.tolist(),
+                                                              report.errors.tolist())))))
 
 
 @dataclass(frozen=True)

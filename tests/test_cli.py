@@ -19,6 +19,13 @@ PINNED_ROUNDS_DIGEST = "9419c33b7314583d8aaf48bcf597a8b2e2873889391326e8869cddc7
 # sha256 of the attribution and selection tables
 # `test_blocked_attributions_match_the_pinned_digest` builds.
 PINNED_BLOCKED_DIGEST = "21acf32297db21ede78c14be15f84b54da1aaea14df6b9b2f04fa678dbb5716a"
+# sha256 over "<name> <sha256 of the file>" lines of every CSV `gen-data` writes
+# for 6 clients x 200 rows of the three slices, by seed (the perfbench cross-check
+# profile); recorded with the row-by-row `"%.17g" % cell` writer.
+PINNED_GEN_DATA_DIGESTS = {
+    42: "eeba3b4bf1985308e89373f89625ff3dff9f8e542011da03368e04364566edf5",
+    7: "8c9b558861553f902330530d9ad1d96167deaba0b2ac7d3eec902d45e8caf480",
+}
 
 
 def tiny_config(**overrides):
@@ -364,6 +371,31 @@ class TestGenData:
         run_cli("gen-data", "--profiles", profiles, "--out", out_b)
         for path_a in out_a.glob("*.csv"):
             assert path_a.read_bytes() == (out_b / path_a.name).read_bytes()
+
+    @pytest.mark.parametrize("seed", sorted(PINNED_GEN_DATA_DIGESTS))
+    def test_generated_files_match_the_pinned_digests(self, tmp_path, seed):
+        profiles = self.profiles_file(tmp_path, n_clients=6, samples_per_client=200, seed=seed)
+        out = tmp_path / "data"
+        assert run_cli("gen-data", "--profiles", profiles, "--out", out) == 0
+        files = sorted(out.glob("*.csv"))
+        assert len(files) == 18
+        listing = "".join(f"{p.name} {hashlib.sha256(p.read_bytes()).hexdigest()}\n"
+                          for p in files)
+        assert hashlib.sha256(listing.encode()).hexdigest() == PINNED_GEN_DATA_DIGESTS[seed]
+
+    def test_non_finite_generated_cell_is_exit_2_and_leaves_no_csv(self, tmp_path, capsys):
+        spec = {"n_clients": 2, "samples_per_client": 20, "seed": 42,
+                "slices": ["SocialMedia", "eMBB"],
+                "profiles": [profile_entry(0), profile_entry(1, traffic_scale=1.7e308)]}
+        path = tmp_path / "profiles.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "d"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept")
+        assert run_cli("gen-data", "--profiles", path, "--out", out) == 2
+        assert capsys.readouterr().err == (f"error: {path}: profiles[1]: slice SocialMedia, "
+                                           "column 'Facebook': non-finite value\n")
+        assert sorted(p.name for p in out.iterdir()) == ["notes.txt"]
 
     def test_zero_clients_is_exit_2(self, tmp_path):
         profiles = self.profiles_file(tmp_path, n_clients=0)

@@ -15,6 +15,7 @@ from fedslice.data import (
     TARGET_COLUMN,
     aggregate_table,
     default_profiles,
+    format_g17,
     generate_client,
     generate_client_table,
     ingest_csv,
@@ -384,6 +385,31 @@ class TestCsv:
             b"1e-300,-0,0,0,0,0,0,0,0,0,7,25000000000000000,100\r\n"
         )
 
+    def test_writer_matches_percent_oracle(self, tmp_path, rng):
+        # Zero columns first, in the middle and last; zeros and signs inside live ones.
+        for live in ([3, 6, 9, 10, 11], [0, 4, 7, 10, 11, 12], [1, 2, 5, 8, 12], []):
+            table = {c: np.zeros(300) for c in CSV_COLUMNS}
+            for j in live:
+                values = rng.standard_normal(300) * 10.0 ** rng.integers(-6, 19, 300)
+                values[rng.random(300) < 0.1] = 0.0
+                table[CSV_COLUMNS[j]] = values
+            path = tmp_path / "client.csv"
+            write_client_csv(table, path)
+            rows = zip(*(table[c].tolist() for c in CSV_COLUMNS))
+            assert path.read_bytes().decode() == "".join(
+                [",".join(CSV_COLUMNS) + "\r\n"]
+                + [",".join("%.17g" % x for x in row) + "\r\n" for row in rows])
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_writer_refuses_a_non_finite_cell(self, tmp_path, bad):
+        table = {c: np.ones(4) for c in CSV_COLUMNS}
+        table["MIMO_FI"][2] = bad
+        table[TARGET_COLUMN][0] = bad
+        path = tmp_path / "client.csv"
+        with pytest.raises(ConfigError, match=r"^column 'MIMO_FI': non-finite value$"):
+            write_client_csv(table, path)
+        assert not path.exists()
+
     def test_empty_file_is_schema_error(self, tmp_path):
         path = tmp_path / "client.csv"
         path.write_text("")
@@ -412,3 +438,48 @@ class TestCsv:
         for i in range(60):
             expected = sum(float(table[app][i]) for app in EMBB.ott_apps)
             assert features[i, 0] == pytest.approx(expected, abs=1e-12)
+
+
+def g17_oracle(cells, tails):
+    return b"".join(b"%.17g" % x + tails[j] for row in cells.tolist() for j, x in enumerate(row))
+
+
+def below(x):
+    return float(np.nextafter(x, 0.0))
+
+
+def above(x):
+    return float(np.nextafter(x, np.inf))
+
+
+# Where fixed notation starts and stops, an exact tie, the largest double below
+# each power of ten (where a rounded log10 would give the exponent one too
+# high), the powers themselves, subnormals and zeros.
+G17_CASES = ([1e-4, below(1e-4), above(1e-4), 1e17, below(1e17), above(1e17),
+              1.0 + 2.0 ** -17, 99999999999999984.0, 5e-324, 2.2250738585072009e-308, 0.0]
+             + [below(float(f"1e{k}")) for k in range(-3, 17)]
+             + [float(f"1e{k}") for k in range(-3, 17)])
+
+
+class TestFormatG17:
+    def test_named_cases_match_percent(self):
+        cells = np.array(G17_CASES + [-x for x in G17_CASES])[:, None]
+        assert format_g17(cells, [b"\n"]) == g17_oracle(cells, [b"\n"])
+
+    def test_exact_tie_rounds_to_even(self):
+        assert format_g17(np.array([[1.0 + 2.0 ** -17]]), [b""]) == b"1.0000076293945312"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                              st.floats(min_value=-1e17, max_value=1e17),
+                              st.integers(-2 ** 60, 2 ** 60).map(lambda n: n / 2 ** 17)),
+                    min_size=1, max_size=24))
+    def test_finite_doubles_match_percent(self, values):
+        cells = np.array(values, dtype=np.float64)[:, None]
+        assert format_g17(cells, [b","]) == g17_oracle(cells, [b","])
+
+    def test_every_bit_pattern_and_tail_across_chunks(self, rng):
+        cells = rng.integers(0, 2 ** 64, (1500, 3), dtype=np.uint64).view(np.float64)
+        cells[::7, 1] = rng.uniform(-1e3, 1e3, cells[::7, 1].shape)
+        tails = [b",", b",0,0,0,0,0,", b"\r\n"]
+        assert format_g17(cells, tails) == g17_oracle(cells, tails)
