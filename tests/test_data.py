@@ -453,8 +453,8 @@ def above(x):
 
 
 # Where fixed notation starts and stops, an exact tie, the largest double below
-# each power of ten (where a rounded log10 would give the exponent one too
-# high), the powers themselves, subnormals and zeros.
+# each power of ten (the closest to a wrong exponent or to rounding up to the
+# next power), the powers themselves, subnormals and zeros.
 G17_CASES = ([1e-4, below(1e-4), above(1e-4), 1e17, below(1e17), above(1e17),
               1.0 + 2.0 ** -17, 99999999999999984.0, 5e-324, 2.2250738585072009e-308, 0.0]
              + [below(float(f"1e{k}")) for k in range(-3, 17)]
