@@ -454,7 +454,7 @@ _G17_FIXED = (1e-4, 1e17)
 # only on the exponent k and on whether there is a fraction: a mask picks it,
 # and no byte moves.
 _G17_SLOT = 44
-_G17_CHUNK_CELLS = 2048
+_G17_CHUNK_CELLS = 2048  # larger chunks are no faster and raise peak memory
 _VELTKAMP = 134217729.0  # 2**27 + 1: splits a double into two 26-bit halves
 
 
