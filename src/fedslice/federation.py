@@ -248,10 +248,13 @@ def run_round(runs: list[SliceRun], cfg: ExperimentConfig) -> None:
     same model share one pass (at round 0 all start from one model). A local
     update depends only on its dataset, slice, client id and start model
     (the shuffle stream is policy-free), so each distinct one trains once
-    and its model goes to every federation that selected it. The federations
-    of a slice evaluate on one pooled test set, built after training: held
-    through training, a slice's set would raise the run's peak memory by its
-    size.
+    and its model goes to every federation that selected it. Trainings of a
+    call that differ only in the start model share their data stream, the
+    (dataset, slice, client id) part of that key: `train_clients` holds one
+    copy of its rows and shuffles it once an epoch for all of them. The
+    federations of a slice evaluate on one pooled test set, built after
+    training: held through training, a slice's set would raise the run's
+    peak memory by its size.
 
     A federation's round time is its own select and aggregate wall time, the
     wall time of the attribution pass its chi came from, and, from each
@@ -297,23 +300,32 @@ def run_round(runs: list[SliceRun], cfg: ExperimentConfig) -> None:
     trained: dict[tuple[int, int], ModelParams] = {}
     calls = []
     for n_train, group in groups.items():
-        stack = list(group.values())
+        stack = list(group.items())
         per_call = max(_TRAIN_ROWS_PER_STEP // min(cfg.batch_size or n_train, n_train), 1)
         calls += [stack[i:i + per_call] for i in range(0, len(stack), per_call)]
-    for slots in calls:
-        firsts = [shared[0] for shared in slots]
+    for call in calls:
+        slots = [shared for _, shared in call]
+        # A training's data stream is its key without the start model; each
+        # distinct one is read, and shuffled, once a call for all its trainings.
+        streams: dict[tuple, int] = {}
+        sources = []  # (federation index, client id) of each stream's first training
+        for key, shared in call:
+            if key[:3] not in streams:
+                streams[key[:3]] = len(sources)
+                sources.append(shared[0])
         started = time.perf_counter()
-        participants = [runs[i].datasets[client_id] for i, client_id in firsts]
+        participants = [runs[i].datasets[client_id] for i, client_id in sources]
         try:
             models = train_clients(
-                [runs[i].global_params for i, _ in firsts],
+                [runs[shared[0][0]].global_params for shared in slots],
                 [ds.train_features for ds in participants],
                 [ds.train_targets for ds in participants],
                 cfg.local_epochs,
                 learning_rate=cfg.learning_rate,
                 batch_size=cfg.batch_size,
                 shuffle_rngs=[_shuffle_rng(cfg, runs[i].slice_name, round_index, client_id)
-                              for i, client_id in firsts],
+                              for i, client_id in sources],
+                streams=[streams[key[:3]] for key, _ in call],
             )
         except NumericError as exc:
             raise NumericError(

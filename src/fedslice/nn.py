@@ -238,31 +238,46 @@ def train_clients(
     learning_rate: float = 0.0015,
     batch_size: int | None = None,
     shuffle_rngs: list[np.random.Generator] | None = None,
+    streams: Sequence[int] | None = None,
 ) -> list[ModelParams]:
-    """Train client k from `start_params[k]` on its own data, all clients in lockstep.
+    """Train client k from `start_params[k]` on data stream `streams[k]`, all clients in lockstep.
 
-    Each client starts with fresh Adam moments and sees only its own data, so
+    Stream d is `features[d]` and `targets[d]` and, with `batch_size` set,
+    walks a fresh permutation of its rows each epoch, drawn from
+    `shuffle_rngs[d]` (row order when absent); otherwise each epoch is one
+    full-batch step. `streams` defaults to one stream per client, and each
+    stream must serve at least one. Clients that share a stream see the same
+    rows in the same order. Each client starts with fresh Adam moments, so
     results are mathematically independent per client; stacking them along a
     leading axis just amortizes array overhead, and clients of different
-    federations can share a call. With `batch_size` set, each epoch walks a
-    per-client permutation of the rows (from `shuffle_rngs`, or row order when
-    absent); otherwise each epoch is one full-batch step. Clients must share a
-    network spec and a row count to train in lockstep.
+    federations can share a call. Clients must share a network spec and
+    streams a row count to train in lockstep.
 
     The K clients' parameters, gradient and Adam moments live in four flat
     K x param_count buffers (plus two scratch buffers of that size) laid out
     as `_layer_views` describes, so `_pass` reads the weights and writes the
     gradient in place, and each step is one finiteness check and one Adam
-    update over the whole buffer. Each epoch gathers every client's permuted
-    rows into one K x rows x features buffer, client by client so the stack is
-    never held twice; its minibatches are slices of that buffer, handed to
-    `_pass` as (K, features, batch) transposed views, so each layer's
-    activations are (K, fan, batch) and its bias gradient sums delta over the
-    batch axis. A non-finite gradient raises `NumericError` whose `clients`
-    lists the stack positions at fault.
+    update over the whole buffer. Under minibatches each epoch permutes every
+    stream's rows once, stream by stream, into one streams x rows x features
+    buffer. While no stream is shared, a minibatch is a slice of that buffer;
+    otherwise each step gathers its clients' rows from the slice into one
+    K x batch x features buffer (the ragged last minibatch uses its leading
+    part). Full batch keeps one K x rows x features stack of each client's
+    stream. `_pass` gets (K, features, batch) transposed views, so each
+    layer's activations are (K, fan, batch) and its bias gradient sums delta
+    over the batch axis. A non-finite gradient raises `NumericError` whose
+    `clients` lists the stack positions at fault.
     """
-    if not features or not len(start_params) == len(features) == len(targets):
-        raise ValueError("need matching non-empty start model, feature and target lists")
+    n_clients = len(start_params)
+    # Plain lists, not np.unique or np.array_equal: on first use the one
+    # imports numpy.ma (about 1 MiB of RSS), the other adds 128 KiB.
+    identity = list(range(n_clients))
+    stream_ids = identity if streams is None else [int(d) for d in streams]
+    if (not features or len(features) != len(targets) or len(stream_ids) != n_clients
+            or (shuffle_rngs is not None and len(shuffle_rngs) != len(features))
+            or set(stream_ids) != set(range(len(features)))):
+        raise ValueError("need one start model and stream index per client, and non-empty "
+                         "feature, target and shuffle lists of one entry per stream, each used")
     spec = start_params[0].spec
     if any(p.spec != spec for p in start_params):
         raise ValueError("clients must share a network spec to train in lockstep")
@@ -271,15 +286,32 @@ def train_clients(
     row_counts = [f.shape[0] for f in features]
     if len(set(row_counts)) > 1:
         raise ValueError(f"clients must share a row count to train in lockstep, got {row_counts}")
-    # Client-major rows give each client's BLAS calls the same strides at any
-    # stack width, so a client trains bit-identically alone or stacked.
-    x_epoch = np.stack(features, axis=0)
-    y_epoch = np.stack(targets, axis=0)
-    n_clients, n_rows, _ = x_epoch.shape
+    n_rows = row_counts[0]
     if n_rows == 0:
         raise ValueError("cannot train on an empty dataset")
-    if x_epoch.shape[2] != spec.n_features:
-        raise ValueError(f"expected feature dimension {spec.n_features}, got {x_epoch.shape}")
+
+    if batch_size is None or batch_size >= n_rows:
+        # No shuffle to share: each client gets a copy of its stream's rows.
+        features = [features[d] for d in stream_ids]
+        targets = [targets[d] for d in stream_ids]
+        stream_ids = identity
+        batches = [slice(None)]
+        shuffle_rngs = None
+    else:
+        batches = [slice(start, start + batch_size) for start in range(0, n_rows, batch_size)]
+    # Client-major rows give each client's BLAS calls the same strides at any
+    # stack width, so a client trains bit-identically alone or stacked; the
+    # rows a step gathers for clients that share streams stay client-major.
+    x_epoch = np.stack(features, axis=0)
+    y_epoch = np.stack(targets, axis=0)
+    n_features = spec.n_features
+    if x_epoch.shape[2:] != (n_features,):
+        raise ValueError(f"expected feature dimension {n_features}, got {x_epoch.shape}")
+    shared = stream_ids != identity
+    if shared:
+        stream_ids = np.asarray(stream_ids, dtype=np.intp)
+        x_step = np.empty(n_clients * batch_size * n_features)
+        y_step = np.empty(n_clients * batch_size)
 
     theta = np.empty(n_clients * spec.param_count)
     grad = np.empty_like(theta)
@@ -299,23 +331,24 @@ def train_clients(
         block[...] = starts[:, offset:offset + size].reshape(block.shape)
         offset += size
 
-    if batch_size is None or batch_size >= n_rows:
-        batches = [slice(None)]
-        shuffle_rngs = None
-    else:
-        batches = [slice(start, start + batch_size) for start in range(0, n_rows, batch_size)]
-
     step = 0
     for _ in range(epochs):
         if shuffle_rngs is not None:
-            for k, rng in enumerate(shuffle_rngs):
+            for d, rng in enumerate(shuffle_rngs):
                 order = rng.permutation(n_rows)
-                # A permutation never needs clipping; unlike the default
-                # "raise" mode, "clip" writes straight into `out`.
-                np.take(features[k], order, axis=0, out=x_epoch[k], mode="clip")
-                np.take(targets[k], order, out=y_epoch[k], mode="clip")
+                # Permutations and stream ids never need clipping; unlike the
+                # default "raise" mode, "clip" writes straight into `out`.
+                np.take(features[d], order, axis=0, out=x_epoch[d], mode="clip")
+                np.take(targets[d], order, out=y_epoch[d], mode="clip")
         for batch in batches:
-            _pass(ws, bs, x_epoch[:, batch].transpose(0, 2, 1), y_epoch[:, batch], grads)
+            x, y = x_epoch[:, batch], y_epoch[:, batch]
+            if shared:
+                size = n_clients * y.shape[1]
+                x = np.take(x, stream_ids, axis=0, mode="clip",
+                            out=x_step[:size * n_features].reshape(n_clients, -1, n_features))
+                y = np.take(y, stream_ids, axis=0, mode="clip",
+                            out=y_step[:size].reshape(n_clients, -1))
+            _pass(ws, bs, x.transpose(0, 2, 1), y, grads)
             if not np.isfinite(grad).all():
                 finite = np.logical_and.reduce([np.isfinite(g).reshape(n_clients, -1).all(axis=1)
                                                 for g in grads[0] + grads[1]])

@@ -1,5 +1,6 @@
 import dataclasses
 import logging
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -536,6 +537,40 @@ class TestBatching:
         assert (datasets["eMBB"][0].n_train, datasets["SocialMedia"][0].n_train) == (48, 64)
         widths = self.assert_same_records(cfg, datasets, monkeypatch)
         assert widths == [4, 4] + [2 + 2 + 4, 2 + 2 + 4] * (cfg.n_rounds - 1)
+
+
+class TestSharedStreams:
+    def test_each_stream_is_shuffled_once_an_epoch(self, small_datasets, monkeypatch):
+        # From round 1 on, each policy trains from its own model, so a client
+        # that several federations of its slice select is several trainings
+        # over one (slice, round, client) stream; that stream still draws one
+        # permutation an epoch.
+        draws = Counter()
+
+        class CountingShuffle:
+            def __init__(self, rng, key):
+                self.rng, self.key = rng, key
+
+            def permutation(self, n):
+                draws[self.key] += 1
+                return self.rng.permutation(n)
+
+        def counting(cfg, slice_name, round_index, client_id):
+            return CountingShuffle(_shuffle_rng(cfg, slice_name, round_index, client_id),
+                                   (slice_name, round_index, client_id))
+
+        monkeypatch.setattr(federation, "_shuffle_rng", counting)
+        cfg = small_config(n_rounds=2, slices=["eMBB", "Browsing"],
+                           policies=["intelliselect", "score", "no_policy"])
+        runs = run_experiment(cfg, small_datasets)
+        for round_index in range(cfg.n_rounds):
+            selected = {(run.slice_name, k)
+                        for run in runs for k in run.records[round_index].selection.selected}
+            assert {(s, k) for s, r, k in draws if r == round_index} == selected
+        assert set(draws.values()) == {cfg.local_epochs}
+        starts = {run.records[0].global_params.values.tobytes() for run in runs}
+        trainings = sum(len(run.records[1].selection.selected) for run in runs)
+        assert len(starts) == len(runs) and trainings == 16 > len(selected) == 8
 
 
 class TestExperiment:

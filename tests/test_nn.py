@@ -384,6 +384,39 @@ class TestTrainClients:
                 for a, b in zip(together, alone):
                     assert np.array_equal(a.values, b.values)
 
+    @pytest.mark.parametrize("layer_sizes", [(3, 3, 2, 1), (3, 1, 1)])
+    @pytest.mark.parametrize("batch_size", [16, None])
+    def test_shared_streams_train_as_each_client_alone(self, rng, layer_sizes, batch_size):
+        # Four clients from their own models over two streams, one of them
+        # shared by three clients: each returns, byte for byte, what it
+        # returns alone. 50 rows in batches of 16 leave a 2-row tail.
+        feats = [rng.uniform(0, 1, (50, 3)) for _ in range(2)]
+        targs = [rng.uniform(0, 1, 50) for _ in range(2)]
+        starts = [init_params(NetworkSpec(layer_sizes), seed) for seed in (11, 12, 13, 14)]
+        streams = [1, 0, 1, 1]
+
+        def shuffles():
+            return [np.random.default_rng(seed) for seed in (31, 32)]
+
+        together = train_clients(starts, feats, targs, 4, batch_size=batch_size,
+                                 shuffle_rngs=shuffles(), streams=streams)
+        assert len(together) == 4
+        for p, d, got in zip(starts, streams, together):
+            alone = train_clients([p], [feats[d]], [targs[d]], 4, batch_size=batch_size,
+                                  shuffle_rngs=[shuffles()[d]])[0]
+            assert got.values.tobytes() == alone.values.tobytes()
+
+    @pytest.mark.parametrize("streams, n_shuffles", [
+        ([0, 0], 2), ([0, 2], 2), ([0, 1, 1], 2), ([1], 2), ([-1, 1], 2), ([1, 0], 1)])
+    def test_every_client_has_one_stream_and_every_stream_a_client(self, rng, streams,
+                                                                   n_shuffles):
+        p = init_params(NetworkSpec(), 3)
+        feats = [rng.uniform(0, 1, (8, 3)) for _ in range(2)]
+        targs = [rng.uniform(0, 1, 8) for _ in range(2)]
+        with pytest.raises(ValueError, match="stream index per client"):
+            train_clients([p, p], feats, targs, 1, batch_size=4, streams=streams,
+                          shuffle_rngs=[np.random.default_rng(k) for k in range(n_shuffles)])
+
     def test_non_finite_gradient_names_the_clients_at_fault(self, rng):
         # Clients 1 and 3 of five overflow on the first step; the rest stay finite.
         p = init_params(NetworkSpec(), 3)
