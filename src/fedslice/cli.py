@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import importlib.util
 import json
 import logging
 import os
@@ -27,6 +28,25 @@ from pathlib import Path
 # MSE over a pooled test set that large would depend on the thread count.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+
+
+def _importable(name: str) -> bool:
+    try:
+        return importlib.util.find_spec(name) is not None
+    except ImportError:  # a meta-path finder may refuse the name outright
+        return False
+
+
+# No OpenSSL, set before numpy.random loads. numpy.random imports `secrets`,
+# and so `hmac`, `hashlib` and `_hashlib`, which maps libcrypto (about 3.4 MiB
+# resident); fedslice seeds every generator and hashes nothing. With
+# `_hashlib` blocked, `hashlib` and `hmac` use CPython's own hash modules, so
+# the block waits for all of them: without one, `import random` or `hashlib`
+# would fail. A caller that loaded `_hashlib` first keeps it.
+_BUILTIN_HASHES = ("_md5", "_sha1", "_sha3", "_blake2",
+                   *(("_sha2",) if sys.version_info >= (3, 12) else ("_sha256", "_sha512")))
+if all(_importable(name) for name in _BUILTIN_HASHES):
+    sys.modules.setdefault("_hashlib", None)
 
 import numpy as np
 
@@ -155,7 +175,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         "overrides": list(args.override),
         "outputs": {name: str(path) for name, path in sorted(paths.items())},
     }
-    (out_dir / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    manifest_path = out_dir / MANIFEST_NAME
+    try:
+        text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:  # a program fault: the config's floats were checked finite
+        raise ValueError(f"{manifest_path}: {exc}") from None
+    manifest_path.write_text(text + "\n")
 
     for run in runs:
         final = run.records[-1].mse if run.records else float("nan")

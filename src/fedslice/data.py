@@ -44,7 +44,13 @@ FEATURE_NAMES = ("slice_traffic", CQI_COLUMN, MIMO_COLUMN)
 N_FEATURES = len(FEATURE_NAMES)
 
 CQI_MAX = 15.0
+MIMO_MAX = 100.0
 CPU_MAX = 100.0
+# The values a cell of each column can physically hold; ingestion refuses the
+# rest. With every traffic cell non-negative and the slice's traffic sum
+# finite, every column the scaler sees has a finite span.
+PHYSICAL_RANGES = {**dict.fromkeys(OTT_COLUMNS, (0.0, np.inf)), CQI_COLUMN: (0.0, CQI_MAX),
+                   MIMO_COLUMN: (0.0, MIMO_MAX), TARGET_COLUMN: (0.0, CPU_MAX)}
 
 
 @dataclass(frozen=True)
@@ -379,7 +385,7 @@ def generate_client_table(
     mimo = np.clip(
         100.0 * (0.25 + 0.6 * cqi / CQI_MAX) + 8.0 * rng.standard_normal(n_samples),
         0.0,
-        100.0,
+        MIMO_MAX,
     )
 
     w_traffic, w_cqi, w_mimo = profile.mix_weights
@@ -668,6 +674,12 @@ def _walk_cells(path: Path, body: str, col_pos: dict[str, int]) -> dict[str, np.
     return table
 
 
+def _row_number(path: Path, index: int) -> int:
+    """The physical row of data row `index` of a CSV file, counted as `_walk_cells` counts it."""
+    with path.open("r", newline="") as fh:
+        return [n for n, row in enumerate(csv.reader(fh), start=1) if row][index + 1]
+
+
 def ingest_csv(
     path: str | Path,
     slice_spec: SliceSpec,
@@ -675,9 +687,28 @@ def ingest_csv(
     seed: int = 0,
     train_fraction: float = 0.8,
 ) -> ClientDataset:
-    """Load a canonical CSV and aggregate it into one slice's ClientDataset."""
+    """Load a canonical CSV and aggregate it into one slice's ClientDataset.
+
+    A cell outside its column's `PHYSICAL_RANGES`, or a row whose slice
+    traffic sum overflows, raises ConfigError naming the file and the first
+    such row, checking columns in `CSV_COLUMNS` order and the sum last.
+    """
+    path = Path(path)
     table = read_table_csv(path)
-    features, targets = aggregate_table(table, slice_spec)
+    for col in CSV_COLUMNS:
+        low, high = PHYSICAL_RANGES[col]
+        outside = (table[col] < low) | (table[col] > high)
+        if outside.any():
+            index = int(np.argmax(outside))
+            raise ConfigError(f"{path}: row {_row_number(path, index)}, column {col!r}: "
+                              f"{table[col][index]} is outside [{low:g}, {high:g}]")
+    with np.errstate(over="ignore"):  # an overflowing sum is refused just below
+        features, targets = aggregate_table(table, slice_spec)
+    finite = np.isfinite(features[:, 0])
+    if not finite.all():
+        raise ConfigError(f"{path}: row {_row_number(path, int(np.argmin(finite)))}: "
+                          f"{slice_spec.name} traffic, the sum of "
+                          f"{', '.join(map(repr, slice_spec.ott_apps))}, overflows")
     _, shuffle_rng = _split_seed(seed)
     try:
         return make_dataset(client_id, features, targets, shuffle_rng, train_fraction)

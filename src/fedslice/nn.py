@@ -21,6 +21,7 @@ transposed views of row-major data; no input is copied.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -230,6 +231,11 @@ def input_gradients_batch(params: ModelParams, features: np.ndarray) -> np.ndarr
     return grads[0].T
 
 
+def _lead(buffer: np.ndarray, *shape: int) -> np.ndarray:
+    """The leading part of the flat `buffer` as a C-contiguous array of `shape`."""
+    return buffer[:math.prod(shape)].reshape(shape)
+
+
 def train_clients(
     start_params: Sequence[ModelParams],
     features: list[np.ndarray],
@@ -260,13 +266,14 @@ def train_clients(
     update over the whole buffer. Under minibatches each epoch permutes every
     stream's rows once, stream by stream, into one streams x rows x features
     buffer. While no stream is shared, a minibatch is a slice of that buffer;
-    otherwise each step gathers its clients' rows from the slice into one
-    K x batch x features buffer (the ragged last minibatch uses its leading
-    part). Full batch keeps one K x rows x features stack of each client's
-    stream. `_pass` gets (K, features, batch) transposed views, so each
-    layer's activations are (K, fan, batch) and its bias gradient sums delta
-    over the batch axis. A non-finite gradient raises `NumericError` whose
-    `clients` lists the stack positions at fault.
+    otherwise each step copies the slice into one streams x batch x features
+    buffer and gathers its clients' rows from there into one K x batch x
+    features buffer (the ragged last minibatch uses their leading parts).
+    Full batch keeps one K x rows x features stack of each client's stream.
+    `_pass` gets (K, features, batch) transposed views, so each layer's
+    activations are (K, fan, batch) and its bias gradient sums delta over the
+    batch axis. A non-finite gradient raises `NumericError` whose `clients`
+    lists the stack positions at fault.
     """
     n_clients = len(start_params)
     # Plain lists, not np.unique or np.array_equal: on first use the one
@@ -310,8 +317,19 @@ def train_clients(
     shared = stream_ids != identity
     if shared:
         stream_ids = np.asarray(stream_ids, dtype=np.intp)
+        n_streams = len(features)
+        x_rows = np.empty(n_streams * batch_size * n_features)
+        y_rows = np.empty(n_streams * batch_size)
         x_step = np.empty(n_clients * batch_size * n_features)
         y_step = np.empty(n_clients * batch_size)
+        # Per minibatch length, leading parts of those buffers. A step copies
+        # its streams' rows into the first pair, since `take` would copy a
+        # strided input into a fresh array, then gathers its clients' rows.
+        step_views = {rows: (_lead(x_rows, n_streams, rows, n_features),
+                             _lead(y_rows, n_streams, rows),
+                             _lead(x_step, n_clients, rows, n_features),
+                             _lead(y_step, n_clients, rows))
+                      for rows in {len(range(n_rows)[batch]) for batch in batches}}
 
     theta = np.empty(n_clients * spec.param_count)
     grad = np.empty_like(theta)
@@ -336,18 +354,19 @@ def train_clients(
         if shuffle_rngs is not None:
             for d, rng in enumerate(shuffle_rngs):
                 order = rng.permutation(n_rows)
-                # Permutations and stream ids never need clipping; unlike the
-                # default "raise" mode, "clip" writes straight into `out`.
+                # Permutations never need clipping; unlike the default
+                # "raise" mode, "clip" writes straight into `out`.
                 np.take(features[d], order, axis=0, out=x_epoch[d], mode="clip")
                 np.take(targets[d], order, out=y_epoch[d], mode="clip")
         for batch in batches:
             x, y = x_epoch[:, batch], y_epoch[:, batch]
             if shared:
-                size = n_clients * y.shape[1]
-                x = np.take(x, stream_ids, axis=0, mode="clip",
-                            out=x_step[:size * n_features].reshape(n_clients, -1, n_features))
-                y = np.take(y, stream_ids, axis=0, mode="clip",
-                            out=y_step[:size].reshape(n_clients, -1))
+                x_in, y_in, x_out, y_out = step_views[y.shape[1]]
+                np.copyto(x_in, x)
+                np.copyto(y_in, y)
+                # Stream ids never need clipping either.
+                x = np.take(x_in, stream_ids, axis=0, mode="clip", out=x_out)
+                y = np.take(y_in, stream_ids, axis=0, mode="clip", out=y_out)
             _pass(ws, bs, x.transpose(0, 2, 1), y, grads)
             if not np.isfinite(grad).all():
                 finite = np.logical_and.reduce([np.isfinite(g).reshape(n_clients, -1).all(axis=1)

@@ -1,5 +1,7 @@
 import csv
+import dataclasses
 import hashlib
+import hmac
 import io
 import json
 import os
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import read_rounds_csv
-from fedslice import cli, federation
+from fedslice import cli, federation, metrics
 from fedslice.metrics import comm_cost
 
 # sha256 of the rounds tables `test_rounds_match_the_pinned_digest` builds.
@@ -268,30 +270,49 @@ class TestRun:
         cfg = write_config(tmp_path)
         assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 3
 
-    def test_non_finite_summary_value_is_exit_3_and_writes_no_summary(self, tmp_path, capsys):
-        # One CPU_Load cell of -1e308 passes ingestion, and an
-        # under-provisioning sum overflows to infinity, which JSON cannot hold:
-        # the run must fail naming summary.json, not write a bare `Infinity`.
-        profiles = tmp_path / "profiles.json"
-        profiles.write_text(json.dumps({"n_clients": 2, "samples_per_client": 50,
-                                        "seed": 42, "slices": ["eMBB"]}))
-        data_dir = tmp_path / "data"
-        assert run_cli("gen-data", "--profiles", profiles, "--out", data_dir) == 0
-        path = data_dir / "client00_eMBB.csv"
-        lines = path.read_text().splitlines()
-        fields = lines[5].split(",")
-        fields[lines[0].split(",").index("CPU_Load")] = "-1e308"
-        lines[5] = ",".join(fields)
-        path.write_text("\n".join(lines) + "\n")
-        cfg = write_config(tmp_path, n_clients=2, n_selected=1, n_rounds=1,
-                           samples_per_client=50, slices=["eMBB"], data_dir=str(data_dir))
+    def test_non_finite_summary_value_is_exit_3_and_writes_no_summary(self, tmp_path, capsys,
+                                                                       monkeypatch):
+        # An under-provisioning sum that overflowed to infinity, which JSON
+        # cannot hold: the run must fail naming summary.json, not write a bare
+        # `Infinity`. Ingestion refuses the extreme cells that could make one,
+        # so the overflow is patched in.
+        real = metrics.slice_provisioning
+
+        def overflowed(params, datasets):
+            report = real(params, datasets)
+            return dataclasses.replace(report, errors=np.full_like(report.errors, -np.inf))
+
+        monkeypatch.setattr(metrics, "slice_provisioning", overflowed)
+        cfg = write_config(tmp_path, n_clients=2, n_selected=1, n_rounds=1, slices=["eMBB"])
         out = tmp_path / "o"
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert run_cli("run", "--config", cfg, "--out", out) == 3
+        assert run_cli("run", "--config", cfg, "--out", out) == 3
         summary = out / "summary.json"
         assert (f"runtime failure: {summary}: Out of range float values are not JSON "
                 "compliant") in capsys.readouterr().err
         assert not summary.exists()
+
+    def test_non_finite_manifest_value_is_exit_3_and_writes_no_manifest(self, tmp_path, capsys,
+                                                                         monkeypatch):
+        # The config's floats are checked finite, so a non-finite one in the
+        # manifest is a program fault. It is patched in after `persist` has
+        # written summary.json, which would refuse it first.
+        real_persist, real_to_dict = metrics.persist, federation.ExperimentConfig.to_dict
+
+        def persist_then_corrupt(out_dir, cfg, runs):
+            paths = real_persist(out_dir, cfg, runs)
+            monkeypatch.setattr(federation.ExperimentConfig, "to_dict",
+                                lambda c: {**real_to_dict(c), "learning_rate": float("nan")})
+            return paths
+
+        monkeypatch.setattr(metrics, "persist", persist_then_corrupt)
+        cfg = write_config(tmp_path, n_clients=2, n_selected=1, n_rounds=1, slices=["eMBB"])
+        out = tmp_path / "o"
+        assert run_cli("run", "--config", cfg, "--out", out) == 3
+        manifest = out / cli.MANIFEST_NAME
+        assert (f"runtime failure: {manifest}: Out of range float values are not JSON "
+                "compliant") in capsys.readouterr().err
+        assert (out / "summary.json").exists()
+        assert not manifest.exists()
 
     def test_rounds_match_the_pinned_digest(self, tmp_path):
         # Acceptance criterion 10's config, once. The pin covers every round's
@@ -565,6 +586,78 @@ class TestMalformedData:
         assert self.run_on(tmp_path, data_dir) == 2
         err = capsys.readouterr().err
         assert "client02_eMBB.csv: row 6, column 'CQI'" in err
+
+    def set_cells(self, path, cells, blank_before=None):
+        """Write `cells`, {(data row, column): text}, into a CSV; optionally add
+        two blank lines before a data row."""
+        lines = path.read_text().splitlines()
+        header = lines[0].split(",")
+        for (row, col), text in cells.items():
+            fields = lines[row].split(",")
+            fields[header.index(col)] = text
+            lines[row] = ",".join(fields)
+        if blank_before is not None:
+            lines[blank_before:blank_before] = ["", ""]
+        path.write_text("\n".join(lines) + "\n")
+
+    def test_cpu_load_of_minus_1e308_is_exit_2_naming_the_cell(self, tmp_path, capsys):
+        # Once this finite cell passed ingestion, and an under-provisioning sum
+        # overflowed: exit 3 naming summary.json.
+        data_dir = self.generate(tmp_path, 50)
+        self.set_cells(data_dir / "client00_eMBB.csv", {(5, "CPU_Load"): "-1e308"})
+        assert self.run_on(tmp_path, data_dir) == 2
+        assert (f"error: {data_dir / 'client00_eMBB.csv'}: row 6, column 'CPU_Load': "
+                "-1e+308 is outside [0, 100]") in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_extreme_cpu_loads_in_two_rows_are_exit_2_naming_the_first(self, tmp_path, capsys):
+        # Once these finite cells passed ingestion and exited 3 in training
+        # ("non-finite gradient during local training").
+        data_dir = self.generate(tmp_path, 50)
+        self.set_cells(data_dir / "client00_eMBB.csv",
+                       {(5, "CPU_Load"): "-1e308", (7, "CPU_Load"): "1e308"})
+        assert self.run_on(tmp_path, data_dir) == 2
+        err = capsys.readouterr().err
+        assert "client00_eMBB.csv: row 6, column 'CPU_Load': -1e+308 is outside" in err
+        assert "row 8" not in err
+
+    @pytest.mark.parametrize("col, text, shown, bounds", [
+        ("CQI", "-5", "-5.0", "[0, 15]"),
+        ("CQI", "15.5", "15.5", "[0, 15]"),
+        ("MIMO_FI", "100.25", "100.25", "[0, 100]"),
+        ("CPU_Load", "-0.5", "-0.5", "[0, 100]"),
+        ("Netflix", "-1e-300", "-1e-300", "[0, inf]"),
+        ("Apple", "-2", "-2.0", "[0, inf]"),  # outside eMBB's traffic, still checked
+    ])
+    def test_cell_outside_its_physical_range_is_exit_2(self, tmp_path, capsys, col, text, shown,
+                                                       bounds):
+        data_dir = self.generate(tmp_path, 50)
+        self.set_cells(data_dir / "client01_eMBB.csv", {(9, col): text})
+        assert self.run_on(tmp_path, data_dir) == 2
+        assert (f"client01_eMBB.csv: row 10, column {col!r}: {shown} is outside {bounds}"
+                in capsys.readouterr().err)
+
+    def test_range_bounds_themselves_are_accepted(self, tmp_path):
+        data_dir = self.generate(tmp_path, 50)
+        self.set_cells(data_dir / "client01_eMBB.csv",
+                       {(3, "CQI"): "15", (4, "CQI"): "-0.0", (5, "MIMO_FI"): "100",
+                        (6, "CPU_Load"): "100", (7, "CPU_Load"): "0", (8, "Netflix"): "1e300"})
+        assert self.run_on(tmp_path, data_dir) == 0
+
+    def test_overflowing_slice_traffic_is_exit_2_naming_the_row(self, tmp_path, capsys):
+        data_dir = self.generate(tmp_path, 50)
+        self.set_cells(data_dir / "client02_eMBB.csv",
+                       {(4, "Netflix"): "1.7e308", (4, "Youtube"): "1.7e308"})
+        assert self.run_on(tmp_path, data_dir) == 2
+        assert ("client02_eMBB.csv: row 5: eMBB traffic, the sum of 'Netflix', 'Youtube', "
+                "'Facebook Video', overflows") in capsys.readouterr().err
+
+    def test_row_outside_range_counts_blank_lines(self, tmp_path, capsys):
+        data_dir = self.generate(tmp_path, 50)
+        self.set_cells(data_dir / "client00_eMBB.csv", {(7, "MIMO_FI"): "101"}, blank_before=3)
+        assert self.run_on(tmp_path, data_dir) == 2
+        assert "client00_eMBB.csv: row 10, column 'MIMO_FI': 101.0 is outside" in (
+            capsys.readouterr().err)
 
     def test_ragged_clients_run_end_to_end(self, tmp_path, monkeypatch):
         # 300/250/200-row files: 240/200/160 train rows. Every round trains
@@ -856,6 +949,80 @@ class TestBlasThreads:
                                       OPENBLAS_NUM_THREADS="4").stdout.split()
         assert setting == "1"
         assert threads in ("1", "none")  # none: no /proc to count them in
+
+
+TINY_RUN = ("run", "--out", "o", "--policies", "intelliselect", "--override", "n_clients=2",
+            "--override", "n_selected=1", "--override", "n_rounds=1", "--override", "local_epochs=1",
+            "--override", "samples_per_client=20", "--override", "attribution_samples=4",
+            "--override", 'slices=["eMBB"]')
+# Runs the CLI in this process, then uses every hash path numpy.random's import
+# chain (secrets, hmac, hashlib) could need.
+RUN_THEN_HASH = """
+import sys
+from fedslice import cli
+assert cli.main(sys.argv[1:]) == 0
+import hashlib, hmac, numpy.random
+print(repr(sys.modules.get("_hashlib", "absent")))
+print(hashlib.sha256(b"abc").hexdigest(), hmac.new(b"key", b"msg", "sha256").hexdigest())
+numpy.random.default_rng().random()  # seeded from OS entropy
+"""
+
+
+class TestNoOpenSSL:
+    """The CLI keeps `_hashlib`, and so OpenSSL's libcrypto, out of its process.
+
+    Each test runs in a fresh process: this one imported `_hashlib` long ago
+    (pytest and hypothesis hash), so the block never applies here.
+    """
+
+    def expected_hashes(self):
+        return (f"{hashlib.sha256(b'abc').hexdigest()} "
+                f"{hmac.new(b'key', b'msg', 'sha256').hexdigest()}")
+
+    def test_run_blocks_hashlib_and_hashing_still_works(self, tmp_path):
+        probe = RUN_THEN_HASH + ("import os\nmaps = '/proc/self/maps'\n"
+                                 "print(os.path.exists(maps) and 'libcrypto' in open(maps).read())\n")
+        lines = run_python("-c", probe, *TINY_RUN, cwd=tmp_path).stdout.splitlines()
+        assert lines[-3:] == ["None", self.expected_hashes(), "False"]
+
+    def test_gen_data_loads_no_hashlib(self, tmp_path):
+        (tmp_path / "profiles.json").write_text(json.dumps(
+            {"n_clients": 2, "samples_per_client": 20, "seed": 42, "slices": ["eMBB"]}))
+        # The verbose import log names every module a process loads.
+        control = run_python("-c", "import hashlib", cwd=tmp_path, PYTHONVERBOSE="1").stderr
+        assert "import '_hashlib'" in control
+        err = run_python("-m", "fedslice.cli", "gen-data", "--profiles", "profiles.json",
+                         "--out", "data", cwd=tmp_path, PYTHONVERBOSE="1").stderr
+        assert (tmp_path / "data" / "client01_eMBB.csv").exists()
+        assert "import '_hashlib'" not in err
+
+    def test_a_caller_that_loaded_hashlib_first_keeps_it(self, tmp_path):
+        script = "import _hashlib\n" + RUN_THEN_HASH.replace(
+            'repr(sys.modules.get("_hashlib", "absent"))', 'sys.modules["_hashlib"] is _hashlib')
+        lines = run_python("-c", script, *TINY_RUN, cwd=tmp_path).stdout.splitlines()
+        assert lines[-2:] == ["True", self.expected_hashes()]
+
+    def test_without_builtin_hash_modules_nothing_is_blocked(self, tmp_path):
+        # As on a CPython built with only blake2 of its own hash modules: a
+        # meta-path finder refuses the others. Blocking `_hashlib` there would
+        # leave hashlib no md5 or sha (it logs "code for hash ... was not
+        # found"), and an `import random` after it no sha512.
+        hidden = ("_md5", "_sha1", "_sha2", "_sha256", "_sha512", "_sha3")
+        script = (
+            "import sys\n"
+            f"HIDDEN = {hidden!r}\n"
+            "class Refuse:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name in HIDDEN:\n"
+            "            raise ModuleNotFoundError(f'no module named {name!r}', name=name)\n"
+            "for name in HIDDEN:\n"
+            "    sys.modules.pop(name, None)\n"
+            "sys.meta_path.insert(0, Refuse())\n"
+        ) + RUN_THEN_HASH
+        proc = run_python("-c", script, *TINY_RUN, cwd=tmp_path)
+        assert proc.stdout.splitlines()[-2].startswith("<module '_hashlib'")
+        assert proc.stdout.splitlines()[-1] == self.expected_hashes()
+        assert "code for hash" not in proc.stderr
 
 
 class TestParsing:
