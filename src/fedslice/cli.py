@@ -16,7 +16,6 @@ import csv
 import dataclasses
 import importlib.util
 import json
-import logging
 import os
 import sys
 from datetime import datetime, timezone
@@ -53,7 +52,7 @@ import numpy as np
 from . import __version__, federation
 from . import metrics as metrics_mod
 from .data import (DataSpec, NonIidProfile, default_profiles, from_json, generate_client_table,
-                   ingest_csv, slice_by_name, write_client_csv)
+                   ingest_csv, read_error, slice_by_name, write_client_csv)
 from .errors import ConfigError
 from .federation import ExperimentConfig, client_seed, run_experiment
 
@@ -82,9 +81,11 @@ def _parse_override(text: str) -> tuple[str, object]:
 
 
 def _read_json(path: str | Path):
-    """The parsed contents of a JSON file; malformed JSON is a ConfigError naming the file."""
+    """The parsed contents of a JSON file; an unreadable or malformed file is a ConfigError."""
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise read_error(path, exc) from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
@@ -341,8 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Deterministic per-slice federated-learning simulator with "
                     "attribution-guided client selection.",
     )
-    parser.add_argument("--verbose", "-v", action="store_true",
-                        help="log one line per federated round")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run slice x policy experiments")
@@ -369,10 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(message)s",
-    )
     try:
         return args.func(args)
     except _CONFIG_ERRORS as exc:

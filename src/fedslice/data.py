@@ -621,12 +621,13 @@ def read_table_csv(path: str | Path) -> dict[str, np.ndarray]:
     still count toward reported row numbers.
     """
     path = Path(path)
-    with path.open("r", newline="") as fh:
-        try:
-            header = next(csv.reader(fh))
-        except StopIteration:
-            raise ConfigError(f"{path}: file is empty") from None
-        body = fh.read()
+    try:
+        with path.open("r", encoding="utf-8", newline="") as fh:
+            header, body = next(csv.reader(fh), None), fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise read_error(path, exc) from None
+    if header is None:
+        raise ConfigError(f"{path}: file is empty")
     missing = [c for c in CSV_COLUMNS if c not in header]
     if missing:
         raise ConfigError(f"{path}: missing column(s) {', '.join(missing)}")
@@ -642,18 +643,31 @@ def read_table_csv(path: str | Path) -> dict[str, np.ndarray]:
     else:
         if np.isfinite(values).all() and not any(c in body for c in _NUMPY_ONLY_SPACE):
             return dict(zip(col_pos, values.T))
-    return _walk_cells(path, body, col_pos)
+    return _walk_cells(path, col_pos)
 
 
-def _walk_cells(path: Path, body: str, col_pos: dict[str, int]) -> dict[str, np.ndarray]:
-    """The column table of the CSV `body` after the header, each cell parsed with `float()`.
+def read_error(path: str | Path, exc: OSError | UnicodeDecodeError) -> ConfigError:
+    """The ConfigError naming a file that cannot be read as UTF-8 text."""
+    if isinstance(exc, UnicodeDecodeError):
+        return ConfigError(f"{path}: not UTF-8 text: {exc.reason}")
+    return ConfigError(f"{path}: {exc.strerror or exc}")
+
+
+def _data_rows(path: Path) -> list[tuple[int, list[str]]]:
+    """The non-blank records after a CSV file's header row, each with its row number."""
+    with path.open("r", encoding="utf-8", newline="") as fh:
+        return [(row_number, row) for row_number, row in enumerate(csv.reader(fh), start=1)
+                if row][1:]
+
+
+def _walk_cells(path: Path, col_pos: dict[str, int]) -> dict[str, np.ndarray]:
+    """The column table of a CSV file's `_data_rows`, each cell parsed with `float()`.
 
     Raises ConfigError naming the first short or unparseable cell in
     row-major order, else the first non-finite cell of the first such column
-    in `CSV_COLUMNS` order. Rows are numbered from 2, blank ones included.
+    in `CSV_COLUMNS` order.
     """
-    records = csv.reader(io.StringIO(body, newline=""))
-    numbered = [(row_number, row) for row_number, row in enumerate(records, start=2) if row]
+    numbered = _data_rows(path)
     columns: dict[str, list[float]] = {col: [] for col in col_pos}
     for row_number, row in numbered:
         for col, pos in col_pos.items():
@@ -672,12 +686,6 @@ def _walk_cells(path: Path, body: str, col_pos: dict[str, int]) -> dict[str, np.
             raise ConfigError(f"{path}: row {numbered[index][0]}, column {col!r}: "
                               f"non-finite value {values[index]}")
     return table
-
-
-def _row_number(path: Path, index: int) -> int:
-    """The physical row of data row `index` of a CSV file, counted as `_walk_cells` counts it."""
-    with path.open("r", newline="") as fh:
-        return [n for n, row in enumerate(csv.reader(fh), start=1) if row][index + 1]
 
 
 def ingest_csv(
@@ -700,13 +708,13 @@ def ingest_csv(
         outside = (table[col] < low) | (table[col] > high)
         if outside.any():
             index = int(np.argmax(outside))
-            raise ConfigError(f"{path}: row {_row_number(path, index)}, column {col!r}: "
+            raise ConfigError(f"{path}: row {_data_rows(path)[index][0]}, column {col!r}: "
                               f"{table[col][index]} is outside [{low:g}, {high:g}]")
     with np.errstate(over="ignore"):  # an overflowing sum is refused just below
         features, targets = aggregate_table(table, slice_spec)
     finite = np.isfinite(features[:, 0])
     if not finite.all():
-        raise ConfigError(f"{path}: row {_row_number(path, int(np.argmin(finite)))}: "
+        raise ConfigError(f"{path}: row {_data_rows(path)[int(np.argmin(finite))][0]}: "
                           f"{slice_spec.name} traffic, the sum of "
                           f"{', '.join(map(repr, slice_spec.ott_apps))}, overflows")
     _, shuffle_rng = _split_seed(seed)

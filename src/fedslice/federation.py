@@ -15,7 +15,7 @@ need from identical inputs is done once.
 from __future__ import annotations
 
 import dataclasses
-import logging
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -42,7 +42,6 @@ from .nn import (
 )
 from .selection import POLICIES, POLICY_NO_POLICY, SelectionResult, check_policies, select
 
-logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class ExperimentConfig(DataSpec):
@@ -221,13 +220,11 @@ _TRAIN_ROWS_PER_STEP = 4096
 
 
 def _warn_fallbacks(run: SliceRun, degenerate: np.ndarray) -> None:
-    """One warning per fallback client, naming the federation and the round."""
+    """One stderr notice per fallback client, naming the federation and the round."""
     for k in np.flatnonzero(degenerate):
-        logger.warning(
-            "slice %s, policy %s, round %d, client %d: all-zero attribution, "
-            "using the uniform vector",
-            run.slice_name, run.policy, len(run.records), run.datasets[k].client_id,
-        )
+        print(f"slice {run.slice_name}, policy {run.policy}, round {len(run.records)}, "
+              f"client {run.datasets[k].client_id}: all-zero attribution, "
+              "using the uniform vector", file=sys.stderr)
 
 
 def run_round(runs: list[SliceRun], cfg: ExperimentConfig) -> None:
@@ -235,7 +232,7 @@ def run_round(runs: list[SliceRun], cfg: ExperimentConfig) -> None:
 
     Each federation selects; under an attribution policy it first takes its
     chi, uniform rows included, from `client_attribution` on its own current
-    model, and a warning names each fallback client. Then the selected
+    model, and a notice on stderr names each fallback client. Then the selected
     clients of all federations train together, stacked in `runs` order and,
     within a federation, by ascending client id: per distinct train row
     count, as many trainings per `train_clients` call as fit in
@@ -361,10 +358,6 @@ def run_round(runs: list[SliceRun], cfg: ExperimentConfig) -> None:
             chi=chi,
             global_params=new_global,
         ))
-        logger.info(
-            "slice=%s policy=%s round=%d mse=%.6g selected=%s",
-            run.slice_name, run.policy, round_index, mse, list(selection.selected),
-        )
 
 
 def _at_fault(

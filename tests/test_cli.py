@@ -15,6 +15,7 @@ import pytest
 from conftest import read_rounds_csv
 from fedslice import cli, federation, metrics
 from fedslice.metrics import comm_cost
+from fedslice.nn import ModelParams
 
 # sha256 of the rounds tables `test_rounds_match_the_pinned_digest` builds.
 PINNED_ROUNDS_DIGEST = "9419c33b7314583d8aaf48bcf597a8b2e2873889391326e8869cddc75670c9d4"
@@ -146,6 +147,21 @@ class TestRun:
         assert run_cli("gen-data", "--profiles", bad, "--out", tmp_path / "d") == 2
         assert f"{bad}: Expecting property name" in capsys.readouterr().err
         assert not (tmp_path / "o").exists() and not (tmp_path / "d").exists()
+
+    def test_config_or_profiles_that_is_a_directory_is_exit_2_naming_it(self, tmp_path, capsys):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        assert run_cli("run", "--config", folder, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err.startswith(f"error: {folder}: ")
+        assert run_cli("gen-data", "--profiles", folder, "--out", tmp_path / "d") == 2
+        assert capsys.readouterr().err.startswith(f"error: {folder}: ")
+
+    def test_config_that_is_not_utf8_is_exit_2_naming_it(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes('{"seed": 42, "note": "café"}'.encode("latin-1"))
+        assert run_cli("run", "--config", bad, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: not UTF-8 text: invalid continuation byte\n")
 
     def test_policy_subset_flag(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -652,6 +668,24 @@ class TestMalformedData:
         assert ("client02_eMBB.csv: row 5: eMBB traffic, the sum of 'Netflix', 'Youtube', "
                 "'Facebook Video', overflows") in capsys.readouterr().err
 
+    def test_cell_that_is_not_utf8_is_exit_2_naming_the_file(self, tmp_path, capsys):
+        data_dir = self.generate(tmp_path, 50)
+        path = data_dir / "client01_eMBB.csv"
+        lines = path.read_bytes().split(b"\r\n")
+        lines[20] += b"\xe9"  # into CPU_Load, the last column
+        path.write_bytes(b"\r\n".join(lines))
+        assert self.run_on(tmp_path, data_dir) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: not UTF-8 text: invalid continuation byte\n")
+
+    def test_csv_that_is_a_directory_is_exit_2_naming_it(self, tmp_path, capsys):
+        data_dir = self.generate(tmp_path, 50)
+        path = data_dir / "client00_eMBB.csv"
+        path.unlink()
+        path.mkdir()
+        assert self.run_on(tmp_path, data_dir) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
     def test_row_outside_range_counts_blank_lines(self, tmp_path, capsys):
         data_dir = self.generate(tmp_path, 50)
         self.set_cells(data_dir / "client00_eMBB.csv", {(7, "MIMO_FI"): "101"}, blank_before=3)
@@ -1023,6 +1057,37 @@ class TestNoOpenSSL:
         assert proc.stdout.splitlines()[-2].startswith("<module '_hashlib'")
         assert proc.stdout.splitlines()[-1] == self.expected_hashes()
         assert "code for hash" not in proc.stderr
+
+
+class TestNoLogging:
+    """fedslice reports on stderr with `print`; it loads no `logging`."""
+
+    def test_run_and_gen_data_load_no_logging(self, tmp_path):
+        # pytest loads logging itself, so the commands run in a fresh process.
+        (tmp_path / "profiles.json").write_text(json.dumps(
+            {"n_clients": 2, "samples_per_client": 20, "seed": 42, "slices": ["eMBB"]}))
+        script = (
+            "import sys\nfrom fedslice import cli\n"
+            f"assert cli.main({list(TINY_RUN)!r}) == 0\n"
+            "assert cli.main(['gen-data', '--profiles', 'profiles.json', '--out', 'd']) == 0\n"
+            "print('logging' in sys.modules)\n"
+        )
+        assert run_python("-c", script, cwd=tmp_path).stdout.splitlines()[-1] == "False"
+
+    def test_each_in_process_run_prints_its_fallback_notices(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # On an all-zero initial model every client's attribution is all-zero.
+        monkeypatch.setattr(federation, "init_params",
+                            lambda spec, seed: ModelParams(np.zeros(spec.param_count), spec))
+        cfg = write_config(tmp_path, n_rounds=1, slices=["eMBB"])
+        for out in ("first", "second"):
+            assert run_cli("run", "--config", cfg, "--out", tmp_path / out,
+                           "--policies", "score") == 0
+        assert capsys.readouterr().err.splitlines() == 2 * [
+            f"slice eMBB, policy score, round 0, client {k}: all-zero attribution, "
+            "using the uniform vector"
+            for k in range(4)
+        ]
 
 
 class TestParsing:
