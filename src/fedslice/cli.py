@@ -121,6 +121,18 @@ def _load_config(config_path: str | None, overrides: list[str],
     return cfg
 
 
+def _out_dir(out: str) -> Path:
+    """`--out` as a Path; ConfigError when its nearest existing path is not a directory.
+
+    Creates nothing, so a run refused later leaves no output directory behind.
+    """
+    out_dir = Path(out)
+    existing = next((path for path in (out_dir, *out_dir.parents) if path.exists()), None)
+    if existing is not None and not existing.is_dir():
+        raise ConfigError(f"--out {out}: {existing} is not a directory")
+    return out_dir
+
+
 def _client_csv(data_dir: str | Path, client_id: int, slice_name: str) -> Path:
     """The CSV of one client of one slice: `gen-data` writes it, `run` ingests it."""
     return Path(data_dir) / f"client{client_id:02d}_{slice_name}.csv"
@@ -158,7 +170,7 @@ def _ingest_datasets(cfg: ExperimentConfig) -> dict[str, list]:
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config, args.override, args.policies)
-    out_dir = Path(args.out)
+    out_dir = _out_dir(args.out)
     started = datetime.now(timezone.utc).isoformat()
     if cfg.data_dir is not None:
         datasets = _ingest_datasets(cfg)
@@ -221,7 +233,7 @@ def _load_profiles(path: str) -> tuple[list[NonIidProfile], DataSpec]:
 def cmd_gen_data(args: argparse.Namespace) -> int:
     """Write every client's CSV; a table with a non-finite cell exits 2 and leaves none."""
     profiles, spec = _load_profiles(args.profiles)
-    out_dir = Path(args.out)
+    out_dir = _out_dir(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     for name in spec.slices:

@@ -51,6 +51,11 @@ CPU_MAX = 100.0
 # finite, every column the scaler sees has a finite span.
 PHYSICAL_RANGES = {**dict.fromkeys(OTT_COLUMNS, (0.0, np.inf)), CQI_COLUMN: (0.0, CQI_MAX),
                    MIMO_COLUMN: (0.0, MIMO_MAX), TARGET_COLUMN: (0.0, CPU_MAX)}
+# How far from the train rows' minimum, in train-row spans, ingestion accepts
+# a scaled value. Train rows scale into [0, 1]; a test row scaled past 1e154
+# squares to infinity, and the headroom below that keeps the model's
+# predictions, squared errors and provisioning sums finite.
+SCALED_LIMIT = 1e100
 
 
 @dataclass(frozen=True)
@@ -618,11 +623,11 @@ def read_table_csv(path: str | Path) -> dict[str, np.ndarray]:
     one holding a non-finite value or one holding a character of
     `_NUMPY_ONLY_SPACE` is walked cell by cell with `float()`, which names the
     first bad cell's physical row and column. Blank lines are skipped but
-    still count toward reported row numbers.
+    still count toward reported row numbers. A leading byte-order mark is skipped.
     """
     path = Path(path)
     try:
-        with path.open("r", encoding="utf-8", newline="") as fh:
+        with path.open("r", encoding="utf-8-sig", newline="") as fh:
             header, body = next(csv.reader(fh), None), fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise read_error(path, exc) from None
@@ -655,7 +660,7 @@ def read_error(path: str | Path, exc: OSError | UnicodeDecodeError) -> ConfigErr
 
 def _data_rows(path: Path) -> list[tuple[int, list[str]]]:
     """The non-blank records after a CSV file's header row, each with its row number."""
-    with path.open("r", encoding="utf-8", newline="") as fh:
+    with path.open("r", encoding="utf-8-sig", newline="") as fh:
         return [(row_number, row) for row_number, row in enumerate(csv.reader(fh), start=1)
                 if row][1:]
 
@@ -697,9 +702,10 @@ def ingest_csv(
 ) -> ClientDataset:
     """Load a canonical CSV and aggregate it into one slice's ClientDataset.
 
-    A cell outside its column's `PHYSICAL_RANGES`, or a row whose slice
-    traffic sum overflows, raises ConfigError naming the file and the first
-    such row, checking columns in `CSV_COLUMNS` order and the sum last.
+    A cell outside its column's `PHYSICAL_RANGES`, a row whose slice traffic
+    sum overflows, or a feature or target that scales beyond `SCALED_LIMIT`
+    raises ConfigError naming the file and the first such row, checking
+    columns in `CSV_COLUMNS` order, then the sum, then the scaled values.
     """
     path = Path(path)
     table = read_table_csv(path)
@@ -719,6 +725,18 @@ def ingest_csv(
                           f"{', '.join(map(repr, slice_spec.ott_apps))}, overflows")
     _, shuffle_rng = _split_seed(seed)
     try:
-        return make_dataset(client_id, features, targets, shuffle_rng, train_fraction)
+        with np.errstate(over="ignore"):  # a value scaled to infinity is refused below
+            ds = make_dataset(client_id, features, targets, shuffle_rng, train_fraction)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
+    scaled = np.column_stack([ds.scaled_features, ds.scaled_targets])
+    far = np.abs(scaled) > SCALED_LIMIT
+    if far.any():
+        row, col = divmod(int(np.argmax(far)), scaled.shape[1])
+        label = (f"{slice_spec.name} traffic" if col == 0
+                 else f"column {(*FEATURE_NAMES, TARGET_COLUMN)[col]!r}")
+        value = features[row, col] if col < N_FEATURES else targets[row]
+        raise ConfigError(f"{path}: row {_data_rows(path)[row][0]}, {label}: {value} scales "
+                          f"to {scaled[row, col]:.3g}, outside [-{SCALED_LIMIT:g}, "
+                          f"{SCALED_LIMIT:g}] (the train rows scale into [0, 1])")
+    return ds

@@ -29,35 +29,9 @@ SELECTED_IDS_SEP = ";"
 CONVERGENCE_TOLERANCE = 0.05
 
 
-@dataclass(frozen=True)
-class CommLedger:
-    """Exact per-round and cumulative link-load counts for one policy."""
-
-    policy: str
-    n_rounds: int
-    downlink_per_round: int
-    uplink_per_round: int
-
-    @property
-    def round_total(self) -> int:
-        return self.downlink_per_round + self.uplink_per_round
-
-    @property
-    def total(self) -> int:
-        return self.round_total * self.n_rounds
-
-    def rows(self) -> list[tuple[int, int, int, int, int]]:
-        """(round, downlink, uplink, round_total, cumulative_total) per round."""
-        out = []
-        for t in range(self.n_rounds):
-            out.append((t, self.downlink_per_round, self.uplink_per_round,
-                        self.round_total, self.round_total * (t + 1)))
-        return out
-
-
 def comm_cost(policy: str, n_clients: int, n_selected: int, n_features: int,
-              param_count: int, n_rounds: int) -> CommLedger:
-    """Single-float parameters exchanged per round, and over `n_rounds`, under `policy`.
+              param_count: int) -> tuple[int, int]:
+    """Single-float parameters one round of `policy` sends, as (downlink, uplink).
 
     All policies broadcast the global model to every client. Only selected
     clients upload weights under the attribution policies; the all-clients
@@ -67,11 +41,11 @@ def comm_cost(policy: str, n_clients: int, n_selected: int, n_features: int,
     """
     downlink = n_clients * param_count
     if policy == POLICY_NO_POLICY:
-        return CommLedger(policy, n_rounds, downlink, n_clients * param_count)
+        return downlink, n_clients * param_count
     uplink = n_selected * param_count + n_clients * n_features
     if policy == POLICY_SCORE:
-        return CommLedger(policy, n_rounds, downlink + n_features, uplink + n_clients)
-    return CommLedger(policy, n_rounds, downlink, uplink)
+        return downlink + n_features, uplink + n_clients
+    return downlink, uplink
 
 
 @dataclass(frozen=True)
@@ -124,11 +98,13 @@ def write_rounds_csv(path: Path, records, params_transmitted: int) -> None:
         for r in records)))
 
 
-def write_comm_ledger_csv(path: Path, ledgers: list[CommLedger]) -> None:
+def write_comm_ledger_csv(path: Path, links: dict[str, tuple[int, int]], n_rounds: int) -> None:
+    """Per policy and round: the policy's (downlink, uplink), their sum and the running total."""
     write_csv(path, ("policy", "round", "downlink_params", "uplink_params", "round_total",
                      "cumulative_total"),
               format_rows("%s,%d,%d,%d,%d,%d",
-                          ((ledger.policy, *row) for ledger in ledgers for row in ledger.rows())))
+                          ((policy, t, down, up, down + up, (down + up) * (t + 1))
+                           for policy, (down, up) in links.items() for t in range(n_rounds))))
 
 
 def write_attributions_csv(path: Path, chi_rounds: list[np.ndarray]) -> None:
@@ -231,17 +207,18 @@ def persist(out_dir: str | Path, cfg, runs) -> dict[str, Path]:
         return paths[name]
 
     spec = cfg.network_spec
-    ledgers = {policy: comm_cost(policy, cfg.n_clients, cfg.n_selected, spec.n_features,
-                                 spec.param_count, cfg.n_rounds)
-               for policy in cfg.policies}
+    links = {policy: comm_cost(policy, cfg.n_clients, cfg.n_selected, spec.n_features,
+                               spec.param_count)
+             for policy in cfg.policies}
+    round_totals = {policy: down + up for policy, (down, up) in links.items()}
+    run_totals = {policy: total * cfg.n_rounds for policy, total in round_totals.items()}
     reported = POLICY_INTELLISELECT if POLICY_INTELLISELECT in cfg.policies else cfg.policies[0]
     slices: dict[str, dict] = {}
     provisioning: dict[str, dict] = {}
 
     for run in runs:
         stem = f"{run.slice_name}_{run.policy}"
-        ledger = ledgers[run.policy]
-        write_rounds_csv(csv_path(f"rounds_{stem}"), run.records, ledger.round_total)
+        write_rounds_csv(csv_path(f"rounds_{stem}"), run.records, round_totals[run.policy])
         chi_rounds = [r.chi for r in run.records if r.chi is not None]
         if chi_rounds:
             write_attributions_csv(csv_path(f"attributions_{stem}"), chi_rounds)
@@ -253,7 +230,8 @@ def persist(out_dir: str | Path, cfg, runs) -> dict[str, Path]:
         try:
             entry = FederationSummary(len(mses), mses[-1] if mses else None,
                                       convergence_round(mses) if mses else None,
-                                      run.records[-1].cum_time_ms if mses else 0.0, ledger.total)
+                                      run.records[-1].cum_time_ms if mses else 0.0,
+                                      run_totals[run.policy])
         except ConfigError as exc:  # a non-finite value is a runtime failure, not bad input
             raise ValueError(f"{summary_path}: {exc}") from None
         slices.setdefault(run.slice_name, {})[run.policy] = dataclasses.asdict(entry)
@@ -273,23 +251,23 @@ def persist(out_dir: str | Path, cfg, runs) -> dict[str, Path]:
                 },
             }
 
-    write_comm_ledger_csv(csv_path("comm_ledger"), list(ledgers.values()))
+    write_comm_ledger_csv(csv_path("comm_ledger"), links, cfg.n_rounds)
 
     summary = {
         "schema_version": SUMMARY_SCHEMA_VERSION,
         "config": cfg.to_dict(),
         "comm_model": {
             policy: {
-                "downlink_per_round": ledger.downlink_per_round,
-                "uplink_per_round": ledger.uplink_per_round,
-                "rounds": ledger.n_rounds,
-                "total": ledger.total,
+                "downlink_per_round": down,
+                "uplink_per_round": up,
+                "rounds": cfg.n_rounds,
+                "total": run_totals[policy],
             }
-            for policy, ledger in ledgers.items()
+            for policy, (down, up) in links.items()
         },
         "slices": slices,
         "provisioning": provisioning,
-        "total_comm_params": sum(ledgers[run.policy].total for run in runs),
+        "total_comm_params": sum(run_totals[run.policy] for run in runs),
     }
     try:
         validate_summary(summary)

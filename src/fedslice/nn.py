@@ -21,7 +21,6 @@ transposed views of row-major data; no input is copied.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -231,11 +230,6 @@ def input_gradients_batch(params: ModelParams, features: np.ndarray) -> np.ndarr
     return grads[0].T
 
 
-def _lead(buffer: np.ndarray, *shape: int) -> np.ndarray:
-    """The leading part of the flat `buffer` as a C-contiguous array of `shape`."""
-    return buffer[:math.prod(shape)].reshape(shape)
-
-
 def train_clients(
     start_params: Sequence[ModelParams],
     features: list[np.ndarray],
@@ -268,7 +262,7 @@ def train_clients(
     buffer. While no stream is shared, a minibatch is a slice of that buffer;
     otherwise each step copies the slice into one streams x batch x features
     buffer and gathers its clients' rows from there into one K x batch x
-    features buffer (the ragged last minibatch uses their leading parts).
+    features buffer (the ragged last minibatch fills the first rows of each).
     Full batch keeps one K x rows x features stack of each client's stream.
     `_pass` gets (K, features, batch) transposed views, so each layer's
     activations are (K, fan, batch) and its bias gradient sums delta over the
@@ -318,18 +312,13 @@ def train_clients(
     if shared:
         stream_ids = np.asarray(stream_ids, dtype=np.intp)
         n_streams = len(features)
-        x_rows = np.empty(n_streams * batch_size * n_features)
-        y_rows = np.empty(n_streams * batch_size)
-        x_step = np.empty(n_clients * batch_size * n_features)
-        y_step = np.empty(n_clients * batch_size)
-        # Per minibatch length, leading parts of those buffers. A step copies
-        # its streams' rows into the first pair, since `take` would copy a
-        # strided input into a fresh array, then gathers its clients' rows.
-        step_views = {rows: (_lead(x_rows, n_streams, rows, n_features),
-                             _lead(y_rows, n_streams, rows),
-                             _lead(x_step, n_clients, rows, n_features),
-                             _lead(y_step, n_clients, rows))
-                      for rows in {len(range(n_rows)[batch]) for batch in batches}}
+        # A step copies its streams' rows into `x_rows` and `y_rows`, since
+        # `take` would copy a strided input into a fresh array, then gathers
+        # its clients' rows into `x_step` and `y_step`.
+        x_rows = np.empty((n_streams, batch_size, n_features))
+        y_rows = np.empty((n_streams, batch_size))
+        x_step = np.empty((n_clients, batch_size, n_features))
+        y_step = np.empty((n_clients, batch_size))
 
     theta = np.empty(n_clients * spec.param_count)
     grad = np.empty_like(theta)
@@ -361,12 +350,13 @@ def train_clients(
         for batch in batches:
             x, y = x_epoch[:, batch], y_epoch[:, batch]
             if shared:
-                x_in, y_in, x_out, y_out = step_views[y.shape[1]]
+                rows = y.shape[1]
+                x_in, y_in = x_rows[:, :rows], y_rows[:, :rows]
                 np.copyto(x_in, x)
                 np.copyto(y_in, y)
                 # Stream ids never need clipping either.
-                x = np.take(x_in, stream_ids, axis=0, mode="clip", out=x_out)
-                y = np.take(y_in, stream_ids, axis=0, mode="clip", out=y_out)
+                x = np.take(x_in, stream_ids, axis=0, mode="clip", out=x_step[:, :rows])
+                y = np.take(y_in, stream_ids, axis=0, mode="clip", out=y_step[:, :rows])
             _pass(ws, bs, x.transpose(0, 2, 1), y, grads)
             if not np.isfinite(grad).all():
                 finite = np.logical_and.reduce([np.isfinite(g).reshape(n_clients, -1).all(axis=1)

@@ -164,15 +164,14 @@ def test_criterion_5_fedavg_oracle(rng):
 
 
 def test_criterion_6_comm_overhead_ordering():
-    ledgers = {p: comm_cost(p, 10, 5, 3, 23, 30)
-               for p in ("intelliselect", "score", "no_policy")}
-    per_round_nop = ledgers["no_policy"].round_total
-    ordered = (ledgers["intelliselect"].total < ledgers["score"].total
-               < ledgers["no_policy"].total)
+    # The default config: K=10, m=5, F=3, 23 parameters, 30 rounds.
+    totals = {p: 30 * sum(comm_cost(p, 10, 5, 3, 23))
+              for p in ("intelliselect", "score", "no_policy")}
+    per_round_nop = sum(comm_cost("no_policy", 10, 5, 3, 23))
+    ordered = totals["intelliselect"] < totals["score"] < totals["no_policy"]
     report(6, ordered and per_round_nop == 460,
            f"per-round no_policy = {per_round_nop} (= 460); totals "
-           f"{ledgers['intelliselect'].total} < {ledgers['score'].total} "
-           f"< {ledgers['no_policy'].total}")
+           f"{totals['intelliselect']} < {totals['score']} < {totals['no_policy']}")
 
 
 def test_criterion_7_convergence_trend(trend_runs):

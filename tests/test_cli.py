@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -5,15 +6,19 @@ import hmac
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import read_rounds_csv
 from fedslice import cli, federation, metrics
+from fedslice.data import CSV_COLUMNS, ingest_csv, slice_by_name
 from fedslice.metrics import comm_cost
 from fedslice.nn import ModelParams
 
@@ -84,6 +89,18 @@ def wall_clock_free(out):
         else:
             files[path.name] = path.read_bytes()
     return files
+
+
+UTF8_BOM = b"\xef\xbb\xbf"
+
+
+def bitwise(value):
+    """A dataclass's fields, recursively, with floats and arrays as their bytes."""
+    if dataclasses.is_dataclass(value):
+        return [bitwise(getattr(value, f.name)) for f in dataclasses.fields(value)]
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    return value.hex() if isinstance(value, float) else value
 
 
 def profile_entry(client_id, **overrides):
@@ -286,6 +303,18 @@ class TestRun:
         cfg = write_config(tmp_path)
         assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 3
 
+    @pytest.mark.parametrize("below", [(), ("sub",)])
+    def test_out_that_cannot_be_a_directory_is_exit_2_before_any_work(self, tmp_path, capsys,
+                                                                     monkeypatch, below):
+        def boom(*args, **kwargs):
+            raise RuntimeError("the experiment ran")
+        monkeypatch.setattr(cli, "run_experiment", boom)
+        taken = tmp_path / "taken"
+        taken.write_text("a file")
+        out = taken.joinpath(*below)
+        assert run_cli("run", "--config", write_config(tmp_path), "--out", out) == 2
+        assert capsys.readouterr().err == f"error: --out {out}: {taken} is not a directory\n"
+
     def test_non_finite_summary_value_is_exit_3_and_writes_no_summary(self, tmp_path, capsys,
                                                                        monkeypatch):
         # An under-provisioning sum that overflowed to infinity, which JSON
@@ -433,6 +462,17 @@ class TestGenData:
         assert capsys.readouterr().err == (f"error: {path}: profiles[1]: slice SocialMedia, "
                                            "column 'Facebook': non-finite value\n")
         assert sorted(p.name for p in out.iterdir()) == ["notes.txt"]
+
+    @pytest.mark.parametrize("below", [(), ("sub",)])
+    def test_out_that_cannot_be_a_directory_is_exit_2_and_writes_nothing(self, tmp_path,
+                                                                        capsys, below):
+        taken = tmp_path / "taken"
+        taken.write_text("a file")
+        out = taken.joinpath(*below)
+        assert run_cli("gen-data", "--profiles", self.profiles_file(tmp_path),
+                       "--out", out) == 2
+        assert capsys.readouterr().err == f"error: --out {out}: {taken} is not a directory\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["profiles.json", "taken"]
 
     def test_zero_clients_is_exit_2(self, tmp_path):
         profiles = self.profiles_file(tmp_path, n_clients=0)
@@ -678,6 +718,50 @@ class TestMalformedData:
         assert capsys.readouterr().err == (
             f"error: {path}: not UTF-8 text: invalid continuation byte\n")
 
+    @pytest.mark.parametrize("cells, named", [
+        # Found by `TestInputBoundary`: this finite test-row cell passed
+        # ingestion, and the test MSE overflowed (exit 3 naming summary.json).
+        ({(33, "Youtube"): "1.7e+308"}, "row 34, eMBB traffic: 1.7e+308 scales to 6e+307"),
+        # A train span of 1e-200 puts the first test row's CQI out of reach too,
+        ({**{(r, "CQI"): "0" for r in range(2, 33)}, (1, "CQI"): "1e-200"},
+         "row 34, column 'CQI': "),
+        # and one of 5e-324 scales a test row's CPU load to infinity.
+        ({**{(r, "CPU_Load"): "0" for r in range(2, 33)}, (1, "CPU_Load"): "5e-324"},
+         "row 34, column 'CPU_Load': "),
+    ])
+    def test_value_scaled_far_outside_the_train_rows_is_exit_2_naming_it(self, tmp_path, capsys,
+                                                                         cells, named):
+        data_dir = self.generate(tmp_path, 40)  # rows 2-33 train, 34-41 test
+        path = data_dir / "client01_eMBB.csv"
+        self.set_cells(path, cells)
+        assert self.run_on(tmp_path, data_dir) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {named}")
+        assert err.endswith(", outside [-1e+100, 1e+100] (the train rows scale into [0, 1])\n")
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # Spreadsheet programs save "CSV UTF-8" files with one.
+        data_dir = self.generate(tmp_path, 50)
+        plain = data_dir / "client00_eMBB.csv"
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(UTF8_BOM + plain.read_bytes())
+        plain_ds, marked_ds = (ingest_csv(path, slice_by_name("eMBB"), client_id=0, seed=7)
+                               for path in (plain, marked))
+        assert bitwise(marked_ds) == bitwise(plain_ds)
+
+    @pytest.mark.parametrize("col, text, message", [
+        ("CQI", "x", "row 6, column 'CQI': cannot parse 'x'"),
+        ("Apple", "-2", "row 6, column 'Apple': -2.0 is outside [0, inf]"),
+    ])
+    def test_byte_order_mark_keeps_the_bad_cell_named(self, tmp_path, capsys, col, text,
+                                                      message):
+        data_dir = self.generate(tmp_path, 50)
+        path = data_dir / "client01_eMBB.csv"
+        self.set_cells(path, {(5, col): text})
+        path.write_bytes(UTF8_BOM + path.read_bytes())
+        assert self.run_on(tmp_path, data_dir) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
     def test_csv_that_is_a_directory_is_exit_2_naming_it(self, tmp_path, capsys):
         data_dir = self.generate(tmp_path, 50)
         path = data_dir / "client00_eMBB.csv"
@@ -869,11 +953,9 @@ class TestCompare:
         assert run_cli("compare", out_a, out_b, "--out", csv_out) == 0
 
         cfg = tiny_config()
-        expected = (
-            comm_cost("no_policy", cfg["n_clients"], cfg["n_selected"], 3, 23,
-                      cfg["n_rounds"]).total
-            - comm_cost("intelliselect", cfg["n_clients"], cfg["n_selected"], 3, 23,
-                        cfg["n_rounds"]).total
+        expected = cfg["n_rounds"] * (
+            sum(comm_cost("no_policy", cfg["n_clients"], cfg["n_selected"], 3, 23))
+            - sum(comm_cost("intelliselect", cfg["n_clients"], cfg["n_selected"], 3, 23))
         )
         lines = csv_out.read_text().splitlines()
         delta_rows = [l for l in lines if l.startswith("eMBB,intelliselect,no_policy")]
@@ -1088,6 +1170,87 @@ class TestNoLogging:
             "using the uniform vector"
             for k in range(4)
         ]
+
+
+def refuse_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+# Any finite double, with the extremes, subnormals and signed zeros drawn often.
+FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from([1.7e308, -1.7e308, 5e-324, -5e-324, 2.0 ** -1040, 0.0, -0.0]))
+
+
+class TestInputBoundary:
+    """Whatever finite numbers a profile or client CSV holds, a command exits 0 or 2."""
+
+    RUN_CONFIG = {"n_clients": 3, "n_selected": 2, "n_rounds": 1, "local_epochs": 1,
+                  "attribution_samples": 4, "slices": ["eMBB"], "seed": 42}
+
+    @staticmethod
+    def invoke(*args):
+        """Exit code and stderr of one in-process command."""
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run_cli(*args)
+        return code, err.getvalue()
+
+    def run_on(self, base, data_dir, named):
+        """Run on `data_dir`; a refusal must name one of the `named` files."""
+        cfg = base / "config.json"
+        cfg.write_text(json.dumps({**self.RUN_CONFIG, "data_dir": str(data_dir)}))
+        code, err = self.invoke("run", "--config", cfg, "--out", base / "out")
+        assert code in (0, 2), err
+        if code == 2:
+            assert any(str(path) in err for path in named), err
+        else:
+            for name in ("summary.json", "manifest.json"):
+                json.loads((base / "out" / name).read_text(), parse_constant=refuse_constant)
+
+    @pytest.fixture(scope="class")
+    def data_dir(self, tmp_path_factory):
+        base = tmp_path_factory.mktemp("boundary")
+        profiles = base / "profiles.json"
+        profiles.write_text(json.dumps({"n_clients": 3, "samples_per_client": 40, "seed": 42,
+                                        "slices": ["eMBB"]}))
+        assert self.invoke("gen-data", "--profiles", profiles, "--out", base / "data")[0] == 0
+        return base / "data"
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 40), st.sampled_from(CSV_COLUMNS), FINITE),
+                    min_size=1, max_size=3))
+    def test_any_finite_csv_cells(self, tmp_path_factory, data_dir, cells):
+        base = tmp_path_factory.mktemp("cells")
+        data = shutil.copytree(data_dir, base / "data")
+        path = data / "client01_eMBB.csv"
+        lines = path.read_text().splitlines()
+        header = lines[0].split(",")
+        for row, col, value in cells:
+            fields = lines[row].split(",")
+            fields[header.index(col)] = repr(value)
+            lines[row] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        self.run_on(base, data, [path])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.fixed_dictionaries({
+        "traffic_scale": FINITE, "diurnal_phase": FINITE, "cqi_mean": FINITE,
+        "noise_level": FINITE, "mix_weights": st.lists(FINITE, min_size=3, max_size=3),
+        "diurnal_amplitude": FINITE}), min_size=3, max_size=3))
+    def test_any_finite_profile_numbers(self, tmp_path_factory, numbers):
+        base = tmp_path_factory.mktemp("profiles")
+        profiles = base / "profiles.json"
+        profiles.write_text(json.dumps({
+            "n_clients": 3, "samples_per_client": 40, "seed": 42, "slices": ["eMBB"],
+            "profiles": [{"client_id": k, **entry} for k, entry in enumerate(numbers)]}))
+        data = base / "data"
+        code, err = self.invoke("gen-data", "--profiles", profiles, "--out", data)
+        assert code in (0, 2), err
+        if code == 2:
+            assert str(profiles) in err, err
+            assert not list(base.glob("**/*.csv"))
+        else:
+            self.run_on(base, data, sorted(data.glob("*.csv")))
 
 
 class TestParsing:

@@ -26,16 +26,12 @@ class TestCommCost:
         # K=10, m=5, F=3, 23 parameters.
         for policy, expected in (("no_policy", (230, 230)), ("intelliselect", (230, 145)),
                                  ("score", (233, 155))):
-            ledger = comm_cost(policy, 10, 5, 3, 23, 1)
-            assert (ledger.downlink_per_round, ledger.uplink_per_round) == expected
+            assert comm_cost(policy, 10, 5, 3, 23) == expected
 
     def test_single_round_totals(self):
-        no_policy = comm_cost("no_policy", 10, 5, 3, 23, 1)
-        intelliselect = comm_cost("intelliselect", 10, 5, 3, 23, 1)
-        score = comm_cost("score", 10, 5, 3, 23, 1)
-        assert no_policy.total == 460
-        assert intelliselect.total == 375
-        assert score.total == 388
+        assert sum(comm_cost("no_policy", 10, 5, 3, 23)) == 460
+        assert sum(comm_cost("intelliselect", 10, 5, 3, 23)) == 375
+        assert sum(comm_cost("score", 10, 5, 3, 23)) == 388
 
     def test_policy_ordering_holds_generally(self, rng):
         for _ in range(200):
@@ -43,24 +39,28 @@ class TestCommCost:
             m = int(rng.integers(1, k))
             f = int(rng.integers(1, 6))
             p = int(rng.integers(1, 500))
-            intelli = comm_cost("intelliselect", k, m, f, p, 1).total
-            score = comm_cost("score", k, m, f, p, 1).total
-            nop = comm_cost("no_policy", k, m, f, p, 1).total
+            intelli = sum(comm_cost("intelliselect", k, m, f, p))
+            score = sum(comm_cost("score", k, m, f, p))
+            nop = sum(comm_cost("no_policy", k, m, f, p))
             assert intelli < score
             assert score < nop or (k - m) * p <= f + k + k * f
 
     def test_everyone_selected_no_features_matches_no_policy(self):
-        a = comm_cost("intelliselect", 10, 10, 0, 23, 1)
-        b = comm_cost("no_policy", 10, 10, 0, 23, 1)
-        assert a.total == b.total
+        assert comm_cost("intelliselect", 10, 10, 0, 23) == comm_cost("no_policy", 10, 10, 0, 23)
 
-    def test_rounds_scale_linearly(self):
-        one = comm_cost("intelliselect", 10, 5, 3, 23, 1)
-        thirty = comm_cost("intelliselect", 10, 5, 3, 23, 30)
-        assert thirty.total == 30 * one.total
-        rows = thirty.rows()
+    def test_rounds_scale_linearly(self, tmp_path):
+        # A 30-round run costs 30 single rounds: the ledger has one row per
+        # round and its last running total is the run total in summary.json.
+        one = sum(comm_cost("intelliselect", 10, 5, 3, 23))
+        cfg = small_config(n_clients=10, n_selected=5, n_rounds=30)
+        paths = persist(tmp_path, cfg, [])
+        rows = [line.split(",") for line in
+                paths["comm_ledger"].read_text().strip().splitlines()[1:]
+                if line.startswith("intelliselect,")]
+        total = json.loads(paths["summary"].read_text())["comm_model"]["intelliselect"]["total"]
+        assert total == 30 * one
         assert len(rows) == 30
-        assert rows[-1][4] == thirty.total
+        assert int(rows[-1][5]) == total
 
 
 def identity_scaler():
@@ -220,9 +220,8 @@ class TestPersistence:
         spec = cfg.network_spec
         paths = persist(tmp_path, cfg, run_experiment(cfg, build_datasets(cfg)))
         for policy in cfg.policies:
-            ledger = comm_cost(policy, cfg.n_clients, cfg.n_selected,
-                               spec.n_features, spec.param_count, cfg.n_rounds)
-            expected = ledger.downlink_per_round + ledger.uplink_per_round
+            expected = sum(comm_cost(policy, cfg.n_clients, cfg.n_selected,
+                                     spec.n_features, spec.param_count))
             rows = read_rounds_csv(paths[f"rounds_eMBB_{policy}"])
             assert [r["params_transmitted"] for r in rows] == [expected] * cfg.n_rounds
 
@@ -261,3 +260,17 @@ class TestPersistence:
         first = lines[1].split(",")
         assert first[0] == "intelliselect"
         assert int(first[4]) == 375
+        # Each row's running total is its round total times the rounds so far,
+        # and each policy's last row is its run total in summary.json.
+        comm_model = json.loads(paths["summary"].read_text())["comm_model"]
+        last = {}
+        for line in lines[1:]:
+            policy, t, down, up, round_total, cumulative = line.split(",")
+            model = comm_model[policy]
+            assert (int(down), int(up)) == (model["downlink_per_round"],
+                                            model["uplink_per_round"])
+            assert int(round_total) == int(down) + int(up)
+            assert int(cumulative) == int(round_total) * (int(t) + 1)
+            last[policy] = (int(t), int(cumulative))
+        assert last == {policy: (cfg.n_rounds - 1, model["total"])
+                        for policy, model in comm_model.items()}
