@@ -22,9 +22,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 # One BLAS thread, set before numpy loads. No layer here is wider than 3, so
-# threading gains nothing, and OpenBLAS's idle worker only spins. A dot product
-# over more than 10,000 elements is split across threads, so without this an
-# MSE over a pooled test set that large would depend on the thread count.
+# threading gains nothing, and OpenBLAS's idle worker only spins; threads would
+# also split, and so change the bits of, an MSE over more than 10,000 test rows.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
 

@@ -5,11 +5,11 @@ shared initial model and one `RoundRecord` per finished round, the last of
 which holds the current global model. Every round attributes each client's
 data on that model (attribution policies only), selects clients under the
 run's policy, trains the selected clients locally, averages their weights by
-train rows into the new global model, evaluates it on the pooled test set and
-appends its record. Federations share only the configuration, the seed and
-the initial model; `run_round` advances them together so that the clients of
-all of them train in shared lockstep calls, and work that several of them
-need from identical inputs is done once.
+train rows into the new global model, evaluates it on its clients' test
+splits and appends its record. Federations share only the configuration, the
+seed and the initial model; `run_round` advances them together so that the
+clients of all of them train in shared lockstep calls, and work that several
+of them need from identical inputs is done once.
 """
 
 from __future__ import annotations
@@ -181,19 +181,15 @@ def build_datasets(cfg: ExperimentConfig) -> dict[str, list[ClientDataset]]:
     return out
 
 
-def pooled_test_set(datasets: list[ClientDataset]) -> tuple[np.ndarray, np.ndarray]:
-    """Union of all clients' scaled test splits, in ascending client order."""
-    feats = np.concatenate([d.test_features for d in datasets], axis=0)
-    targets = np.concatenate([d.test_targets for d in datasets], axis=0)
-    return feats, targets
+def evaluate_global(params: ModelParams, datasets) -> float:
+    """Mean squared error of the global model over its clients' test splits, read in place.
 
-
-def evaluate_global(params: ModelParams, test_features: np.ndarray, test_targets: np.ndarray) -> float:
-    """Mean squared error of the global model over a pooled test set."""
-    y = np.asarray(test_targets, dtype=np.float64).reshape(-1)
-    pred = forward_batch(params, test_features)
-    diff = pred - y
-    return float(diff @ diff / y.shape[0])
+    Overflow goes unreported: `run_round` refuses the inf or nan it leaves.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = np.concatenate([forward_batch(params, ds.test_features) - ds.test_targets
+                               for ds in datasets])
+        return float(diff @ diff / diff.shape[0])
 
 
 def fedavg_aggregate(params_list: list[ModelParams], sizes: list[int]) -> ModelParams:
@@ -248,10 +244,9 @@ def run_round(runs: list[SliceRun], cfg: ExperimentConfig) -> None:
     and its model goes to every federation that selected it. Trainings of a
     call that differ only in the start model share their data stream, the
     (dataset, slice, client id) part of that key: `train_clients` holds one
-    copy of its rows and shuffles it once an epoch for all of them. The
-    federations of a slice evaluate on one pooled test set, built after
-    training: held through training, a slice's set would raise the run's
-    peak memory by its size.
+    copy of its rows and shuffles it once an epoch for all of them.
+    Evaluation reads each client's test split in place. A non-finite test
+    MSE raises `NumericError` naming the round and the federation.
 
     A federation's round time is its own select and aggregate wall time, the
     wall time of the attribution pass its chi came from, and, from each
@@ -334,8 +329,6 @@ def run_round(runs: list[SliceRun], cfg: ExperimentConfig) -> None:
                 trained[slot] = model
                 elapsed[slot[0]] += share
 
-    # (dataset ids) -> the pooled test set of those datasets.
-    test_sets: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
     for i, (run, chi, selection) in enumerate(zip(runs, chis, selections)):
         started = time.perf_counter()
         ordered = sorted(selection.selected)
@@ -345,10 +338,10 @@ def run_round(runs: list[SliceRun], cfg: ExperimentConfig) -> None:
         )
         elapsed_ms = (elapsed[i] + time.perf_counter() - started) * 1e3
 
-        key = tuple(map(id, run.datasets))
-        if key not in test_sets:
-            test_sets[key] = pooled_test_set(run.datasets)
-        mse = evaluate_global(new_global, *test_sets[key])
+        mse = evaluate_global(new_global, run.datasets)
+        if not np.isfinite(mse):
+            raise NumericError(f"round {round_index}: slice {run.slice_name}, "
+                               f"policy {run.policy}: non-finite test MSE {mse}")
         previous_ms = run.records[-1].cum_time_ms if run.records else 0.0
         run.records.append(RoundRecord(
             round_index=round_index,

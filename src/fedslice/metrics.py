@@ -122,14 +122,20 @@ def write_selection_csv(path: Path, selections) -> None:
                            for t, sel in enumerate(selections) for audit in sel.audit)))
 
 
+# Report rows made Python numbers at a time: a 50-client report's 10,000 at once held 0.39 MiB.
+_CHUNK_ROWS = 1024
+
+
 def write_provisioning_csv(path: Path, policy: str,
                            round_reports: list[tuple[int, ProvisioningReport]]) -> None:
     write_csv(path, ("policy", "round", "client_id", "sample_index", "p_err"),
               format_rows("%s,%d,%d,%d,%.17g",
                           ((policy, round_index, cid, i, err)
                            for round_index, report in round_reports
-                           for i, (cid, err) in enumerate(zip(report.client_ids.tolist(),
-                                                              report.errors.tolist())))))
+                           for at in range(0, report.errors.shape[0], _CHUNK_ROWS)
+                           for i, cid, err in zip(range(at, at + _CHUNK_ROWS),
+                                                  report.client_ids[at:at + _CHUNK_ROWS].tolist(),
+                                                  report.errors[at:at + _CHUNK_ROWS].tolist()))))
 
 
 @dataclass(frozen=True)

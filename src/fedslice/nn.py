@@ -266,8 +266,8 @@ def train_clients(
     Full batch keeps one K x rows x features stack of each client's stream.
     `_pass` gets (K, features, batch) transposed views, so each layer's
     activations are (K, fan, batch) and its bias gradient sums delta over the
-    batch axis. A non-finite gradient raises `NumericError` whose `clients`
-    lists the stack positions at fault.
+    batch axis. Overflow warns nothing: a non-finite gradient raises
+    `NumericError` whose `clients` lists the stack positions at fault.
     """
     n_clients = len(start_params)
     # Plain lists, not np.unique or np.array_equal: on first use the one
@@ -339,51 +339,52 @@ def train_clients(
         offset += size
 
     step = 0
-    for _ in range(epochs):
-        if shuffle_rngs is not None:
-            for d, rng in enumerate(shuffle_rngs):
-                order = rng.permutation(n_rows)
-                # Permutations never need clipping; unlike the default
-                # "raise" mode, "clip" writes straight into `out`.
-                np.take(features[d], order, axis=0, out=x_epoch[d], mode="clip")
-                np.take(targets[d], order, out=y_epoch[d], mode="clip")
-        for batch in batches:
-            x, y = x_epoch[:, batch], y_epoch[:, batch]
-            if shared:
-                rows = y.shape[1]
-                x_in, y_in = x_rows[:, :rows], y_rows[:, :rows]
-                np.copyto(x_in, x)
-                np.copyto(y_in, y)
-                # Stream ids never need clipping either.
-                x = np.take(x_in, stream_ids, axis=0, mode="clip", out=x_step[:, :rows])
-                y = np.take(y_in, stream_ids, axis=0, mode="clip", out=y_step[:, :rows])
-            _pass(ws, bs, x.transpose(0, 2, 1), y, grads)
-            if not np.isfinite(grad).all():
-                finite = np.logical_and.reduce([np.isfinite(g).reshape(n_clients, -1).all(axis=1)
-                                                for g in grads[0] + grads[1]])
-                raise NumericError("non-finite gradient during local training",
-                                   tuple(int(k) for k in np.flatnonzero(~finite)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(epochs):
+            if shuffle_rngs is not None:
+                for d, rng in enumerate(shuffle_rngs):
+                    order = rng.permutation(n_rows)
+                    # Permutations never need clipping; unlike the default
+                    # "raise" mode, "clip" writes straight into `out`.
+                    np.take(features[d], order, axis=0, out=x_epoch[d], mode="clip")
+                    np.take(targets[d], order, out=y_epoch[d], mode="clip")
+            for batch in batches:
+                x, y = x_epoch[:, batch], y_epoch[:, batch]
+                if shared:
+                    rows = y.shape[1]
+                    x_in, y_in = x_rows[:, :rows], y_rows[:, :rows]
+                    np.copyto(x_in, x)
+                    np.copyto(y_in, y)
+                    # Stream ids never need clipping either.
+                    x = np.take(x_in, stream_ids, axis=0, mode="clip", out=x_step[:, :rows])
+                    y = np.take(y_in, stream_ids, axis=0, mode="clip", out=y_step[:, :rows])
+                _pass(ws, bs, x.transpose(0, 2, 1), y, grads)
+                if not np.isfinite(grad).all():
+                    finite = np.logical_and.reduce([np.isfinite(g).reshape(n_clients, -1)
+                                                    .all(axis=1) for g in grads[0] + grads[1]])
+                    raise NumericError("non-finite gradient during local training",
+                                       tuple(int(k) for k in np.flatnonzero(~finite)))
 
-            # Same expression order as the textbook update, so each element
-            # rounds exactly as m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
-            # theta -= lr * (m / c1) / (sqrt(v / c2) + eps).
-            step += 1
-            correction1 = 1.0 - _BETA1 ** step
-            correction2 = 1.0 - _BETA2 ** step
-            m *= _BETA1
-            np.multiply(grad, 1.0 - _BETA1, out=scratch)
-            m += scratch
-            v *= _BETA2
-            np.multiply(grad, 1.0 - _BETA2, out=scratch)
-            scratch *= grad
-            v += scratch
-            np.divide(v, correction2, out=scratch)
-            np.sqrt(scratch, out=scratch)
-            scratch += _EPSILON
-            np.divide(m, correction1, out=update)
-            update *= learning_rate
-            update /= scratch
-            theta -= update
+                # Same expression order as the textbook update, so each element
+                # rounds exactly as m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
+                # theta -= lr * (m / c1) / (sqrt(v / c2) + eps).
+                step += 1
+                correction1 = 1.0 - _BETA1 ** step
+                correction2 = 1.0 - _BETA2 ** step
+                m *= _BETA1
+                np.multiply(grad, 1.0 - _BETA1, out=scratch)
+                m += scratch
+                v *= _BETA2
+                np.multiply(grad, 1.0 - _BETA2, out=scratch)
+                scratch *= grad
+                v += scratch
+                np.divide(v, correction2, out=scratch)
+                np.sqrt(scratch, out=scratch)
+                scratch += _EPSILON
+                np.divide(m, correction1, out=update)
+                update *= learning_rate
+                update /= scratch
+                theta -= update
 
     values = np.concatenate([block.reshape(n_clients, -1) for block in blocks], axis=1)
     return [ModelParams(row, spec) for row in values]

@@ -303,6 +303,26 @@ class TestRun:
         cfg = write_config(tmp_path)
         assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 3
 
+    @pytest.mark.parametrize("epochs, failure", [
+        (1, ": non-finite test MSE "),
+        (2, ", clients [0, 1]: non-finite gradient during local training\n"),
+    ])
+    def test_overflowing_learning_rate_is_exit_3_naming_the_round_before_any_output(
+            self, tmp_path, capsys, epochs, failure):
+        # One full-batch step of 1e300 leaves a model whose test MSE is not
+        # finite, and a second step's gradient is not finite either. A
+        # warning that escaped would be an error under the suite's filter
+        # and end the run with another message.
+        out = tmp_path / "o"
+        assert run_cli("run", "--out", out, "--policies", "no_policy",
+                       "--override", "learning_rate=1e300", "--override", "n_clients=2",
+                       "--override", "n_selected=2", "--override", "n_rounds=1",
+                       "--override", f"local_epochs={epochs}", "--override", "batch_size=null",
+                       "--override", 'slices=["eMBB"]') == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"runtime failure: round 0: slice eMBB, policy no_policy{failure}")
+        assert not out.exists()
+
     @pytest.mark.parametrize("below", [(), ("sub",)])
     def test_out_that_cannot_be_a_directory_is_exit_2_before_any_work(self, tmp_path, capsys,
                                                                      monkeypatch, below):

@@ -17,11 +17,10 @@ from fedslice.federation import (
     build_datasets,
     evaluate_global,
     fedavg_aggregate,
-    pooled_test_set,
     run_experiment,
     run_round,
 )
-from fedslice.nn import ModelParams, NetworkSpec, forward_batch, init_params, train_clients
+from fedslice.nn import ModelParams, NetworkSpec, forward_batch, init_params, pack, train_clients
 from fedslice.selection import select
 
 
@@ -142,28 +141,53 @@ class TestComputeChi:
         ]
 
 
+def stand_in_clients(xs, ys, *cuts):
+    """Stand-in datasets whose test splits are `xs` and `ys` cut at the row indices `cuts`."""
+    return [SimpleNamespace(test_features=x, test_targets=y)
+            for x, y in zip(np.split(xs, cuts), np.split(ys, cuts))]
+
+
 class TestEvaluateGlobal:
     def test_perfect_predictor_scores_zero(self):
         # y = x on a 1-feature identity network.
         p = ModelParams(np.array([1.0, 0.0]), NetworkSpec((1, 1)))
         xs = np.linspace(0, 1, 11)[:, None]
-        assert evaluate_global(p, xs, xs[:, 0]) == 0.0
+        assert evaluate_global(p, stand_in_clients(xs, xs[:, 0], 4)) == 0.0
 
     def test_constant_zero_against_ones(self):
         p = ModelParams(np.zeros(23), NetworkSpec())
         xs = np.random.default_rng(0).uniform(0, 1, (10, 3))
-        assert evaluate_global(p, xs, np.ones(10)) == 1.0
+        assert evaluate_global(p, stand_in_clients(xs, np.ones(10), 3, 7)) == 1.0
 
     def test_matches_per_sample_loop(self, rng):
         p = init_params(NetworkSpec(), rng)
         xs = rng.uniform(0, 1, (50, 3))
         ys = rng.uniform(0, 1, 50)
-        mse = evaluate_global(p, xs, ys)
+        mse = evaluate_global(p, stand_in_clients(xs, ys, 20, 21))
         acc = 0.0
         for x, y in zip(xs, ys):
             pred = float(forward_batch(p, x[None, :])[0])
             acc += (pred - y) ** 2
         assert mse == pytest.approx(acc / 50.0, abs=1e-12)
+
+    def test_equals_one_pass_over_the_pooled_test_rows_bitwise(self, small_datasets):
+        # The oracle pools the test splits in client order, forwards them in
+        # one call and takes one dot product, on random models with nonzero
+        # biases. 50 clients of 1,000 rows pool 10,000 test rows.
+        wide = build_datasets(small_config(n_clients=50, samples_per_client=1000,
+                                           slices=("eMBB",)))["eMBB"]
+        spec = NetworkSpec()
+        rng = np.random.default_rng(11)
+        for datasets in (small_datasets["eMBB"], small_datasets["SocialMedia"], wide):
+            features = np.concatenate([d.test_features for d in datasets])
+            targets = np.concatenate([d.test_targets for d in datasets])
+            assert features.shape[0] == sum(d.size - d.n_train for d in datasets)
+            for _ in range(50):
+                layers = [(rng.normal(0.0, 1.0, shape), rng.uniform(0.1, 1.0, shape[1])
+                           * rng.choice([-1.0, 1.0], shape[1])) for shape in spec.layer_shapes()]
+                p = pack(spec, layers)
+                diff = forward_batch(p, features) - targets
+                assert evaluate_global(p, datasets) == diff @ diff / targets.shape[0]
 
 
 class TestConfig:
@@ -336,9 +360,8 @@ class TestRounds:
         # A huge step size sends every selected client's weights past float
         # range on the next step, in all six federations of the shared call.
         cfg = small_config(learning_rate=1e300, policies=("intelliselect", "score"))
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericError) as info:
-                run_experiment(cfg, small_datasets)
+        with pytest.raises(NumericError) as info:
+            run_experiment(cfg, small_datasets)
         initial = init_params(cfg.network_spec, cfg.seed)
         at_fault = []
         for policy in cfg.policies:
@@ -364,9 +387,8 @@ class TestRounds:
             victim, scaled_features=np.full_like(victim.scaled_features, 1e300))
         datasets = dict(small_datasets, SocialMedia=[
             poisoned if ds is victim else ds for ds in small_datasets["SocialMedia"]])
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericError) as info:
-                run_experiment(dataclasses.replace(cfg, policies=("no_policy",)), datasets)
+        with pytest.raises(NumericError) as info:
+            run_experiment(dataclasses.replace(cfg, policies=("no_policy",)), datasets)
         assert str(info.value) == ("round 0: slice SocialMedia, policy no_policy, clients [2]: "
                                    "non-finite gradient during local training")
 
@@ -374,10 +396,9 @@ class TestRounds:
         # At round 0 no_policy trains every client from the initial model, so
         # each client intelliselect selects is a training the two share.
         cfg = small_config(learning_rate=1e300)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericError) as info:
-                run_experiment(dataclasses.replace(cfg, policies=("intelliselect", "no_policy")),
-                               small_datasets)
+        with pytest.raises(NumericError) as info:
+            run_experiment(dataclasses.replace(cfg, policies=("intelliselect", "no_policy")),
+                           small_datasets)
         initial = init_params(cfg.network_spec, cfg.seed)
         at_fault = []
         for name in cfg.slices:
@@ -639,14 +660,3 @@ class TestExperiment:
         run = run_embb(cfg, "score", small_datasets["eMBB"])
         assert len(run.records) == 2
         assert all(len(r.selection.selected) == cfg.n_selected for r in run.records)
-
-    def test_pooled_test_set_is_client_ordered_concatenation(self, small_datasets):
-        datasets = small_datasets["eMBB"]
-        feats, targets = pooled_test_set(datasets)
-        assert feats.shape[0] == sum(d.size - d.n_train for d in datasets)
-        offset = 0
-        for d in datasets:
-            n = d.size - d.n_train
-            assert np.array_equal(feats[offset:offset + n], d.test_features)
-            assert np.array_equal(targets[offset:offset + n], d.test_targets)
-            offset += n

@@ -16,6 +16,7 @@ from fedslice.metrics import (
     persist,
     slice_provisioning,
     validate_summary,
+    write_provisioning_csv,
     write_rounds_csv,
 )
 from fedslice.nn import ModelParams, NetworkSpec
@@ -163,6 +164,21 @@ class TestPersistence:
     def test_seventeen_digit_floats_are_lossless(self, rng):
         for x in rng.normal(0, 1, 100):
             assert float(f"{x:.17g}") == x
+
+    def test_provisioning_csv_matches_a_row_loop_across_chunk_edges(self, tmp_path, rng):
+        # 2,500 rows cross two 1,024-row chunk edges; sample_index runs on
+        # across them and starts again at each round's report.
+        errors = rng.normal(0, 1, 2500) * 10.0 ** rng.integers(-9, 9, 2500)
+        reports = [(0, ProvisioningReport(errors, np.repeat(np.arange(25), 100))),
+                   (7, ProvisioningReport(rng.normal(0, 50, 1024), np.zeros(1024, dtype=np.int64)))]
+        path = tmp_path / "provisioning.csv"
+        write_provisioning_csv(path, "score", reports)
+        expected = b"policy,round,client_id,sample_index,p_err\r\n"
+        for round_index, report in reports:
+            for i in range(report.errors.shape[0]):
+                expected += ("%s,%d,%d,%d,%.17g\r\n" % ("score", round_index, report.client_ids[i],
+                                                          i, report.errors[i])).encode()
+        assert path.read_bytes() == expected
 
     def test_persist_writes_all_files_and_valid_summary(self, tmp_path, tiny_runs):
         cfg, runs = tiny_runs
