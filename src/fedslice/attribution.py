@@ -64,14 +64,22 @@ def sample_attributions(params: ModelParams, samples: np.ndarray) -> np.ndarray:
         cuts = _merge(cuts, _zeros(cuts, _forward(ws, bs, slope, cuts, layer)[1]))
     masks, z = _forward(ws, bs, slope, cuts, last)
     # The last hidden layer's gates integrated over each piece. Where z is 0
-    # at both ends, both sums are 0 and the gate stays 0.
-    gate = np.maximum(z, 0.0)
-    gate = gate[:, :-1] + gate[:, 1:]
+    # at both ends, both sums are 0 and the gate stays 0. The gate is the one
+    # new (units, pieces, samples) array: each piece's far end is added to it
+    # in place, the size is summed over z piece by piece (z's next cut is
+    # still |z| when read) and the first delta is written over the gate.
+    gate = np.maximum(z[:, :-1], 0.0)
+    for piece in range(gate.shape[1]):
+        gate[:, piece] += np.maximum(z[:, piece + 1], 0.0)
     np.abs(z, out=z)
-    size = z[:, :-1] + z[:, 1:]
+    for piece in range(gate.shape[1]):
+        z[:, piece] += z[:, piece + 1]
+    size = z[:, :-1]
     np.divide(gate, size, out=gate, where=size > 0.0)
+    del z, size  # so the backward sweep reuses z's memory
     gate *= np.diff(cuts, axis=0)
-    delta = gate * ws[-1][:, :, None]
+    delta = gate
+    delta *= ws[-1][:, :, None]
     for layer in range(last - 1, -1, -1):
         delta = _matmul(ws[layer + 1], delta)
         delta *= masks[layer]

@@ -289,7 +289,8 @@ def make_dataset(
     return ClientDataset(
         client_id=client_id,
         n_train=n_train,
-        attribution_indices=shuffle_rng.permutation(n_train),
+        # In the smallest unsigned dtype that holds n_train: 16 bits at 800 rows.
+        attribution_indices=shuffle_rng.permutation(n_train).astype(np.min_scalar_type(n_train)),
         scaler=scaler,
         scaled_features=scaler.transform_features(features),
         scaled_targets=scaler.transform_target(targets),
@@ -358,9 +359,14 @@ def default_profiles(n_clients: int, seed: int) -> list[NonIidProfile]:
     return profiles
 
 
-def _split_seed(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
-    signal_ss, shuffle_ss = np.random.SeedSequence(seed).spawn(2)
-    return np.random.default_rng(signal_ss), np.random.default_rng(shuffle_ss)
+# A client's seed splits into two streams: its generated signal and its
+# attribution pool's shuffle.
+_SIGNAL_STREAM, _SHUFFLE_STREAM = 0, 1
+
+
+def _client_rng(seed: int, stream: int) -> np.random.Generator:
+    """One stream of a client's seed: child `stream` of `SeedSequence(seed).spawn(2)`, alone."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream,)))
 
 
 def generate_client_table(
@@ -377,7 +383,7 @@ def generate_client_table(
     CPU load is the profile's mix of the three features plus heteroscedastic
     noise, clipped to [0, 100].
     """
-    rng, _ = _split_seed(seed)
+    rng = _client_rng(seed, _SIGNAL_STREAM)
     hours = np.arange(n_samples)
     base = 1.0 + profile.diurnal_amplitude * np.sin(
         2.0 * np.pi * (hours + profile.diurnal_phase) / 24.0
@@ -431,7 +437,7 @@ def generate_client(
     """Synthetic ClientDataset equal to exporting the table and re-ingesting it."""
     table = generate_client_table(profile, slice_spec, n_samples, seed)
     features, targets = aggregate_table(table, slice_spec)
-    _, shuffle_rng = _split_seed(seed)
+    shuffle_rng = _client_rng(seed, _SHUFFLE_STREAM)
     return make_dataset(profile.client_id, features, targets, shuffle_rng, train_fraction)
 
 
@@ -723,7 +729,7 @@ def ingest_csv(
         raise ConfigError(f"{path}: row {_data_rows(path)[int(np.argmin(finite))][0]}: "
                           f"{slice_spec.name} traffic, the sum of "
                           f"{', '.join(map(repr, slice_spec.ott_apps))}, overflows")
-    _, shuffle_rng = _split_seed(seed)
+    shuffle_rng = _client_rng(seed, _SHUFFLE_STREAM)
     try:
         with np.errstate(over="ignore"):  # a value scaled to infinity is refused below
             ds = make_dataset(client_id, features, targets, shuffle_rng, train_fraction)

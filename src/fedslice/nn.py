@@ -159,45 +159,57 @@ def _pass(
     targets: np.ndarray | None = None,
     grads: tuple[list[np.ndarray], list[np.ndarray]] | None = None,
     input_grads: bool = False,
-) -> tuple[list[np.ndarray], np.ndarray | None]:
+) -> tuple[list[np.ndarray] | None, np.ndarray | None]:
     """Forward and backward pass of K stacked networks over feature-major (K, F, B) inputs.
 
     `ws[i]` is (K, fan_in, fan_out) and `bs[i]` is (K, 1, fan_out); each layer
     computes z = W^T a + b^T, so activations are (K, fan, B) and every
-    elementwise operation runs along the B batch rows. Returns every layer's
-    pre-activations, (K, fan_out, B) each, the last of which holds the
-    predictions, and, with `input_grads`, the gradient of each prediction with
-    respect to its input column, (K, F, B). With `targets` (K, B), the
+    elementwise operation runs along the B batch rows. Without `targets`,
+    returns every layer's pre-activations, (K, fan_out, B) each, the last of
+    which holds the predictions, and, with `input_grads`, the gradient of each
+    prediction with respect to its input column, (K, F, B); the backward pass
+    then starts from the prediction itself. With `targets` (K, B), the
     gradient of the batch-mean squared error with respect to every weight and
     bias is written into `grads`, views shaped like `ws` and `bs`: a @ delta^T
     for the weights and delta summed over its contiguous batch axis for the
-    biases; otherwise the backward pass starts from the prediction itself.
+    biases, and (None, None) is returned. Training computes in place: it
+    keeps each layer's input instead of its pre-activation, applies ReLU over
+    z, takes each mask from the next layer's input (a > 0 exactly where
+    z > 0) and overwrites the predictions with the first delta.
     """
     n_layers = len(ws)
-    layer_inputs, pre_acts = [], []  # inputs are kept only for parameter gradients
+    train = targets is not None
+    kept = []  # training: every layer's input; otherwise every pre-activation
     a = x
     for i in range(n_layers):
-        if targets is not None:
-            layer_inputs.append(a)
-        z = ws[i].transpose(0, 2, 1) @ a + bs[i].transpose(0, 2, 1)
-        pre_acts.append(z)
-        a = z if i == n_layers - 1 else np.maximum(z, 0.0)
-    if targets is None and not input_grads:
-        return pre_acts, None
+        if train:
+            kept.append(a)
+        z = ws[i].transpose(0, 2, 1) @ a
+        z += bs[i].transpose(0, 2, 1)
+        if not train:
+            kept.append(z)
+        a = z if i == n_layers - 1 else np.maximum(z, 0.0, out=z if train else None)
+    if not train and not input_grads:
+        return kept, None
 
-    if targets is None:
-        delta = np.ones_like(pre_acts[-1])
+    if train:
+        delta = z  # (2 / B) * (prediction - target), (K, 1, B)
+        delta[:, 0] -= targets
+        delta *= 2.0 / targets.shape[1]
     else:
-        delta = ((2.0 / targets.shape[1]) * (pre_acts[-1][:, 0] - targets))[:, None]
+        delta = np.ones_like(z)
     for i in range(n_layers - 1, -1, -1):
-        if targets is not None:
-            np.matmul(layer_inputs[i], delta.transpose(0, 2, 1), out=grads[0][i])
+        if train:
+            np.matmul(kept[i], delta.transpose(0, 2, 1), out=grads[0][i])
             delta.sum(axis=2, out=grads[1][i][:, 0])
         if i > 0:
-            delta = (ws[i] @ delta) * (pre_acts[i - 1] > 0.0)
+            mask = kept[i] > 0.0 if train else kept[i - 1] > 0.0
+            # Training is done with this layer's input: its delta takes the buffer.
+            delta = np.matmul(ws[i], delta, out=kept[i] if train else None)
+            delta *= mask
         elif input_grads:
             delta = ws[0] @ delta
-    return pre_acts, delta if input_grads else None
+    return (None if train else kept), delta if input_grads else None
 
 
 def pre_activations(params: ModelParams, features: np.ndarray) -> list[np.ndarray]:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedslice import data
 from fedslice.data import (
     CSV_COLUMNS,
     MinMaxScaler,
@@ -183,10 +184,31 @@ class TestSplit:
         ds = generate_client(profile(), EMBB, 100, seed=12)
         assert sorted(ds.attribution_indices) == list(range(ds.n_train))
 
+    @pytest.mark.parametrize("n_rows, dtype", [(1_000, np.uint16), (82_000, np.uint32)])
+    def test_pool_order_is_held_in_the_smallest_unsigned_dtype(self, rng, n_rows, dtype):
+        # 800 train rows fit 16 bits; 65,600 need 32. Either way the pool is
+        # the rows an int64 permutation from the same generator picks.
+        features = rng.uniform(0, 1, (n_rows, 3))
+        ds = make_dataset(0, features, rng.uniform(0, 100, n_rows), np.random.default_rng(5))
+        order = np.random.default_rng(5).permutation(ds.n_train)
+        assert order.dtype == np.int64
+        assert ds.attribution_indices.dtype == dtype
+        assert np.array_equal(ds.attribution_indices, order)
+        assert (ds.attribution_pool(ds.n_train).tobytes()
+                == ds.scaled_features[order].tobytes())
+
+    def test_each_client_stream_is_its_seed_sequence_child(self):
+        # A client's signal (0) and pool shuffle (1) streams are the children
+        # of SeedSequence(seed).spawn(2), each derived on its own.
+        for seed in (0, 8, 42, 2**40 + 3):
+            for stream, child in enumerate(np.random.SeedSequence(seed).spawn(2)):
+                expected = np.random.default_rng(child).random(16)
+                assert data._client_rng(seed, stream).random(16).tobytes() == expected.tobytes()
+
     def test_a_dataset_holds_its_scaled_rows_once(self, tmp_path):
-        # 1,000 rows: scaled features and targets, an 800-row pool order and
-        # 200 raw test targets, each in memory of its own, so no view can keep
-        # a parse buffer or a generation table alive.
+        # 1,000 rows: scaled features and targets, an 800-row pool order in
+        # 16 bits and 200 raw test targets, each in memory of its own, so no
+        # view can keep a parse buffer or a generation table alive.
         p = profile(client_id=2)
         path = tmp_path / "client02_eMBB.csv"
         write_client_csv(generate_client_table(p, EMBB, 1000, seed=8), path)
@@ -195,9 +217,9 @@ class TestSplit:
             arrays = {f.name: getattr(ds, f.name) for f in dataclasses.fields(ds)
                       if isinstance(getattr(ds, f.name), np.ndarray)}
             assert {name: a.nbytes for name, a in arrays.items()} == {
-                "attribution_indices": 6_400, "scaled_features": 24_000,
+                "attribution_indices": 1_600, "scaled_features": 24_000,
                 "scaled_targets": 8_000, "raw_test_targets": 1_600}
-            assert sum(a.nbytes for a in arrays.values()) == 40_000
+            assert sum(a.nbytes for a in arrays.values()) == 35_200
             assert all(a.base is None for a in arrays.values())
 
 
