@@ -616,8 +616,9 @@ def write_client_csv(table: dict[str, np.ndarray], path: str | Path) -> None:
     write_csv(path, CSV_COLUMNS, [lead, memoryview(body)[:len(body) - len(lead)]] if body else [])
 
 
-# Characters numpy's parser strips as whitespace around a number and `float()` does not.
-_NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+# Characters numpy's parser strips as whitespace around a number and `float()` does
+# not, as the single bytes that encode them in UTF-8.
+_NUMPY_ONLY_SPACE = b"\x1c\x1d\x1e\x1f"
 
 
 def read_table_csv(path: str | Path) -> dict[str, np.ndarray]:
@@ -630,13 +631,20 @@ def read_table_csv(path: str | Path) -> dict[str, np.ndarray]:
     `_NUMPY_ONLY_SPACE` is walked cell by cell with `float()`, which names the
     first bad cell's physical row and column. Blank lines are skipped but
     still count toward reported row numbers. A leading byte-order mark is skipped.
+
+    The file's bytes are read once and checked as UTF-8 before any cell, so a
+    non-UTF-8 byte anywhere wins over a bad cell earlier in the file. The rows
+    are then decoded a chunk at a time as numpy parses them, so no decoded
+    copy of the whole body is held.
     """
     path = Path(path)
     try:
-        with path.open("r", encoding="utf-8-sig", newline="") as fh:
-            header, body = next(csv.reader(fh), None), fh.read()
+        raw = path.read_bytes()
+        raw.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise read_error(path, exc) from None
+    fh = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="")
+    _, header = next(_records(path, fh), (None, None))
     if header is None:
         raise ConfigError(f"{path}: file is empty")
     missing = [c for c in CSV_COLUMNS if c not in header]
@@ -647,12 +655,12 @@ def read_table_csv(path: str | Path) -> dict[str, np.ndarray]:
         with warnings.catch_warnings():
             # loadtxt only warns on a body with no rows; the walk handles that file too.
             warnings.simplefilter("error", UserWarning)
-            values = np.loadtxt(io.StringIO(body, newline=""), delimiter=",", quotechar='"',
-                                comments=None, ndmin=2, usecols=list(col_pos.values()))
+            values = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, ndmin=2,
+                                usecols=list(col_pos.values()))
     except (ValueError, UserWarning):
         pass
     else:
-        if np.isfinite(values).all() and not any(c in body for c in _NUMPY_ONLY_SPACE):
+        if np.isfinite(values).all() and not any(c in raw for c in _NUMPY_ONLY_SPACE):
             return dict(zip(col_pos, values.T))
     return _walk_cells(path, col_pos)
 
@@ -664,11 +672,24 @@ def read_error(path: str | Path, exc: OSError | UnicodeDecodeError) -> ConfigErr
     return ConfigError(f"{path}: {exc.strerror or exc}")
 
 
+def _records(path: Path, fh):
+    """The CSV records of a text stream, each with its row number.
+
+    A record the csv module refuses, such as a quoted field past its size
+    limit, raises ConfigError naming the file and the record's row.
+    """
+    row_number = 0
+    try:
+        for row_number, row in enumerate(csv.reader(fh), start=1):
+            yield row_number, row
+    except csv.Error as exc:
+        raise ConfigError(f"{path}: row {row_number + 1}: {exc}") from None
+
+
 def _data_rows(path: Path) -> list[tuple[int, list[str]]]:
     """The non-blank records after a CSV file's header row, each with its row number."""
     with path.open("r", encoding="utf-8-sig", newline="") as fh:
-        return [(row_number, row) for row_number, row in enumerate(csv.reader(fh), start=1)
-                if row][1:]
+        return [(row_number, row) for row_number, row in _records(path, fh) if row][1:]
 
 
 def _walk_cells(path: Path, col_pos: dict[str, int]) -> dict[str, np.ndarray]:

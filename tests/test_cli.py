@@ -728,15 +728,25 @@ class TestMalformedData:
         assert ("client02_eMBB.csv: row 5: eMBB traffic, the sum of 'Netflix', 'Youtube', "
                 "'Facebook Video', overflows") in capsys.readouterr().err
 
-    def test_cell_that_is_not_utf8_is_exit_2_naming_the_file(self, tmp_path, capsys):
+    def test_cell_that_is_not_utf8_is_exit_2_naming_the_file(self, tmp_path, capsys,
+                                                             earlier=b""):
         data_dir = self.generate(tmp_path, 50)
         path = data_dir / "client01_eMBB.csv"
         lines = path.read_bytes().split(b"\r\n")
+        lines[5] += earlier
         lines[20] += b"\xe9"  # into CPU_Load, the last column
         path.write_bytes(b"\r\n".join(lines))
         assert self.run_on(tmp_path, data_dir) == 2
         assert capsys.readouterr().err == (
             f"error: {path}: not UTF-8 text: invalid continuation byte\n")
+
+    @pytest.mark.parametrize("earlier", [
+        b"oops",  # an unparseable cell in row 6
+        b"\x1c",  # a character numpy strips and float() refuses, in row 6
+    ])
+    def test_byte_that_is_not_utf8_wins_over_an_earlier_bad_cell(self, tmp_path, capsys,
+                                                                 earlier):
+        self.test_cell_that_is_not_utf8_is_exit_2_naming_the_file(tmp_path, capsys, earlier)
 
     @pytest.mark.parametrize("cells, named", [
         # Found by `TestInputBoundary`: this finite test-row cell passed
@@ -1250,6 +1260,21 @@ class TestInputBoundary:
             fields[header.index(col)] = repr(value)
             lines[row] = ",".join(fields)
         path.write_text("\n".join(lines) + "\n")
+        self.run_on(base, data, [path])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.floats(0, 1, exclude_max=True), st.sampled_from(
+        [b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f", b"\r", b"\n", b"\r\n", b'"', b",",
+         b"\xe9", b"\xef\xbb\xbf", b"0", b"7", b"9e9"])), min_size=1, max_size=3))
+    def test_any_bytes_inserted_into_a_csv(self, tmp_path_factory, data_dir, inserts):
+        base = tmp_path_factory.mktemp("bytes")
+        data = shutil.copytree(data_dir, base / "data")
+        path = data / "client01_eMBB.csv"
+        raw = path.read_bytes()
+        for where, chunk in inserts:
+            at = int(where * (len(raw) + 1))
+            raw = raw[:at] + chunk + raw[at:]
+        path.write_bytes(raw)
         self.run_on(base, data, [path])
 
     @settings(max_examples=100, deadline=None)

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -343,13 +344,48 @@ class TestCsv:
         assert str(info.value) == f"{path}: row 2, column 'CPU_Load': cannot parse 'late'"
 
     def test_lf_and_crlf_read_the_same(self, tmp_path):
+        # A CR-only file too.
         lines = [",".join(CSV_COLUMNS)] + [",".join([str(r + 0.25)] * 13) for r in range(4)]
-        lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
-        lf.write_bytes(("\n".join(lines) + "\n").encode())
-        crlf.write_bytes(("\r\n".join(lines) + "\r\n").encode())
-        a, b = read_table_csv(lf), read_table_csv(crlf)
+        tables = []
+        for name, end in (("lf", "\n"), ("crlf", "\r\n"), ("cr", "\r")):
+            path = tmp_path / f"{name}.csv"
+            path.write_bytes((end.join(lines) + end).encode())
+            tables.append(read_table_csv(path))
         for col in CSV_COLUMNS:
-            assert a[col].tolist() == b[col].tolist() == [0.25, 1.25, 2.25, 3.25]
+            for table in tables:
+                assert table[col].tolist() == [0.25, 1.25, 2.25, 3.25]
+
+    def test_a_read_stays_within_its_memory_bound(self, tmp_path):
+        # A 1,000-row file as gen-data writes it, about 131 KB. Measured:
+        # 269,977 bytes above what the call starts with, the file's bytes
+        # beside numpy's parse (776,046 when the body was held as a str and
+        # again as a 4-byte-per-character StringIO); the bound leaves a 48%
+        # margin.
+        path = tmp_path / "client02_eMBB.csv"
+        write_client_csv(generate_client_table(profile(client_id=2), EMBB, 1000, seed=8), path)
+        read_table_csv(path)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            read_table_csv(path)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 400_000
+
+    def test_a_record_the_csv_module_refuses_names_the_file_and_row(self, tmp_path):
+        # A quote opened in row 3 and never closed runs past the csv
+        # module's 131,072-character field limit.
+        good = ",".join(["1"] * 13)
+        path = tmp_path / "client.csv"
+        path.write_text("\n".join([",".join(CSV_COLUMNS), good, '"' + good] + [good] * 6000))
+        with pytest.raises(ConfigError) as info:
+            read_table_csv(path)
+        assert str(info.value) == f"{path}: row 3: field larger than field limit (131072)"
+        path.write_text('"' + ",".join(CSV_COLUMNS) + "\n" + good * 6000)
+        with pytest.raises(ConfigError) as info:
+            read_table_csv(path)
+        assert str(info.value) == f"{path}: row 1: field larger than field limit (131072)"
 
     @pytest.mark.parametrize("cell", [
         "1.5", " 1.5 ", '"1.5"', '" 2 "', "+1.5", ".5", "5.", "1E+05", "-0", "Infinity",
